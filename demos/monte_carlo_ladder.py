@@ -26,7 +26,7 @@ print("uniform{-1,1}, upward ladder, 100000 walks")
 print("cells compared:", report.n_cells)
 print("worst cell z-score:", f"{report.max_z:.3f}")
 print("censored walks:", emp.censored_count)
-print("censored z-score:", f"{censored_z(mu, emp):.3f}")
+print("censored z-score:", f"{censored_z(law, emp):.3f}")
 print("within 4 sigma everywhere:", report.passed)
 
 print()

@@ -6,8 +6,7 @@ parse/validation failure (line-anchored message on stderr), 3 class
 detection failure. Report bodies are deterministic functions of the config
 bytes; the only timestamp sits on a leading comment line of CSV files so
 bodies stay byte-comparable across runs. Every report embeds the sha256 of
-the config document it came from. WHLAB_THREADS caps worker threads for
-the s-grid sweeps.
+the config document it came from.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -307,41 +304,6 @@ def parse_config(
     )
 
 
-# -- grid sweep with optional threading --------------------------------------
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("WHLAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("WHLAB_THREADS must be an integer, got %r" % raw)
-    return max(1, n)
-
-
-def _factorization(mu, s_values, t_values, horizon: int) -> FactorizationReport:
-    threads = _thread_count()
-    s_arr = np.asarray(s_values, dtype=complex)
-    if threads == 1 or len(s_arr) < 2:
-        return verify_factorization(mu, s_arr, t_values, horizon)
-    chunks = np.array_split(s_arr, min(threads, len(s_arr)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda c: verify_factorization(mu, c, t_values, horizon), chunks)
-        )
-    return FactorizationReport(
-        horizon,
-        s_arr,
-        np.asarray(t_values, dtype=float),
-        np.vstack([p.chi_plus for p in parts]),
-        np.vstack([p.chi_minus for p in parts]),
-        np.vstack([p.residuals for p in parts]),
-        np.concatenate([p.bounds for p in parts]),
-    )
-
-
 # -- command runners ----------------------------------------------------------
 
 
@@ -363,7 +325,7 @@ def _factorization_rows(report: FactorizationReport):
 def cmd_factorize(cfg: ExperimentConfig) -> int:
     dist = cfg.distribution()
     horizon = cfg.positive_int("horizon")
-    report = _factorization(dist.dist, cfg.s_values(), cfg.t_values(), horizon)
+    report = verify_factorization(dist.dist, cfg.s_values(), cfg.t_values(), horizon)
     _write_csv(
         cfg.output_dir / "factorization.csv",
         cfg.sha256,
@@ -399,7 +361,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     dist = cfg.distribution()
     horizon = cfg.positive_int("horizon")
     slack = cfg.tolerance("residual", 1e-10)
-    report = _factorization(dist.dist, cfg.s_values(), cfg.t_values(), horizon)
+    report = verify_factorization(dist.dist, cfg.s_values(), cfg.t_values(), horizon)
     allowed = report.bounds[:, None] + slack
     passed = bool(np.all(report.residuals <= allowed))
     per_s = [
@@ -489,7 +451,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         _write_json(cfg.output_dir / "simulate_report.json", payload)
         print("whlab simulate: %s" % exc, file=sys.stderr)
         return 1
-    cz = censored_z(dist.dist, emp)
+    cz = censored_z(exact, emp)
     rows = (
         (n, k, count, expected / emp.n_samples, z)
         for n, k, count, expected, z in comparison.cells

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataInconsistencyError
-from .lattice import MASS_TOL, LatticeDist, convolve, delta, restrict_nonneg
+from .lattice import MASS_TOL, LatticeDist, _half_line_walk
 
 __all__ = [
     "TruncatedData",
@@ -65,12 +65,8 @@ def truncated_data(mu: LatticeDist, horizon: int) -> TruncatedData:
     """Forward-generate TruncatedData from a fully known distribution."""
     if horizon < 1:
         raise DataInconsistencyError("horizon must be at least 1")
-    powers = []
-    current = delta(0)
-    for _ in range(horizon):
-        current = convolve(current, mu)
-        powers.append(restrict_nonneg(current))
-    return TruncatedData(horizon, tuple(powers))
+    walk = _half_line_walk(mu, None, horizon)
+    return TruncatedData(horizon, tuple(LatticeDist(k, w) for k, w in walk.crossings))
 
 
 # -- disk format ----------------------------------------------------------
@@ -111,14 +107,23 @@ def load_data_dir(directory: str | Path) -> TruncatedData:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise DataInconsistencyError("no manifest.json in %s" % root)
-    manifest = json.loads(manifest_path.read_text())
-    horizon = int(manifest["horizon"])
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+        horizon = int(manifest["horizon"])
+        entries = [(int(e["n"]), str(e["file"]), str(e["sha256"])) for e in manifest["powers"]]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise DataInconsistencyError(
+            "malformed manifest.json in %s: %s: %s" % (root, type(exc).__name__, exc)
+        ) from exc
     table: dict[int, LatticeDist] = {}
-    for entry in manifest["powers"]:
-        payload = (root / entry["file"]).read_bytes()
-        if _sha256_bytes(payload) != entry["sha256"]:
-            raise DataInconsistencyError("hash mismatch for %s" % entry["file"])
-        table[int(entry["n"])] = LatticeDist.from_json(payload.decode())
-    if sorted(table) != list(range(1, horizon + 1)):
+    for n, name, sha256 in entries:
+        try:
+            payload = (root / name).read_bytes()
+            if _sha256_bytes(payload) != sha256:
+                raise DataInconsistencyError("hash mismatch for %s" % name)
+            table[n] = LatticeDist.from_json(payload.decode())
+        except (OSError, TypeError, ValueError) as exc:
+            raise DataInconsistencyError("invalid power file %s: %s" % (name, exc)) from exc
+    if len(table) != horizon or sorted(table) != list(range(1, horizon + 1)):
         raise DataInconsistencyError("manifest powers do not cover 1..horizon")
     return TruncatedData(horizon, tuple(table[n] for n in range(1, horizon + 1)))

@@ -24,14 +24,7 @@ from scipy.special import logsumexp
 
 from .data import TruncatedData, packed_restricted
 from .errors import DomainError
-from .lattice import (
-    LatticeDist,
-    TransformKind,
-    convolve,
-    delta,
-    eval_transform,
-    split_nonneg,
-)
+from .lattice import LatticeDist, TransformKind, _half_line_walk, eval_transform
 
 UPWARD = "upward"
 DOWNWARD = "downward"
@@ -39,8 +32,6 @@ DOWNWARD = "downward"
 __all__ = [
     "UPWARD",
     "DOWNWARD",
-    "KilledWalkState",
-    "killed_walk_states",
     "LadderLaw",
     "ladder_law",
     "BoundedValue",
@@ -72,49 +63,25 @@ def _check_side(side: str) -> str:
 
 
 @dataclass(frozen=True)
-class KilledWalkState:
-    """Surviving sub-law of S_n on the event that no crossing happened yet.
-
-    For the upward kill the alive mass sits strictly below the origin; for
-    the downward kill it sits on k >= 0 (the walk may touch zero and live).
-    """
-
-    step: int
-    alive: LatticeDist
-
-
-def killed_walk_states(mu: LatticeDist, side: str, horizon: int) -> list[KilledWalkState]:
-    """States 0..horizon of the killed walk; state 0 is the unit mass at 0."""
-    _check_side(side)
-    if mu.is_zero:
-        raise DomainError("step distribution must be nonzero")
-    states = [KilledWalkState(0, delta(0))]
-    alive = delta(0)
-    for n in range(1, horizon + 1):
-        stepped = convolve(alive, mu)
-        neg, nonneg = split_nonneg(stepped)
-        alive = neg if side == UPWARD else nonneg
-        states.append(KilledWalkState(n, alive))
-    return states
-
-
-@dataclass(frozen=True)
 class LadderLaw:
     """Joint law of (first passage epoch, overshoot height) up to a horizon.
 
     ``masses[n-1, j]`` is P(tau = n, S_tau = height_offset + j). Upward laws
-    live on heights >= 0, downward laws on heights <= -1.
+    live on heights >= 0, downward laws on heights <= -1. ``survival[n]`` is
+    the alive total P(tau > n) for n = 0..horizon.
     """
 
     side: str
     horizon: int
     height_offset: int
     masses: np.ndarray
+    survival: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
+        for name in ("masses", "survival"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def heights(self) -> np.ndarray:
@@ -157,28 +124,17 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
         raise DomainError("step distribution must be nonzero")
     if horizon < 1:
         raise DomainError("horizon must be at least 1")
-    crossings: list[LatticeDist] = []
-    alive = delta(0)
-    for _ in range(horizon):
-        stepped = convolve(alive, mu)
-        neg, nonneg = split_nonneg(stepped)
-        if side == UPWARD:
-            crossings.append(nonneg)
-            alive = neg
-        else:
-            crossings.append(neg)
-            alive = nonneg
-    supports = [c.support() for c in crossings if not c.is_zero]
-    if not supports:
+    walk = _half_line_walk(mu, "nonneg" if side == UPWARD else "neg", horizon)
+    rows = [(n, offset, w) for n, (offset, w) in enumerate(walk.crossings) if w.size]
+    if not rows:
         base = 0 if side == UPWARD else -1
-        return LadderLaw(side, horizon, base, np.zeros((horizon, 0)))
-    lo = min(s[0] for s in supports)
-    hi = max(s[1] for s in supports)
-    table = np.zeros((horizon, hi - lo + 1))
-    for n, c in enumerate(crossings):
-        if not c.is_zero:
-            table[n, c.min_index - lo : c.max_index - lo + 1] = c.weights
-    return LadderLaw(side, horizon, lo, table)
+        return LadderLaw(side, horizon, base, np.zeros((horizon, 0)), walk.survival)
+    lo = min(offset for _, offset, _ in rows)
+    hi = max(offset + w.size for _, offset, w in rows)
+    table = np.zeros((horizon, hi - lo))
+    for n, offset, w in rows:
+        table[n, offset - lo : offset - lo + w.size] = w
+    return LadderLaw(side, horizon, lo, table, walk.survival)
 
 
 # -- transform evaluation with certified truncation bounds -----------------
@@ -439,20 +395,12 @@ def ladder_renewal(mu: LatticeDist, max_height: int, horizon: int) -> RenewalMea
         raise DomainError("max_height must be at least 1")
     if horizon < 1:
         raise DomainError("horizon must be at least 1")
-    acc = np.zeros(max_height)
-    snapshot = np.zeros(max_height)
+    walk = _half_line_walk(mu, "nonneg", horizon, occupancy=max_height)
+    # accumulate runs epoch by epoch, so each entry is a sequential sum
+    running = np.cumsum(walk.occupancy, axis=0)
     checkpoint = max(1, (3 * horizon) // 4)
-    alive = delta(0)
-    for n in range(1, horizon + 1):
-        stepped = convolve(alive, mu)
-        alive, _ = split_nonneg(stepped)
-        if not alive.is_zero:
-            for r in range(1, max_height + 1):
-                acc[r - 1] += alive.mass(-r)
-        if n == checkpoint:
-            snapshot = acc.copy()
-    converged = (acc - snapshot) <= 1e-12
-    return RenewalMeasure(acc, converged, horizon)
+    converged = (running[-1] - running[checkpoint - 1]) <= 1e-12
+    return RenewalMeasure(running[-1].copy(), converged, horizon)
 
 
 # -- exponential-moment probes ----------------------------------------------

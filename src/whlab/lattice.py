@@ -9,9 +9,11 @@ mass below one, and nothing here ever renormalizes silently.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -19,9 +21,6 @@ from scipy.signal import fftconvolve
 from .errors import DomainError, SizeLimitError
 
 MASS_TOL = 1e-9
-# only exact zeros are trimmed: deep-tail atoms such as 2**-200 are real
-# data for exponential-tilt probes and must survive canonicalization
-TRIM_TOL = 0.0
 # direct convolution is exact for nonnegative inputs; FFT introduces a
 # ~1e-17 noise floor, so it is reserved for windows where direct cost bites
 FFT_THRESHOLD = 1 << 14
@@ -29,7 +28,6 @@ MAX_WINDOW = 1 << 20
 
 __all__ = [
     "MASS_TOL",
-    "TRIM_TOL",
     "FFT_THRESHOLD",
     "MAX_WINDOW",
     "LatticeDist",
@@ -75,11 +73,14 @@ class LatticeDist:
             raise DomainError("window not canonical: zero edge weight")
         if w.size and float(w.min()) < 0.0:
             raise DomainError("negative weight %r" % float(w.min()))
-        if self.truncated_mass < 0.0:
-            raise DomainError("truncated_mass must be nonnegative")
+        if not 0.0 <= self.truncated_mass < math.inf:
+            raise DomainError("truncated_mass must be finite and nonnegative")
+        total = float(w.sum())
+        if not math.isfinite(total):
+            raise DomainError("non-finite weights (total %r)" % total)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total", float(w.sum()))
+        object.__setattr__(self, "total", total)
 
     # -- basic accessors -------------------------------------------------
 
@@ -163,34 +164,24 @@ class LatticeDist:
         )
 
 
-def lattice(
-    offset: int,
-    weights,
-    truncated_mass: float = 0.0,
-    trim: float = TRIM_TOL,
-) -> LatticeDist:
-    """Build a canonical LatticeDist, trimming edge weights at or below ``trim``.
+def lattice(offset: int, weights, truncated_mass: float = 0.0) -> LatticeDist:
+    """Build a canonical LatticeDist, trimming exact-zero edge weights.
 
-    The default trims exact zeros only, so any positive mass however small
-    stays in the window. Interior zeros are always preserved. Tiny negative
-    weights from floating-point convolution are clamped to zero, anything
-    more negative raises.
+    Any positive mass however small stays in the window, and interior zeros
+    are always preserved. Tiny negative weights from floating-point
+    convolution are clamped to zero, anything more negative raises, and so
+    does a NaN or infinite weight.
     """
     w = np.array(weights, dtype=float)
     if w.ndim != 1:
         raise DomainError("weights must be a 1-d sequence")
-    if w.size:
-        neg = w < 0.0
-        if neg.any():
-            worst = float(w[neg].min())
-            if worst < -1e-10:
-                raise DomainError("negative weight %r" % worst)
-            w[neg] = 0.0
-    keep = np.nonzero(w > trim)[0]
-    if keep.size == 0:
-        return LatticeDist(0, np.empty(0), truncated_mass)
-    lo, hi = int(keep[0]), int(keep[-1])
-    return LatticeDist(int(offset) + lo, w[lo : hi + 1].copy(), truncated_mass)
+    finite = np.isfinite(w)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError("non-finite weight %r at index %d" % (float(w[i]), i))
+    _clamp_negatives(w)
+    offset, w = _trim(int(offset), w)
+    return LatticeDist(offset, w.copy(), truncated_mass)
 
 
 def delta(k: int = 0) -> LatticeDist:
@@ -202,33 +193,66 @@ def zero_measure() -> LatticeDist:
     return LatticeDist(0, np.empty(0))
 
 
+def _clamp_negatives(w: np.ndarray) -> None:
+    """Zero tiny negative weights in place; raise below -1e-10."""
+    neg = w < 0.0
+    if neg.any():
+        worst = float(w[neg].min())
+        if worst < -1e-10:
+            raise DomainError("negative weight %r" % worst)
+        w[neg] = 0.0
+
+
+def _trim(offset: int, w: np.ndarray) -> tuple[int, np.ndarray]:
+    """Canonical (offset, view) of a nonnegative window, (0, empty) if all zero.
+
+    Only exact zeros are trimmed: deep-tail atoms such as 2**-200 are real
+    data for exponential-tilt probes and must survive canonicalization.
+    """
+    if not w.size:
+        return 0, w
+    if w[0] > 0.0 and w[-1] > 0.0:
+        return offset, w
+    keep = np.flatnonzero(w)
+    if not keep.size:
+        return 0, w[:0]
+    lo, hi = int(keep[0]), int(keep[-1])
+    return offset + lo, w[lo : hi + 1]
+
+
 # -- convolution ---------------------------------------------------------
 
 
-def convolve(a: LatticeDist, b: LatticeDist, max_window: int = MAX_WINDOW) -> LatticeDist:
-    """Convolution of two lattice measures.
+def _convolve_raw(a: np.ndarray, b: np.ndarray, max_window: int = MAX_WINDOW) -> np.ndarray:
+    """Convolution of two nonempty weight arrays, as a new array.
 
     Direct summation below FFT_THRESHOLD output length keeps tiny tail
-    masses exact; the FFT path above it carries a ~1e-17 noise floor.
+    masses exact; the FFT path above it carries a ~1e-17 noise floor, whose
+    tiny negative weights are clamped to zero.
     """
-    if a.is_zero or b.is_zero:
-        return zero_measure()
-    out_len = len(a.weights) + len(b.weights) - 1
+    out_len = len(a) + len(b) - 1
     if out_len > max_window:
         raise SizeLimitError(
             "convolution window %d exceeds maximum %d" % (out_len, max_window)
         )
     # singleton factors multiply exactly; keeps point-mass convolution free
     # of FFT noise inside support gaps
-    if len(a.weights) == 1:
-        w = a.weights[0] * b.weights
-    elif len(b.weights) == 1:
-        w = b.weights[0] * a.weights
-    elif out_len < FFT_THRESHOLD:
-        w = np.convolve(a.weights, b.weights)
-    else:
-        w = fftconvolve(a.weights, b.weights)
-    return lattice(a.offset + b.offset, w)
+    if len(a) == 1:
+        return a[0] * b
+    if len(b) == 1:
+        return b[0] * a
+    if out_len < FFT_THRESHOLD:
+        return np.convolve(a, b)
+    w = fftconvolve(a, b)
+    _clamp_negatives(w)
+    return w
+
+
+def convolve(a: LatticeDist, b: LatticeDist, max_window: int = MAX_WINDOW) -> LatticeDist:
+    """Convolution of two lattice measures (see ``_convolve_raw`` for the paths)."""
+    if a.is_zero or b.is_zero:
+        return zero_measure()
+    return lattice(a.offset + b.offset, _convolve_raw(a.weights, b.weights, max_window))
 
 
 def convolve_exact(a: LatticeDist, b: LatticeDist) -> tuple[int, list[Fraction]]:
@@ -278,14 +302,73 @@ def split_nonneg(mu: LatticeDist) -> tuple[LatticeDist, LatticeDist]:
         return zero_measure(), mu
     if cut >= len(mu.weights):
         return mu, zero_measure()
-    neg = lattice(mu.offset, mu.weights[:cut], trim=0.0)
-    pos = lattice(0, mu.weights[cut:], trim=0.0)
+    neg = lattice(mu.offset, mu.weights[:cut])
+    pos = lattice(0, mu.weights[cut:])
     return neg, pos
 
 
 def restrict_nonneg(mu: LatticeDist) -> LatticeDist:
     """Zero out all mass strictly below the origin."""
     return split_nonneg(mu)[1]
+
+
+# -- the walk split at the origin ------------------------------------------
+
+
+class _Walk(NamedTuple):
+    """Output of ``_half_line_walk``; windows are (offset, weights) pairs."""
+
+    crossings: list[tuple[int, np.ndarray]]  # step n at index n-1, own arrays
+    survival: np.ndarray | None  # alive total after 0..horizon steps, if killed
+    alive: tuple[int, np.ndarray]  # alive window after the last step
+    occupancy: np.ndarray | None  # [n-1, r-1]: alive mass at -r after step n
+
+
+def _half_line_walk(
+    mu: LatticeDist, kill: str | None, horizon: int, occupancy: int = 0
+) -> _Walk:
+    """Walk with step law mu from the unit mass at 0, split at the origin.
+
+    Each step convolves the alive window with mu and splits the result into
+    its parts on k < 0 and k >= 0. ``kill="nonneg"`` removes the part on
+    k >= 0 (first weak ascent), ``kill="neg"`` the part on k < 0 (first
+    strict descent), and the removed part is the step's crossing. With
+    ``kill=None`` nothing is removed and the crossing is the part on k >= 0,
+    the restricted power r_n. Windows are trimmed exactly as ``convolve``
+    and ``split_nonneg`` trim them, so each array holds the same bytes as
+    the LatticeDist that loop of public calls would build. ``occupancy``
+    > 0 also records the alive mass at levels -1..-occupancy after each step.
+    """
+    mu_offset, mu_w = mu.offset, mu.weights
+    offset, alive = 0, np.ones(1)
+    survival = np.concatenate(([1.0], np.zeros(horizon))) if kill else None
+    occ = np.zeros((horizon, occupancy)) if occupancy else None
+    crossings: list[tuple[int, np.ndarray]] = []
+    for n in range(horizon):
+        if not (alive.size and mu_w.size):
+            offset, alive = 0, np.empty(0)
+            crossings.extend([(0, alive)] * (horizon - n))
+            break
+        offset, stepped = _trim(offset + mu_offset, _convolve_raw(alive, mu_w))
+        cut = min(max(-offset, 0), stepped.size)  # index of lattice point 0
+        neg = _trim(offset, stepped[:cut])
+        nonneg = _trim(offset + cut, stepped[cut:])
+        if kill == "nonneg":
+            cross, (offset, alive) = nonneg, neg
+        elif kill == "neg":
+            cross, (offset, alive) = neg, nonneg
+        else:
+            cross, alive = nonneg, stepped
+        crossings.append((cross[0], cross[1].copy()))
+        if kill:
+            survival[n + 1] = alive.sum()
+        if occ is not None and alive.size:
+            # level -r sits at index -r - offset of the alive window
+            r_lo = max(1, 1 - offset - alive.size)
+            r_hi = min(occupancy, -offset)
+            if r_lo <= r_hi:
+                occ[n, r_lo - 1 : r_hi] = alive[-offset - np.arange(r_lo, r_hi + 1)]
+    return _Walk(crossings, survival, (offset, alive), occ)
 
 
 # -- transforms ----------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientSamplesError
 from .ladder import DOWNWARD, UPWARD, LadderLaw
-from .lattice import LatticeDist, convolve, delta, split_nonneg
+from .lattice import LatticeDist
 
 __all__ = [
     "WalkSample",
@@ -199,11 +199,13 @@ def compare_empirical(
     )
 
 
-def censored_z(mu: LatticeDist, emp: EmpiricalLadder) -> float:
-    """z-score of the censored fraction against the DP alive mass."""
-    alive = delta(0)
-    for _ in range(emp.max_steps):
-        stepped = convolve(alive, mu)
-        neg, nonneg = split_nonneg(stepped)
-        alive = neg if emp.side == UPWARD else nonneg
-    return _cell_z(emp.censored_count, emp.n_samples, float(alive.total))
+def censored_z(exact: LadderLaw, emp: EmpiricalLadder) -> float:
+    """z-score of the censored fraction against the DP alive mass P(tau > max_steps)."""
+    if exact.side != emp.side:
+        raise DomainError("sides differ: %s vs %s" % (exact.side, emp.side))
+    if exact.horizon != emp.max_steps:
+        raise DomainError(
+            "exact law horizon %d differs from the sampler's max_steps %d"
+            % (exact.horizon, emp.max_steps)
+        )
+    return _cell_z(emp.censored_count, emp.n_samples, float(exact.survival[-1]))

@@ -258,7 +258,7 @@ def test_criterion_6_monte_carlo_ladder(ssrw):
         law = ladder_law(mu, side, max_steps)
         rep = compare_empirical(law, emp, min_expected=25.0)
         worst_z = max(worst_z, rep.max_z)
-        worst_cz = max(worst_cz, abs(censored_z(mu, emp)))
+        worst_cz = max(worst_cz, abs(censored_z(law, emp)))
     elapsed = time.perf_counter() - start
     ok = worst_z <= 4.0 and worst_cz <= 4.0 and elapsed < 10.0
     assert _record(

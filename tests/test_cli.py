@@ -1,24 +1,18 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from whlab import power_tail_pair, save_data_dir, truncated_data
+from whlab import lattice, power_tail_pair, save_data_dir, truncated_data
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("WHLAB_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "whlab.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -58,23 +52,6 @@ def test_factorize_outputs_are_deterministic(tmp_path):
     report_b = (tmp_path / "b" / "factorize_report.json").read_text()
     assert report_a == report_b
     assert json.loads(report_a)["config_sha256"] == sha
-
-
-def test_factorize_thread_count_does_not_change_output(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", FACTORIZE_DOC)
-    single = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "s"))
-    threaded = run_cli(
-        "factorize",
-        "--config",
-        str(cfg),
-        "--out",
-        str(tmp_path / "t"),
-        env_extra={"WHLAB_THREADS": "4"},
-    )
-    assert single.returncode == 0 and threaded.returncode == 0
-    assert csv_body(tmp_path / "s" / "factorization.csv") == csv_body(
-        tmp_path / "t" / "factorization.csv"
-    )
 
 
 def test_verify_passes_on_honest_distribution(tmp_path):
@@ -149,6 +126,38 @@ def test_reconstruct_exit_3_when_detectors_restricted(tmp_path, heavy_tail_dir):
     assert result.returncode == 3
     report = json.loads((tmp_path / "out" / "reconstruct_report.json").read_text())
     assert report["detected_class"] == "none"
+
+
+def _reconstruct_exit(tmp_path, data_dir):
+    cfg = write_config(tmp_path / "cfg.json", {"data_dir": str(data_dir)})
+    return run_cli("reconstruct", "--config", str(cfg), "--out", str(tmp_path / "out"))
+
+
+def test_reconstruct_rejects_nan_weight_with_exit_2(tmp_path):
+    root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 10), tmp_path / "d")
+    target = root / "restricted_0003.json"
+    doc = json.loads(target.read_text())
+    doc["weights"][1] = float("nan")
+    target.write_text(json.dumps(doc))
+    manifest = json.loads((root / "manifest.json").read_text())
+    for entry in manifest["powers"]:
+        if entry["file"] == target.name:
+            entry["sha256"] = hashlib.sha256(target.read_bytes()).hexdigest()
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    result = _reconstruct_exit(tmp_path, root)
+    assert result.returncode == 2, result.stderr
+    assert "non-finite" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("manifest", ['{"horizon": 3, "powers": [', '{"horizon": 3}'])
+def test_reconstruct_rejects_malformed_manifest_with_exit_2(tmp_path, manifest):
+    root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 3), tmp_path / "d")
+    (root / "manifest.json").write_text(manifest)
+    result = _reconstruct_exit(tmp_path, root)
+    assert result.returncode == 2, result.stderr
+    assert "malformed manifest.json" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_config_error_is_line_anchored(tmp_path):

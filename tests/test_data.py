@@ -1,5 +1,6 @@
 """Truncated-data construction, invariants, and the hashed disk format."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from whlab import (
     truncated_data,
 )
 from whlab.data import packed_restricted
-from whlab.errors import DataInconsistencyError
+from whlab.errors import DataInconsistencyError, DomainError
 
 
 def test_restricted_powers_match_direct_powers():
@@ -103,3 +104,48 @@ def test_incomplete_manifest_rejected(tmp_path):
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DataInconsistencyError):
         load_data_dir(root)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        '{"format": "whlab-truncated-data", "horizon": 3',
+        "[]",
+        '{"powers": []}',
+        '{"horizon": 3}',
+        '{"horizon": "three", "powers": []}',
+        '{"horizon": 3, "powers": "abc"}',
+        '{"horizon": 3, "powers": [{"n": 1, "file": "restricted_0001.json"}]}',
+    ],
+)
+def test_malformed_manifest_rejected(tmp_path, manifest):
+    root = save_data_dir(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 3), tmp_path / "d")
+    (root / "manifest.json").write_text(manifest)
+    with pytest.raises(DataInconsistencyError, match="malformed manifest.json"):
+        load_data_dir(root)
+
+
+def test_missing_power_file_rejected(tmp_path):
+    root = save_data_dir(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 3), tmp_path / "d")
+    (root / "restricted_0002.json").unlink()
+    with pytest.raises(DataInconsistencyError, match="restricted_0002.json"):
+        load_data_dir(root)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weight_in_power_file_rejected(tmp_path, bad):
+    root = save_data_dir(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 3), tmp_path / "d")
+    target = root / "restricted_0001.json"
+    doc = json.loads(target.read_text())
+    doc["weights"][0] = bad
+    target.write_text(json.dumps(doc))
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["powers"][0]["sha256"] = hashlib.sha256(target.read_bytes()).hexdigest()
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataInconsistencyError, match="non-finite"):
+        load_data_dir(root)
+
+
+def test_truncated_data_rejects_non_finite_step_law():
+    with pytest.raises(DomainError):
+        truncated_data(lattice(-1, [0.5, float("nan"), 0.5]), 3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whlab import (
     TransformKind,
@@ -10,19 +12,21 @@ from whlab import (
     delta,
     drift_classify,
     eval_transform,
+    convolve,
     exp_moment_conditions,
-    killed_walk_states,
     ladder_law,
     ladder_renewal,
     lattice,
     neg_prob_sequence,
     spitzer_chi,
     spitzer_chi_grid,
+    split_nonneg,
     truncated_data,
     verify_factorization,
 )
 from whlab.errors import DomainError
 from whlab.ladder import DOWNWARD, UPWARD, Drift, ladder_epochs_from_data
+from whlab.lattice import _half_line_walk
 
 S_GRID = np.arange(0.1, 0.95, 0.1)
 T_GRID = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
@@ -62,19 +66,18 @@ def test_downward_epochs_follow_catalan_counts():
 
 def test_epoch_mass_equals_alive_drop():
     mu = lattice(-2, [0.2, 0.1, 0.3, 0.15, 0.25])
-    states = killed_walk_states(mu, UPWARD, 40)
     law = ladder_law(mu, UPWARD, 40)
     marginals = law.epoch_masses()
-    assert states[0].step == 0 and states[0].alive.total == 1.0
-    for prev, state, mass in zip(states, states[1:], marginals):
-        drop = prev.alive.total - state.alive.total
+    assert law.survival.shape == (41,) and law.survival[0] == 1.0
+    for n, mass in enumerate(marginals, start=1):
+        drop = law.survival[n - 1] - law.survival[n]
         assert abs(drop - mass) <= 1e-14
 
 
 def test_killed_walk_alive_stays_strictly_negative():
-    states = killed_walk_states(lattice(-1, [0.5, 0.0, 0.5]), UPWARD, 20)
-    for state in states[1:]:
-        assert state.alive.is_zero or state.alive.max_index < 0
+    for horizon in range(1, 21):
+        offset, alive = _half_line_walk(lattice(-1, [0.5, 0.0, 0.5]), "nonneg", horizon).alive
+        assert alive.size == 0 or offset + alive.size - 1 < 0
 
 
 def test_chi_eval_delta1():
@@ -279,3 +282,52 @@ def test_epochs_from_data_match_ladder_dp():
     for n in range(1, 31):
         for k in range(0, 7):
             assert tab[n - 1, k] == pytest.approx(law.mass(n, k), abs=1e-12)
+
+
+# -- the raw-array walk against the loop of public calls it replaced ---------
+
+_weights = st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.01, 1.0)
+# windows inside [-5, 5]; interior and edge zeros included
+step_laws = st.integers(-5, 5).flatmap(
+    lambda lo: st.lists(_weights, min_size=1, max_size=6 - lo)
+    .filter(lambda w: sum(w) > 0.0)
+    .map(lambda w: lattice(lo, np.asarray(w) / sum(w)))
+)
+
+
+def _reference_walk(mu, side, horizon):
+    """Crossings, alive totals and restricted powers by convolve + split_nonneg."""
+    alive, power = delta(0), delta(0)
+    crossings, survival, restricted = [], [1.0], []
+    for _ in range(horizon):
+        neg, nonneg = split_nonneg(convolve(alive, mu))
+        crossing, alive = (nonneg, neg) if side == UPWARD else (neg, nonneg)
+        crossings.append(crossing)
+        survival.append(alive.total)
+        power = convolve(power, mu)
+        restricted.append(split_nonneg(power)[1])
+    return crossings, survival, restricted
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_laws, st.sampled_from([UPWARD, DOWNWARD]), st.integers(1, 60))
+def test_walk_kernel_matches_public_loop(mu, side, horizon):
+    crossings, survival, restricted = _reference_walk(mu, side, horizon)
+    law = ladder_law(mu, side, horizon)
+    hit = [c for c in crossings if not c.is_zero]
+    lo = min((c.min_index for c in hit), default=0 if side == UPWARD else -1)
+    hi = max((c.max_index for c in hit), default=lo - 1)
+    want = np.zeros((horizon, hi - lo + 1))
+    for n, c in enumerate(crossings):
+        if not c.is_zero:
+            want[n, c.min_index - lo : c.max_index - lo + 1] = c.weights
+    assert law.height_offset == lo
+    assert np.array_equal(law.masses, want)
+    assert np.array_equal(law.survival, survival)
+    epochs = law.epoch_masses()
+    for n in range(1, horizon + 1):
+        assert abs(law.survival[n - 1] - law.survival[n] - epochs[n - 1]) <= 1e-14
+    data = truncated_data(mu, horizon)
+    for got, ref in zip(data.restricted, restricted, strict=True):
+        assert got.offset == ref.offset
+        assert np.array_equal(got.weights, ref.weights)

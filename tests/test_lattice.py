@@ -46,6 +46,23 @@ def test_negative_weight_clamp_and_raise():
         lattice(0, [-1e-9, 1.0])
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[float("nan")], [0.5, float("nan"), 0.5], [float("inf")], [0.5, float("-inf")]],
+)
+def test_non_finite_weights_rejected(weights):
+    with pytest.raises(DomainError, match="non-finite"):
+        lattice(0, weights)
+    with pytest.raises(DomainError):
+        LatticeDist(0, np.array(weights))
+
+
+def test_non_finite_truncated_mass_rejected():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            LatticeDist(0, np.ones(1), truncated_mass=bad)
+
+
 def test_non_canonical_direct_construction_rejected():
     with pytest.raises(DomainError):
         LatticeDist(0, np.array([0.0, 1.0]))

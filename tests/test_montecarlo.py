@@ -60,7 +60,7 @@ def test_frozen_symmetric_walk_statistics():
     assert rep.n_cells == 73
     assert emp.censored_count == 917
     assert rep.max_z == pytest.approx(2.4408, abs=5e-5)
-    assert censored_z(mu, emp) == pytest.approx(0.8425, abs=5e-5)
+    assert censored_z(law, emp) == pytest.approx(0.8425, abs=5e-5)
 
 
 def test_perturbed_law_fails_comparison():
@@ -106,6 +106,11 @@ def test_censoring_requires_matching_horizon():
     emp = sample_ladder(mu, UPWARD, 100, max_steps=200, seed=2)
     with pytest.raises(DomainError):
         compare_empirical(ladder_law(mu, UPWARD, 100), emp)
+    for law in (ladder_law(mu, UPWARD, 100), ladder_law(mu, UPWARD, 201)):
+        with pytest.raises(DomainError):
+            censored_z(law, emp)
+    with pytest.raises(DomainError):
+        censored_z(ladder_law(mu, DOWNWARD, 200), emp)
 
 
 def test_improper_step_distribution_rejected():
