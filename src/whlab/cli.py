@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -249,11 +249,11 @@ def parse_config(
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object", line=1)
 
-    sha = hashlib.sha256(raw_bytes).hexdigest()
+    # output_dir and seed are settled below, once the document has passed
     cfg = ExperimentConfig(
         command=command,
         config_path=config_path,
-        sha256=sha,
+        sha256=hashlib.sha256(raw_bytes).hexdigest(),
         raw_text=raw_text,
         doc=doc,
         output_dir=Path("."),
@@ -293,33 +293,27 @@ def parse_config(
             out_dir = config_path.parent / out_dir
     else:
         out_dir = Path(".")
-    return ExperimentConfig(
-        command=command,
-        config_path=config_path,
-        sha256=sha,
-        raw_text=raw_text,
-        doc=doc,
-        output_dir=out_dir,
-        seed=seed,
-    )
+    return replace(cfg, output_dir=out_dir, seed=seed)
 
 
 # -- command runners ----------------------------------------------------------
 
 
 def _factorization_rows(report: FactorizationReport):
-    for s, t, plus, minus, residual, bound in report.iter_rows():
-        s_real = s.real if isinstance(s, complex) else s
-        yield (
-            s_real,
-            t,
-            plus.real,
-            plus.imag,
-            minus.real,
-            minus.imag,
-            residual,
-            bound,
-        )
+    for i, s in enumerate(report.s_values):
+        for j, t in enumerate(report.t_values):
+            plus = report.chi_plus[i, j]
+            minus = report.chi_minus[i, j]
+            yield (
+                s.real,
+                t,
+                plus.real,
+                plus.imag,
+                minus.real,
+                minus.imag,
+                report.residuals[i, j],
+                report.bounds[i],
+            )
 
 
 def cmd_factorize(cfg: ExperimentConfig) -> int:

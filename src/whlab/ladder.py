@@ -235,18 +235,6 @@ class FactorizationReport:
     def max_bound(self) -> float:
         return float(self.bounds.max()) if self.bounds.size else 0.0
 
-    def iter_rows(self):
-        for i, s in enumerate(self.s_values):
-            for j, t in enumerate(self.t_values):
-                yield (
-                    float(s.real) if np.isreal(s) else complex(s),
-                    float(t),
-                    complex(self.chi_plus[i, j]),
-                    complex(self.chi_minus[i, j]),
-                    float(self.residuals[i, j]),
-                    float(self.bounds[i]),
-                )
-
 
 def verify_factorization(
     mu: LatticeDist, s_values, t_values, horizon: int

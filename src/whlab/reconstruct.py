@@ -16,14 +16,18 @@ else. Four structural classes are detected and inverted:
   sequence into a finite Hausdorff moment problem solved through its
   geometric atoms, cross-checked against direct kernel inversion.
 
-A dispatcher runs all detectors and labels by precedence exact-before-
-approximate. Reported residuals and rank flags are the honesty layer: a
-rank-deficient kernel yields a flag, never a fabricated answer.
+The dispatcher walks the ``DETECTORS`` table (name to detector call, in
+``DETECTOR_ORDER``), runs every enabled detector once and labels by
+precedence exact-before-approximate. On data drifting to +infinity the
+skip_free detector would only rerun the exponential one, so when both are
+enabled skip_free takes over the exponential verdict instead. Reported
+residuals and rank flags are the honesty layer: a rank-deficient kernel
+yields a flag, never a fabricated answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import null_space
@@ -61,7 +65,15 @@ CLASS_TRIANGULAR = "triangular"
 CLASS_DISCRETE_CM = "discrete_cm"
 CLASS_NONE = "none"
 
-DETECTOR_ORDER = ("exponential", "skip_free", "triangular", "discrete_cm")
+# each entry looks its detector up at call time, so rebinding a module
+# attribute (as tracers and test spies do) reaches the dispatcher too
+DETECTORS = {
+    "exponential": lambda data, truth: recover_exponential(data, truth=truth),
+    "skip_free": lambda data, truth: recover_skipfree(data, truth=truth),
+    "triangular": lambda data, truth: recover_triangular(data, truth=truth),
+    "discrete_cm": lambda data, truth: recover_cm_discrete(data, truth=truth),
+}
+DETECTOR_ORDER = tuple(DETECTORS)
 # exact classes outrank approximate ones when several detectors fire
 LABEL_PRECEDENCE = (
     CLASS_SKIP_FREE,
@@ -87,7 +99,6 @@ __all__ = [
     "CLASS_NONE",
     "DETECTOR_ORDER",
     "ReconstructionReport",
-    "HausdorffMoments",
     "CorrelationSolution",
     "detect_lattice",
     "recover_exponential",
@@ -126,41 +137,19 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, Drift):
         return obj.value
-    if isinstance(obj, HausdorffMoments):
-        return {
-            "moments": _jsonable(obj.moments),
-            "atoms": _jsonable(obj.atoms),
-        }
     if obj is None or isinstance(obj, str):
         return obj
     return repr(obj)
-
-
-@dataclass(frozen=True)
-class HausdorffMoments:
-    """Correlation moments b(1..M) with the geometric atoms behind them.
-
-    When the moments are genuinely of the form sum w_i c_i^n the alternating
-    finite differences of the padded sequence stay nonnegative; validity is
-    checked up to roundoff through :meth:`is_completely_monotone`.
-    """
-
-    moments: np.ndarray
-    atoms: tuple[tuple[float, float], ...] | None
-
-    def is_completely_monotone(self, eps: float = EPS_CM, max_order: int = 16) -> bool:
-        ok, _ = _cm_test(np.asarray(self.moments, dtype=float), eps, max_order)
-        return ok
 
 
 def detect_lattice(data: TruncatedData, refinement: int = 1) -> bool:
@@ -190,6 +179,27 @@ def _dense_r1(r1: LatticeDist) -> np.ndarray:
     out = np.zeros(r1.max_index + 1)
     out[r1.min_index :] = r1.weights
     return out
+
+
+def _kernel_design(kernel: LatticeDist, n_rows: int, lags) -> np.ndarray:
+    """Matrix of kernel(n + j): row n - 1 for n = 1..n_rows, one column per lag j.
+
+    The kernel must live on the nonnegative lattice.
+    """
+    dense = _dense_r1(kernel)
+    idx = np.arange(1, n_rows + 1)[:, None] + np.asarray(lags, dtype=int)[None, :]
+    inside = (idx >= 0) & (idx < len(dense))
+    return np.where(inside, dense[np.clip(idx, 0, len(dense) - 1)], 0.0)
+
+
+def _b_tilde(r1: LatticeDist, b_corr: np.ndarray) -> np.ndarray:
+    """b(n) - mu(0) r1(n) for n = 1..min(len(b), top of r1).
+
+    Removes the j = 0 term of the one-sided correlation, leaving the part
+    carried by the unknown masses at -1, -2, ...
+    """
+    usable = min(len(b_corr), max(1, r1.max_index))
+    return b_corr[:usable] - r1.mass(0) * _kernel_design(r1, usable, [0])[:, 0]
 
 
 def _first_visible(r: LatticeDist, tol: float = PATTERN_TOL) -> int | None:
@@ -462,17 +472,14 @@ def recover_skipfree(
     which is accepted iff its forward powers reproduce every observed
     restricted power. Walks drifting to +infinity are routed to the
     transform-based recovery instead, where a decay certificate is
-    guaranteed to exist.
+    guaranteed to exist (:func:`auto_reconstruct` reuses its exponential
+    verdict rather than routing).
     """
     drift = drift_classify(data)
     if drift is Drift.PLUS:
         report = recover_exponential(data, truth=truth)
-        diagnostics = dict(report.diagnostics)
-        diagnostics["routed_from"] = "skip_free"
-        diagnostics["drift"] = drift
-        return ReconstructionReport(
-            report.detected_class, report.recovered, report.residuals, diagnostics
-        )
+        diagnostics = {**report.diagnostics, "routed_from": "skip_free", "drift": drift}
+        return replace(report, diagnostics=diagnostics)
 
     r1 = data.restricted_power(1)
     deficit = _deficit(data)
@@ -619,10 +626,7 @@ def correlation_inverse(
     widest = max_lag if max_lag is not None else min(n_rows, 16)
     if widest < 1:
         raise DomainError("max_lag must be at least 1")
-    full = np.zeros((n_rows, widest))
-    for n in range(1, n_rows + 1):
-        for j in range(widest):
-            full[n - 1, j] = kernel.mass(n + start_lag + j)
+    full = _kernel_design(kernel, n_rows, range(start_lag, start_lag + widest))
 
     if max_lag is not None:
         return _correlation_solve(full, b, deficit, reg, start_lag)
@@ -698,16 +702,10 @@ def recover_cm_discrete(
         )
     deficit = _deficit(data)
     b_corr = correlation_lhs_from_data(data)
-    mu0 = float(pos[0])
-    usable = min(len(b_corr), max(1, r1.max_index))
-    b_tilde = b_corr[:usable] - mu0 * np.concatenate(
-        [pos[1 : usable + 1], np.zeros(max(0, usable - (len(pos) - 1)))]
-    )
+    b_tilde = _b_tilde(r1, b_corr)
 
     nodes, node_weights, pencil_residual = _fit_geometric_atoms(pos)
-    moments = HausdorffMoments(
-        b_corr, tuple(zip(nodes.tolist(), node_weights.tolist())) or None
-    )
+    atoms = list(zip(nodes.tolist(), node_weights.tolist()))
 
     direct = correlation_inverse(r1, b_tilde, deficit, reg=0.0)
     routes: dict[str, tuple[np.ndarray, float]] = {
@@ -715,14 +713,14 @@ def recover_cm_discrete(
     }
 
     atom_diag: dict[str, object] = {
-        "atoms": list(zip(nodes.tolist(), node_weights.tolist())),
+        "atoms": atoms,
         "pencil_residual": pencil_residual,
     }
     if nodes.size > 0 and pencil_residual <= 1e-6 * max(1.0, pos.max()):
         m_rows = min(len(b_corr), 80)
         vand = nodes[None, :] ** np.arange(1, m_rows + 1)[:, None]
         theta, *_ = np.linalg.lstsq(vand, b_corr[:m_rows], rcond=None)
-        targets = theta / node_weights - mu0
+        targets = theta / node_weights - pos[0]
         n_unknowns = int(nodes.size)
         gf = nodes[:, None] ** np.arange(1, n_unknowns + 1)[None, :]
         scale = max(1.0, float(np.abs(gf).max()))
@@ -731,10 +729,7 @@ def recover_cm_discrete(
         x_m, _ = nnls(stacked, target)
         if deficit > 0.0 and x_m.sum() > 0.0:
             x_m = x_m * (deficit / x_m.sum())
-        design = np.zeros((usable, n_unknowns))
-        for n in range(1, usable + 1):
-            for j in range(1, n_unknowns + 1):
-                design[n - 1, j - 1] = r1.mass(n + j)
+        design = _kernel_design(r1, len(b_tilde), range(1, n_unknowns + 1))
         moment_res = float(np.abs(design @ x_m - b_tilde).max())
         routes["moment"] = (x_m, moment_res)
         atom_diag["moment_targets"] = targets
@@ -755,7 +750,8 @@ def recover_cm_discrete(
         residuals["tv_distance"] = tv_distance(recovered, truth)
     diagnostics: dict[str, object] = {
         "route": chosen,
-        "moments": moments,
+        # the correlation moments b(1..M) with the geometric atoms behind them
+        "moments": {"moments": b_corr, "atoms": atoms or None},
         "direct_rank": direct.rank,
         "direct_rank_deficient": direct.rank_deficient,
         "direct_reg_used": direct.reg_used,
@@ -809,6 +805,7 @@ def recover_triangular(
     deficit = _deficit(data)
     b_corr = correlation_lhs_from_data(data)
     denom = r1.mass(a + b)
+    design = _kernel_design(r1, len(b_corr), range(1, b))
     solved = np.zeros(b - 1)  # solved[j-1] = mass at -j
     for m in range(1, b):
         n = a + m
@@ -816,7 +813,7 @@ def recover_triangular(
             raise ClassNotDetected("correlation sequence too short for the pattern")
         acc = b_corr[n - 1]
         for j in range(b - m + 1, b):
-            acc -= solved[j - 1] * r1.mass(n + j)
+            acc -= solved[j - 1] * design[n - 1, j - 1]
         value = acc / denom
         if value <= 1e-12:
             raise DataInconsistencyError(
@@ -825,10 +822,10 @@ def recover_triangular(
             )
         solved[b - m - 1] = value
 
+    # column by column, not design @ solved: a matmul changes the last bits
     pred = np.zeros(len(b_corr))
     for j in range(1, b):
-        for n in range(1, len(b_corr) + 1):
-            pred[n - 1] += solved[j - 1] * r1.mass(n + j)
+        pred += solved[j - 1] * design[:, j - 1]
     system_residual = float(np.abs(pred - b_corr).max())
     unassigned = deficit - float(solved.sum())
 
@@ -994,18 +991,6 @@ def deconvolve_extension(extended: TruncatedData, nu: LatticeDist) -> Deconvolve
 # -- dispatcher ---------------------------------------------------------------
 
 
-def _run_detector(name: str, data: TruncatedData, truth):
-    if name == "exponential":
-        return recover_exponential(data, truth=truth)
-    if name == "skip_free":
-        return recover_skipfree(data, truth=truth)
-    if name == "triangular":
-        return recover_triangular(data, truth=truth)
-    if name == "discrete_cm":
-        return recover_cm_discrete(data, truth=truth)
-    raise DomainError("unknown detector %r" % name)
-
-
 def auto_reconstruct(
     data: TruncatedData,
     detectors=None,
@@ -1013,10 +998,12 @@ def auto_reconstruct(
 ) -> ReconstructionReport:
     """Run the class detectors and return the highest-precedence hit.
 
-    All enabled detectors run and their verdicts are attached; among the
-    successful ones the exact classes (skip_free, triangular) outrank the
-    transform and moment routes. With no hit the generic correlation
-    inversion is reported as diagnostics only, never as a recovery.
+    Every enabled detector runs once and its verdict is attached (on data
+    drifting to +infinity skip_free reuses the exponential verdict when that
+    detector is enabled); among the successful ones the exact classes
+    (skip_free, triangular) outrank the transform and moment routes. With
+    no hit the generic correlation inversion is reported as diagnostics
+    only, never as a recovery.
     """
     enabled = DETECTOR_ORDER if detectors is None else tuple(detectors)
     for name in enabled:
@@ -1024,12 +1011,22 @@ def auto_reconstruct(
             raise DomainError("unknown detector %r" % name)
     verdicts: dict[str, str] = {}
     hits: list[ReconstructionReport] = []
-    for name in DETECTOR_ORDER:
+    for name, detector in DETECTORS.items():
         if name not in enabled:
             verdicts[name] = "disabled"
             continue
+        if (
+            name == "skip_free"
+            and "exponential" in enabled
+            and drift_classify(data) is Drift.PLUS
+        ):
+            # recover_skipfree would rerun the exponential detector; its
+            # report has the same class and comes later in hit order, so it
+            # could never be chosen
+            verdicts[name] = verdicts["exponential"]
+            continue
         try:
-            report = _run_detector(name, data, truth)
+            report = detector(data, truth)
         except ClassNotDetected as exc:
             verdicts[name] = "not_detected: %s" % exc
             continue
@@ -1046,23 +1043,15 @@ def auto_reconstruct(
     for label in LABEL_PRECEDENCE:
         for report in hits:
             if report.detected_class == label:
-                diagnostics = dict(report.diagnostics)
-                diagnostics["detector_verdicts"] = verdicts
-                return ReconstructionReport(
-                    report.detected_class, report.recovered, report.residuals, diagnostics
-                )
+                diagnostics = {**report.diagnostics, "detector_verdicts": verdicts}
+                return replace(report, diagnostics=diagnostics)
 
     diagnostics = {"detector_verdicts": verdicts}
     residuals: dict[str, float] = {}
     try:
         r1 = data.restricted_power(1)
         if not r1.is_zero and data.horizon >= 2:
-            pos = _dense_r1(r1)
-            b_corr = correlation_lhs_from_data(data)
-            usable = min(len(b_corr), max(1, r1.max_index))
-            b_tilde = b_corr[:usable] - pos[0] * np.concatenate(
-                [pos[1 : usable + 1], np.zeros(max(0, usable - (len(pos) - 1)))]
-            )
+            b_tilde = _b_tilde(r1, correlation_lhs_from_data(data))
             generic = correlation_inverse(r1, b_tilde, _deficit(data), reg=0.0)
             diagnostics["generic_inverse"] = {
                 "masses": generic.masses,

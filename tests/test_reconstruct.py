@@ -32,7 +32,7 @@ from whlab.errors import (
     DataInconsistencyError,
     DomainError,
 )
-from whlab.generators import geometric_mixture
+from whlab.generators import geometric_mixture, two_point
 from whlab.lattice import cross_correlation_direct, sup_distance
 
 
@@ -131,7 +131,12 @@ def test_recover_skipfree_rejects_two_step_down():
 
 
 def test_recover_skipfree_routes_drifting_walk():
-    rep = recover_skipfree(truncated_data(delta(1), 60), truth=delta(1))
+    data = truncated_data(delta(1), 60)
+    rep = recover_skipfree(data, truth=delta(1))
+    assert rep.detected_class == CLASS_EXPONENTIAL
+    assert rep.diagnostics.get("routed_from") == CLASS_SKIP_FREE
+    # with the exponential detector disabled the dispatcher still routes
+    rep = auto_reconstruct(data, detectors=["skip_free"])
     assert rep.detected_class == CLASS_EXPONENTIAL
     assert rep.diagnostics.get("routed_from") == CLASS_SKIP_FREE
 
@@ -362,6 +367,24 @@ def test_auto_reconstruct_exact_class_outranks_exponential(ssrw, ssrw_data):
     assert rep.residuals["tv_distance"] == 0.0
 
 
+def test_auto_reconstruct_runs_exponential_once_on_drifting_data(monkeypatch):
+    import whlab.reconstruct
+
+    calls = []
+    inner = whlab.reconstruct.exp_moment_conditions
+
+    def spy(data):
+        calls.append(data)
+        return inner(data)
+
+    monkeypatch.setattr(whlab.reconstruct, "exp_moment_conditions", spy)
+    rep = auto_reconstruct(truncated_data(two_point(-2, 1, 0.85).dist, 40))
+    assert rep.detected_class == CLASS_EXPONENTIAL
+    assert len(calls) == 1
+    verdicts = rep.diagnostics["detector_verdicts"]
+    assert verdicts["skip_free"] == verdicts["exponential"]
+
+
 def test_recovered_agrees_with_first_power():
     cases = [
         truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 80),
@@ -384,3 +407,4 @@ def test_report_serializes():
 
     json.dumps(doc)
     assert doc["detected_class"] == CLASS_SKIP_FREE
+    assert doc["diagnostics"]["v_rank_deficient"] is True
