@@ -20,7 +20,7 @@ mu = lattice(-1, [0.5, 0.0, 0.5])
 max_steps = 2000
 emp = sample_ladder(mu, UPWARD, 100_000, max_steps=max_steps, seed=7)
 law = ladder_law(mu, UPWARD, max_steps)
-report = compare_empirical(law, emp, min_expected=25.0)
+report = compare_empirical(law, emp)
 
 print("uniform{-1,1}, upward ladder, 100000 walks")
 print("cells compared:", report.n_cells)

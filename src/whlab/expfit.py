@@ -21,6 +21,7 @@ __all__ = ["ExpFit", "pencil_fit", "eval_exp_sum"]
 
 # singular values this factor below the top one are treated as noise
 SV_GAP = 1e6
+MAX_ATOMS = 8
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,8 @@ def eval_exp_sum(nodes, weights, indices) -> np.ndarray:
     return (nodes[None, :] ** indices[:, None]) @ weights
 
 
-def pencil_fit(
-    seq, max_atoms: int = 8, sv_gap: float = SV_GAP, start_index: int = 0
-) -> ExpFit:
-    """Fit g(n) = sum w_i c_i^n to seq[k] = g(start_index + k).
+def pencil_fit(seq) -> ExpFit:
+    """Fit g(n) = sum w_i c_i^n with at most MAX_ATOMS nodes to seq[n] = g(n).
 
     Nodes with a relative imaginary part above 1e-8 are rejected outright
     since every intended use targets real positive nodes.
@@ -60,12 +59,12 @@ def pencil_fit(
     if top == 0.0:
         return ExpFit(np.zeros(0), np.zeros(0), 0.0, np.zeros(0))
 
-    pencil = min(n // 2, max_atoms + 2)
+    pencil = min(n // 2, MAX_ATOMS + 2)
     rows = n - pencil
     hankel = np.lib.stride_tricks.sliding_window_view(seq, pencil + 1)[:rows]
     u, sv, vh = np.linalg.svd(hankel, full_matrices=False)
-    rank = int(np.sum(sv >= sv[0] / sv_gap))
-    rank = min(rank, max_atoms, pencil)
+    rank = int(np.sum(sv >= sv[0] / SV_GAP))
+    rank = min(rank, MAX_ATOMS, pencil)
     if rank == 0:
         return ExpFit(np.zeros(0), np.zeros(0), top, sv)
 
@@ -77,8 +76,7 @@ def pencil_fit(
     if nodes.size == 0:
         return ExpFit(np.zeros(0), np.zeros(0), top, sv)
 
-    idx = start_index + np.arange(n)
-    design = nodes[None, :] ** idx[:, None]
+    design = nodes[None, :] ** np.arange(n)[:, None]
     weights, *_ = np.linalg.lstsq(design, seq, rcond=None)
     residual = float(np.abs(design @ weights - seq).max())
     order = np.argsort(nodes)

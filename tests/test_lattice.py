@@ -1,5 +1,6 @@
 """Lattice measure arithmetic against exact-rational oracles."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -138,10 +139,12 @@ def test_split_nonneg_partitions_mass():
     assert restrict_nonneg(mu).total == pytest.approx(pos.total, abs=1e-15)
 
 
-def test_window_limit_enforced():
+def test_window_limit_enforced(monkeypatch):
+    # whlab.lattice is the re-exported function, so patch the module itself
+    monkeypatch.setattr(importlib.import_module("whlab.lattice"), "MAX_WINDOW", 1 << 10)
     wide = lattice(0, np.full(1 << 11, 2.0**-11))
     with pytest.raises(SizeLimitError):
-        convolve(wide, wide, max_window=1 << 10)
+        convolve(wide, wide)
 
 
 def test_eval_transform_characteristic():
