@@ -35,30 +35,23 @@ from .generators import (
 from .ladder import (
     DOWNWARD,
     UPWARD,
-    BoundedValue,
     DecaySequence,
     Drift,
     ExpMomentReport,
     FactorizationReport,
     LadderLaw,
-    RenewalMeasure,
     TransformGrid,
-    chi_eval,
     chi_eval_grid,
     drift_classify,
     exp_moment_conditions,
     ladder_epochs_from_data,
     ladder_law,
-    ladder_renewal,
     neg_prob_sequence,
-    spitzer_chi,
     spitzer_chi_grid,
     verify_factorization,
 )
 from .lattice import (
     LatticeDist,
-    TransformKind,
-    TransformPoint,
     convolution_power,
     convolve,
     cross_correlation_direct,
@@ -117,8 +110,6 @@ __all__ = [
     "ConfigError",
     # lattice
     "LatticeDist",
-    "TransformKind",
-    "TransformPoint",
     "lattice",
     "delta",
     "zero_measure",
@@ -141,11 +132,8 @@ __all__ = [
     "DOWNWARD",
     "LadderLaw",
     "ladder_law",
-    "BoundedValue",
     "TransformGrid",
-    "chi_eval",
     "chi_eval_grid",
-    "spitzer_chi",
     "spitzer_chi_grid",
     "FactorizationReport",
     "verify_factorization",
@@ -153,8 +141,6 @@ __all__ = [
     "neg_prob_sequence",
     "Drift",
     "drift_classify",
-    "RenewalMeasure",
-    "ladder_renewal",
     "ExpMomentReport",
     "exp_moment_conditions",
     "ladder_epochs_from_data",

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,8 @@ def _json_17g(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, complex):
         return _json_17g({"im": obj.imag, "re": obj.real}, indent)
+    if isinstance(obj, Enum):
+        return _json_17g(obj.value, indent)
     if isinstance(obj, str):
         return json.dumps(obj)
     return json.dumps(repr(obj))

@@ -117,6 +117,10 @@ def load_data_dir(directory: str | Path) -> TruncatedData:
         ) from exc
     table: dict[int, LatticeDist] = {}
     for n, name, sha256 in entries:
+        # a plain file name: "../x.json" or an absolute path would read
+        # outside the data directory
+        if name in ("", "..") or Path(name).name != name:
+            raise DataInconsistencyError("manifest file %r is not a plain file name" % name)
         try:
             payload = (root / name).read_bytes()
             if _sha256_bytes(payload) != sha256:

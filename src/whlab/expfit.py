@@ -29,11 +29,6 @@ class ExpFit:
     nodes: np.ndarray
     weights: np.ndarray
     residual: float
-    singular_values: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
 
 
 def eval_exp_sum(nodes, weights, indices) -> np.ndarray:
@@ -57,7 +52,7 @@ def pencil_fit(seq) -> ExpFit:
         raise DomainError("need at least 4 sequence values, got %d" % n)
     top = float(np.abs(seq).max())
     if top == 0.0:
-        return ExpFit(np.zeros(0), np.zeros(0), 0.0, np.zeros(0))
+        return ExpFit(np.zeros(0), np.zeros(0), 0.0)
 
     pencil = min(n // 2, MAX_ATOMS + 2)
     rows = n - pencil
@@ -66,7 +61,7 @@ def pencil_fit(seq) -> ExpFit:
     rank = int(np.sum(sv >= sv[0] / SV_GAP))
     rank = min(rank, MAX_ATOMS, pencil)
     if rank == 0:
-        return ExpFit(np.zeros(0), np.zeros(0), top, sv)
+        return ExpFit(np.zeros(0), np.zeros(0), top)
 
     v = vh.conj().T[:, :rank]
     shifted = np.linalg.pinv(v[:-1]) @ v[1:]
@@ -74,10 +69,10 @@ def pencil_fit(seq) -> ExpFit:
     keep = np.abs(nodes.imag) <= 1e-8 * np.maximum(1.0, np.abs(nodes))
     nodes = np.unique(nodes[keep].real)
     if nodes.size == 0:
-        return ExpFit(np.zeros(0), np.zeros(0), top, sv)
+        return ExpFit(np.zeros(0), np.zeros(0), top)
 
     design = nodes[None, :] ** np.arange(n)[:, None]
     weights, *_ = np.linalg.lstsq(design, seq, rcond=None)
     residual = float(np.abs(design @ weights - seq).max())
     order = np.argsort(nodes)
-    return ExpFit(nodes[order], weights[order], residual, sv)
+    return ExpFit(nodes[order], weights[order], residual)

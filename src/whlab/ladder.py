@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 
 from .data import TruncatedData, packed_restricted
 from .errors import DomainError
-from .lattice import LatticeDist, TransformKind, _half_line_walk, eval_transform
+from .lattice import LatticeDist, _half_line_walk, eval_transform
 
 UPWARD = "upward"
 DOWNWARD = "downward"
@@ -34,10 +34,7 @@ __all__ = [
     "DOWNWARD",
     "LadderLaw",
     "ladder_law",
-    "BoundedValue",
-    "chi_eval",
     "chi_eval_grid",
-    "spitzer_chi",
     "spitzer_chi_grid",
     "FactorizationReport",
     "verify_factorization",
@@ -45,8 +42,6 @@ __all__ = [
     "neg_prob_sequence",
     "Drift",
     "drift_classify",
-    "RenewalMeasure",
-    "ladder_renewal",
     "ExpMomentReport",
     "LambdaProbe",
     "exp_moment_conditions",
@@ -105,13 +100,6 @@ class LadderLaw:
         """P(tau <= horizon)."""
         return float(self.masses.sum())
 
-    def height_tail(self, k: int) -> float:
-        """P(S_tau > k, tau <= horizon)."""
-        if self.masses.size == 0:
-            return 0.0
-        j = max(0, k + 1 - self.height_offset)
-        return float(self.masses[:, j:].sum())
-
 
 def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
     """Killed-walk dynamic program for the joint first-passage law.
@@ -140,25 +128,11 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
 # -- transform evaluation with certified truncation bounds -----------------
 
 
-@dataclass(frozen=True)
-class BoundedValue:
-    """A numeric value plus a certified bound on its truncation error."""
-
-    value: complex
-    bound: float
-
-
 def _check_s(s: complex) -> float:
     mod = abs(s)
     if mod >= 1.0:
         raise DomainError("|s| must be below one, got %r" % s)
     return mod
-
-
-def chi_eval(law: LadderLaw, s: complex, t: float) -> BoundedValue:
-    """E[s^tau e^{i t S_tau}; tau <= horizon] with tail bound |s|^{N+1}/(1-|s|)."""
-    grid = chi_eval_grid(law, [s], [t])
-    return BoundedValue(grid.values[0, 0], grid.bounds[0])
 
 
 @dataclass(frozen=True)
@@ -168,6 +142,7 @@ class TransformGrid:
 
 
 def chi_eval_grid(law: LadderLaw, s_values, t_values) -> TransformGrid:
+    """E[s^tau e^{i t S_tau}; tau <= horizon] with tail bound |s|^{N+1}/(1-|s|)."""
     s_arr = np.asarray(s_values, dtype=complex)
     t_arr = np.asarray(t_values, dtype=float)
     mods = np.array([_check_s(s) for s in s_arr])
@@ -185,17 +160,12 @@ def chi_eval_grid(law: LadderLaw, s_values, t_values) -> TransformGrid:
     return TransformGrid(vals, bounds)
 
 
-def spitzer_chi(data: TruncatedData, s: complex, t: float) -> BoundedValue:
+def spitzer_chi_grid(data: TruncatedData, s_values, t_values) -> TransformGrid:
     """Upward joint transform from half-line data via the log-series.
 
     1 - chi+(s, t) = exp(-sum_{n<=N} (s^n/n) sum_k e^{itk} r_n(k)), with a
     certified bound on the effect of the dropped n > N series terms.
     """
-    grid = spitzer_chi_grid(data, [s], [t])
-    return BoundedValue(grid.values[0, 0], grid.bounds[0])
-
-
-def spitzer_chi_grid(data: TruncatedData, s_values, t_values) -> TransformGrid:
     s_arr = np.asarray(s_values, dtype=complex)
     t_arr = np.asarray(t_values, dtype=float)
     mods = np.array([_check_s(s) for s in s_arr])
@@ -251,9 +221,7 @@ def verify_factorization(
     down = ladder_law(mu, DOWNWARD, horizon)
     plus = chi_eval_grid(up, s_arr, t_arr).values
     minus = chi_eval_grid(down, s_arr, t_arr).values
-    phi = np.array(
-        [eval_transform(mu, TransformKind.CHARACTERISTIC, t).value for t in t_arr]
-    )
+    phi = np.array([eval_transform(mu, np.exp(1j * t)) for t in t_arr])
     lhs = 1.0 - s_arr[:, None] * phi[None, :]
     rhs = (1.0 - minus) * (1.0 - plus)
     residuals = np.abs(lhs - rhs)
@@ -276,7 +244,6 @@ class DecaySequence:
     values: np.ndarray
     fitted_alpha: float | None
     r_squared: float | None
-    fit_window: tuple[int, int] | None
 
 
 # P(S_n < 0) below this is float-cancellation noise (computed as 1 - total).
@@ -288,10 +255,10 @@ _R2_MIN = 0.999
 def neg_prob_sequence(data: TruncatedData) -> DecaySequence:
     values = np.array([max(0.0, 1.0 - r.total) for r in data.restricted])
     if values.max() <= 0.0:
-        return DecaySequence(values, float("inf"), None, None)
+        return DecaySequence(values, float("inf"), None)
     eligible = np.nonzero(values >= _DECAY_FLOOR)[0]
     if eligible.size < 8:
-        return DecaySequence(values, None, None, None)
+        return DecaySequence(values, None, None)
     window = eligible[eligible.size // 2 :]
     n = window + 1.0
     logv = np.log(values[window])
@@ -300,13 +267,12 @@ def neg_prob_sequence(data: TruncatedData) -> DecaySequence:
     ss_res = float(np.sum((logv - fitted) ** 2))
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
     if ss_tot <= 1e-20:
-        return DecaySequence(values, None, None, (int(n[0]), int(n[-1])))
+        return DecaySequence(values, None, None)
     r2 = 1.0 - ss_res / ss_tot
     alpha = -float(slope)
-    span = (int(n[0]), int(n[-1]))
     if alpha >= _ALPHA_MIN and r2 >= _R2_MIN:
-        return DecaySequence(values, alpha, r2, span)
-    return DecaySequence(values, None, r2, span)
+        return DecaySequence(values, alpha, r2)
+    return DecaySequence(values, None, r2)
 
 
 # -- drift classification ---------------------------------------------------
@@ -319,25 +285,13 @@ class Drift(Enum):
     UNDECIDED = "undecided"
 
 
-def drift_classify(subject: LatticeDist | TruncatedData) -> Drift:
-    """Classify the walk's long-run behaviour.
+def drift_classify(data: TruncatedData) -> Drift:
+    """Classify the walk's long-run behaviour from half-line data alone.
 
-    With the full step law the mean sign decides exactly. From half-line
-    data alone the verdict is a finite-horizon heuristic built on the decay
-    of P(S_n < 0), and UNDECIDED is an honest outcome.
+    The verdict is a finite-horizon heuristic built on the decay of
+    P(S_n < 0), and UNDECIDED is an honest outcome.
     """
-    if isinstance(subject, LatticeDist):
-        if subject.is_zero:
-            raise DomainError("step distribution must be nonzero")
-        m = subject.mean()
-        scale = max(1.0, float(np.abs(subject.indices()).max()))
-        if m > 1e-12 * scale:
-            return Drift.PLUS
-        if m < -1e-12 * scale:
-            return Drift.MINUS
-        return Drift.OSCILLATES
-
-    decay = neg_prob_sequence(subject)
+    decay = neg_prob_sequence(data)
     values = decay.values
     if values.max() <= 0.0:
         return Drift.PLUS
@@ -353,42 +307,6 @@ def drift_classify(subject: LatticeDist | TruncatedData) -> Drift:
     if float(tail.max() - tail.min()) <= 0.02 and 0.02 < tail_mean < 0.9:
         return Drift.OSCILLATES
     return Drift.UNDECIDED
-
-
-# -- descending ladder renewal measure --------------------------------------
-
-
-@dataclass(frozen=True)
-class RenewalMeasure:
-    """Occupancy v(r) of level -r by the strictly-negative excursion.
-
-    Horizon-truncated values are monotone lower bounds of the true renewal
-    measure; ``converged[r-1]`` reports whether the entry moved less than
-    1e-12 over the last quarter of the horizon.
-    """
-
-    values: np.ndarray  # v(1..R)
-    converged: np.ndarray
-    horizon: int
-
-
-def ladder_renewal(mu: LatticeDist, max_height: int, horizon: int) -> RenewalMeasure:
-    """Accumulate the upward-killed alive occupancy of levels -1..-R.
-
-    A walk that touches zero has already crossed upward, so survivors stay
-    strictly below zero; the occupancy of -r summed over epochs is the
-    renewal mass of the descending ladder height process at -r.
-    """
-    if max_height < 1:
-        raise DomainError("max_height must be at least 1")
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
-    walk = _half_line_walk(mu, "nonneg", horizon, occupancy=max_height)
-    # accumulate runs epoch by epoch, so each entry is a sequential sum
-    running = np.cumsum(walk.occupancy, axis=0)
-    checkpoint = max(1, (3 * horizon) // 4)
-    converged = (running[-1] - running[checkpoint - 1]) <= 1e-12
-    return RenewalMeasure(running[-1].copy(), converged, horizon)
 
 
 # -- exponential-moment probes ----------------------------------------------
@@ -408,15 +326,13 @@ class ExpMomentReport:
 
     condition_b is True when some probed lambda certifies a finite moment
     generating value above one (the growth of E[e^{lambda S_n}; S_n >= 0]
-    is a lower bound for it). condition_a reports the decay-side evidence:
-    False when P(S_n < 0) visibly fails to decay, True in the trivial
-    nonnegative-support case, None when the horizon cannot decide.
+    is a lower bound for it), False when every probe stabilized without
+    certifying, None when some probe did not stabilize.
     """
 
     probes: tuple[LambdaProbe, ...]
     condition_b: bool | None
     b_witness: float | None
-    condition_a: bool | None
     lambda_cap: float
 
 
@@ -476,16 +392,7 @@ def exp_moment_conditions(data: TruncatedData) -> ExpMomentReport:
         condition_b = None
     else:
         condition_b = False
-
-    decay = neg_prob_sequence(data)
-    if decay.values.max() <= 0.0:
-        condition_a = True
-    elif decay.fitted_alpha is not None:
-        condition_a = None  # decay certificate alone does not place mass bounds
-    else:
-        tail = decay.values[-max(5, len(decay.values) // 4) :]
-        condition_a = False if float(tail.mean()) > 0.05 else None
-    return ExpMomentReport(tuple(probes), condition_b, witness, condition_a, cap)
+    return ExpMomentReport(tuple(probes), condition_b, witness, cap)
 
 
 # -- ladder law re-derived from half-line data -------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,8 +31,6 @@ __all__ = [
     "FFT_THRESHOLD",
     "MAX_WINDOW",
     "LatticeDist",
-    "TransformKind",
-    "TransformPoint",
     "lattice",
     "delta",
     "zero_measure",
@@ -137,9 +135,9 @@ class LatticeDist:
     @classmethod
     def from_dict(cls, doc: dict) -> "LatticeDist":
         try:
-            offset = int(doc["offset"])
+            offset = doc["offset"]
             weights = doc["weights"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DomainError("distribution document needs offset and weights") from exc
         return lattice(
             offset,
@@ -170,8 +168,10 @@ def lattice(offset: int, weights, truncated_mass: float = 0.0) -> LatticeDist:
     Any positive mass however small stays in the window, and interior zeros
     are always preserved. Tiny negative weights from floating-point
     convolution are clamped to zero, anything more negative raises, and so
-    does a NaN or infinite weight.
+    does a NaN or infinite weight. The offset must be an integer: a float or
+    bool offset raises rather than being truncated.
     """
+    offset = _integer_offset(offset)
     w = np.array(weights, dtype=float)
     if w.ndim != 1:
         raise DomainError("weights must be a 1-d sequence")
@@ -180,17 +180,26 @@ def lattice(offset: int, weights, truncated_mass: float = 0.0) -> LatticeDist:
         i = int(np.argmin(finite))
         raise DomainError("non-finite weight %r at index %d" % (float(w[i]), i))
     _clamp_negatives(w)
-    offset, w = _trim(int(offset), w)
+    offset, w = _trim(offset, w)
     return LatticeDist(offset, w.copy(), truncated_mass)
 
 
 def delta(k: int = 0) -> LatticeDist:
     """Point mass at k."""
-    return LatticeDist(int(k), np.ones(1))
+    return LatticeDist(_integer_offset(k), np.ones(1))
 
 
 def zero_measure() -> LatticeDist:
     return LatticeDist(0, np.empty(0))
+
+
+def _integer_offset(k) -> int:
+    if not isinstance(k, bool):
+        try:
+            return operator.index(k)
+        except TypeError:
+            pass
+    raise DomainError("lattice offset must be an integer, got %r" % (k,))
 
 
 def _clamp_negatives(w: np.ndarray) -> None:
@@ -321,12 +330,9 @@ class _Walk(NamedTuple):
     crossings: list[tuple[int, np.ndarray]]  # step n at index n-1, own arrays
     survival: np.ndarray | None  # alive total after 0..horizon steps, if killed
     alive: tuple[int, np.ndarray]  # alive window after the last step
-    occupancy: np.ndarray | None  # [n-1, r-1]: alive mass at -r after step n
 
 
-def _half_line_walk(
-    mu: LatticeDist, kill: str | None, horizon: int, occupancy: int = 0
-) -> _Walk:
+def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     """Walk with step law mu from the unit mass at 0, split at the origin.
 
     Each step convolves the alive window with mu and splits the result into
@@ -336,13 +342,11 @@ def _half_line_walk(
     ``kill=None`` nothing is removed and the crossing is the part on k >= 0,
     the restricted power r_n. Windows are trimmed exactly as ``convolve``
     and ``split_nonneg`` trim them, so each array holds the same bytes as
-    the LatticeDist that loop of public calls would build. ``occupancy``
-    > 0 also records the alive mass at levels -1..-occupancy after each step.
+    the LatticeDist that loop of public calls would build.
     """
     mu_offset, mu_w = mu.offset, mu.weights
     offset, alive = 0, np.ones(1)
     survival = np.concatenate(([1.0], np.zeros(horizon))) if kill else None
-    occ = np.zeros((horizon, occupancy)) if occupancy else None
     crossings: list[tuple[int, np.ndarray]] = []
     for n in range(horizon):
         if not (alive.size and mu_w.size):
@@ -362,58 +366,22 @@ def _half_line_walk(
         crossings.append((cross[0], cross[1].copy()))
         if kill:
             survival[n + 1] = alive.sum()
-        if occ is not None and alive.size:
-            # level -r sits at index -r - offset of the alive window
-            r_lo = max(1, 1 - offset - alive.size)
-            r_hi = min(occupancy, -offset)
-            if r_lo <= r_hi:
-                occ[n, r_lo - 1 : r_hi] = alive[-offset - np.arange(r_lo, r_hi + 1)]
-    return _Walk(crossings, survival, (offset, alive), occ)
+    return _Walk(crossings, survival, (offset, alive))
 
 
 # -- transforms ----------------------------------------------------------
 
 
-class TransformKind(Enum):
-    CHARACTERISTIC = "characteristic"
-    MGF = "mgf"
-    GENERATING = "generating"
+def eval_transform(mu: LatticeDist, base: complex) -> complex:
+    """Evaluate sum_k mu(k) base^k, which is 0j for the zero measure.
 
-
-@dataclass(frozen=True)
-class TransformPoint:
-    """One transform evaluation: sum_k mu(k) w^k at the kind's base w."""
-
-    kind: TransformKind
-    argument: float
-    value: complex
-
-
-def _transform_base(kind: TransformKind, argument: float) -> complex:
-    if kind is TransformKind.CHARACTERISTIC:
-        return complex(np.exp(1j * argument))
-    if kind is TransformKind.MGF:
-        return complex(np.exp(argument))
-    if kind is TransformKind.GENERATING:
-        return complex(argument)
-    raise DomainError("unknown transform kind %r" % (kind,))
-
-
-def eval_transform(mu: LatticeDist, kind: TransformKind, argument: float) -> TransformPoint:
-    """Evaluate sum_k mu(k) w^k with w = e^{it}, e^{lambda}, or s."""
-    if isinstance(kind, str):
-        kind = TransformKind(kind)
-    base = _transform_base(kind, argument)
+    base = e^{it} gives the characteristic function at t, and
+    base = e^{lambda} the moment generating function at lambda.
+    """
     if mu.is_zero:
-        return TransformPoint(kind, argument, 0j)
-    if base == 0:
-        if mu.min_index < 0:
-            raise DomainError("generating argument 0 with negative support")
-        value = complex(mu.mass(0))
-        return TransformPoint(kind, argument, value)
-    powers = np.power(base, mu.indices().astype(float))
-    value = complex(np.dot(mu.weights, powers))
-    return TransformPoint(kind, argument, value)
+        return 0j
+    powers = np.power(complex(base), mu.indices().astype(float))
+    return complex(np.dot(mu.weights, powers))
 
 
 # -- half-line cross-correlation ------------------------------------------

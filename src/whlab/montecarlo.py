@@ -106,9 +106,6 @@ class EmpiricalLadder:
         if recorded != self.n_samples:
             raise DomainError("counts plus censored must equal n_samples")
 
-    def frequency(self, n: int, k: int) -> float:
-        return self.counts.get((n, k), 0) / self.n_samples
-
 
 def sample_ladder(
     mu: LatticeDist,

@@ -39,7 +39,6 @@ from .errors import (
     DomainError,
 )
 from .ladder import (
-    Drift,
     drift_classify,
     exp_moment_conditions,
     ladder_epochs_from_data,
@@ -49,7 +48,6 @@ from .ladder import (
 from .lattice import (
     MASS_TOL,
     LatticeDist,
-    convolution_power,
     convolve,
     lattice,
     restrict_nonneg,
@@ -124,31 +122,9 @@ class ReconstructionReport:
         return {
             "detected_class": self.detected_class,
             "recovered": None if self.recovered is None else self.recovered.to_dict(),
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "diagnostics": _jsonable(self.diagnostics),
+            "residuals": self.residuals,
+            "diagnostics": self.diagnostics,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, Drift):
-        return obj.value
-    if obj is None or isinstance(obj, str):
-        return obj
-    return repr(obj)
 
 
 # -- shared assembly and fitting helpers ------------------------------------
@@ -507,7 +483,6 @@ class CorrelationSolution:
     lags: np.ndarray
     masses: np.ndarray
     residual_sup: float
-    residual_l2: float
     rank: int
     rank_deficient: bool
     reg_used: float
@@ -554,7 +529,6 @@ def _correlation_solve(design, b, deficit: float):
         lags=np.arange(1, n_lags + 1),
         masses=x,
         residual_sup=float(np.abs(fit).max()),
-        residual_l2=float(np.linalg.norm(fit)),
         rank=rank,
         rank_deficient=rank < n_lags,
         reg_used=reg_used,

@@ -79,6 +79,8 @@ def test_roundtrip_skip_free_exact(tmp_path):
     report = json.loads((tmp_path / "out" / "roundtrip_report.json").read_text())
     assert report["detected_class"] == "skip_free"
     assert report["passed"] is True
+    assert report["diagnostics"]["v_rank_deficient"] is True
+    assert report["diagnostics"]["drift"] == "undecided"
 
 
 def test_roundtrip_exit_1_when_tolerance_unreachable(tmp_path):
@@ -137,20 +139,52 @@ def _reconstruct_exit(tmp_path, data_dir):
     return run_cli("reconstruct", "--config", str(cfg), "--out", str(tmp_path / "out"))
 
 
-def test_reconstruct_rejects_nan_weight_with_exit_2(tmp_path):
-    root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 10), tmp_path / "d")
-    target = root / "restricted_0003.json"
+def _rewrite_power_file(root, name, edit):
+    """Apply edit to one power document and give it a matching manifest hash."""
+    target = root / name
     doc = json.loads(target.read_text())
-    doc["weights"][1] = float("nan")
+    edit(doc)
     target.write_text(json.dumps(doc))
     manifest = json.loads((root / "manifest.json").read_text())
     for entry in manifest["powers"]:
         if entry["file"] == target.name:
             entry["sha256"] = hashlib.sha256(target.read_bytes()).hexdigest()
     (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_reconstruct_rejects_nan_weight_with_exit_2(tmp_path):
+    def nan_weight(doc):
+        doc["weights"][1] = float("nan")
+
+    root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 10), tmp_path / "d")
+    _rewrite_power_file(root, "restricted_0003.json", nan_weight)
     result = _reconstruct_exit(tmp_path, root)
     assert result.returncode == 2, result.stderr
     assert "non-finite" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_reconstruct_rejects_non_integer_offset_with_exit_2(tmp_path):
+    root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 10), tmp_path / "d")
+    _rewrite_power_file(root, "restricted_0003.json", lambda doc: doc.update(offset=0.5))
+    result = _reconstruct_exit(tmp_path, root)
+    assert result.returncode == 2, result.stderr
+    assert "offset must be an integer" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("family", ["point_mass", "custom_file"])
+def test_non_integer_offset_in_distribution_rejected_with_exit_2(tmp_path, family):
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps({"min_index": -1.7, "weights": [0.5, 0.0, 0.5]}))
+    parameters = {"point_mass": {"location": 1.5}, "custom_file": {"path": str(custom)}}
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"distribution": {"family": family, "parameters": parameters[family]}, "horizon": 20},
+    )
+    result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2, result.stderr
+    assert "offset must be an integer" in result.stderr
     assert "Traceback" not in result.stderr
 
 

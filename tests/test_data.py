@@ -125,6 +125,18 @@ def test_malformed_manifest_rejected(tmp_path, manifest):
         load_data_dir(root)
 
 
+@pytest.mark.parametrize("outside", [False, True])
+def test_manifest_file_outside_directory_rejected(tmp_path, outside):
+    root = save_data_dir(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 3), tmp_path / "d")
+    stray = tmp_path / "stray.json"
+    stray.write_bytes((root / "restricted_0001.json").read_bytes())
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["powers"][0]["file"] = str(stray) if outside else "../stray.json"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataInconsistencyError, match="not a plain file name"):
+        load_data_dir(root)
+
+
 def test_missing_power_file_rejected(tmp_path):
     root = save_data_dir(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 3), tmp_path / "d")
     (root / "restricted_0002.json").unlink()

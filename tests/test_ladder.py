@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whlab import (
-    TransformKind,
-    chi_eval,
     chi_eval_grid,
     delta,
     drift_classify,
@@ -15,10 +13,8 @@ from whlab import (
     convolve,
     exp_moment_conditions,
     ladder_law,
-    ladder_renewal,
     lattice,
     neg_prob_sequence,
-    spitzer_chi,
     spitzer_chi_grid,
     split_nonneg,
     truncated_data,
@@ -83,47 +79,48 @@ def test_killed_walk_alive_stays_strictly_negative():
 def test_chi_eval_delta1():
     law = ladder_law(delta(1), UPWARD, 50)
     for t in (0.0, 0.3, 2.2):
-        got = chi_eval(law, 0.6, t)
-        assert got.value == pytest.approx(0.6 * np.exp(1j * t), abs=1e-15)
+        got = chi_eval_grid(law, [0.6], [t]).values[0, 0]
+        assert got == pytest.approx(0.6 * np.exp(1j * t), abs=1e-15)
 
 
 def test_chi_eval_delta0_both_sides():
     up = ladder_law(delta(0), UPWARD, 50)
     down = ladder_law(delta(0), DOWNWARD, 50)
-    assert chi_eval(up, 0.7, 1.1).value == pytest.approx(0.7, abs=1e-15)
-    assert chi_eval(down, 0.7, 1.1).value == 0.0
+    assert chi_eval_grid(up, [0.7], [1.1]).values[0, 0] == pytest.approx(0.7, abs=1e-15)
+    assert chi_eval_grid(down, [0.7], [1.1]).values[0, 0] == 0.0
 
 
 def test_chi_eval_rejects_s_outside_disk():
     law = ladder_law(delta(1), UPWARD, 10)
     with pytest.raises(DomainError):
-        chi_eval(law, 1.0, 0.0)
+        chi_eval_grid(law, [1.0], [0.0])
 
 
 def test_chi_bound_formula():
     law = ladder_law(lattice(-1, [0.5, 0.0, 0.5]), UPWARD, 30)
-    got = chi_eval(law, 0.8, 0.0)
-    assert got.bound == pytest.approx(0.8**31 / 0.2, rel=1e-12)
+    got = chi_eval_grid(law, [0.8], [0.0]).bounds[0]
+    assert got == pytest.approx(0.8**31 / 0.2, rel=1e-12)
 
 
 def test_chi_eval_matches_spitzer_on_symmetric_walk():
     mu = lattice(-1, [0.5, 0.0, 0.5])
     law = ladder_law(mu, UPWARD, 60)
     data = truncated_data(mu, 60)
-    a = chi_eval(law, 0.5, 0.0)
-    b = spitzer_chi(data, 0.5, 0.0)
-    assert abs(a.value - b.value) <= 1e-10
+    a = chi_eval_grid(law, [0.5], [0.0]).values[0, 0]
+    b = spitzer_chi_grid(data, [0.5], [0.0]).values[0, 0]
+    assert abs(a - b) <= 1e-10
 
 
 def test_spitzer_chi_delta0_is_s():
     data = truncated_data(delta(0), 40)
-    got = spitzer_chi(data, 0.35, 0.9)
-    assert got.value == pytest.approx(0.35, abs=1e-12)
+    got = spitzer_chi_grid(data, [0.35], [0.9]).values[0, 0]
+    assert got == pytest.approx(0.35, abs=1e-12)
 
 
 def test_spitzer_chi_delta1_at_t0_is_s():
     data = truncated_data(delta(1), 40)
-    assert spitzer_chi(data, 0.45, 0.0).value == pytest.approx(0.45, abs=1e-12)
+    got = spitzer_chi_grid(data, [0.45], [0.0]).values[0, 0]
+    assert got == pytest.approx(0.45, abs=1e-12)
 
 
 def test_cross_oracle_three_point():
@@ -142,7 +139,8 @@ def test_grid_matches_pointwise():
     grid = chi_eval_grid(law, [0.2, 0.7], [0.0, 1.3])
     for i, s in enumerate((0.2, 0.7)):
         for j, t in enumerate((0.0, 1.3)):
-            assert grid.values[i, j] == pytest.approx(chi_eval(law, s, t).value, abs=1e-14)
+            point = chi_eval_grid(law, [s], [t]).values[0, 0]
+            assert grid.values[i, j] == pytest.approx(point, abs=1e-14)
 
 
 def test_factorization_delta0_residual_zero():
@@ -170,8 +168,10 @@ def test_factorization_at_t_zero_matches_one_minus_s():
     up = ladder_law(mu, UPWARD, 150)
     down = ladder_law(mu, DOWNWARD, 150)
     for s in S_GRID:
-        prod = (1 - chi_eval(down, s, 0.0).value) * (1 - chi_eval(up, s, 0.0).value)
-        bound = chi_eval(up, s, 0.0).bound + chi_eval(down, s, 0.0).bound
+        plus = chi_eval_grid(up, [s], [0.0])
+        minus = chi_eval_grid(down, [s], [0.0])
+        prod = (1 - minus.values[0, 0]) * (1 - plus.values[0, 0])
+        bound = plus.bounds[0] + minus.bounds[0]
         assert abs(prod - (1 - s)) <= 3 * bound + 1e-10
 
 
@@ -214,30 +214,11 @@ def test_neg_prob_path_inequality():
 
 
 def test_drift_classify_examples(p5_data):
-    assert drift_classify(delta(1)) is Drift.PLUS
-    assert drift_classify(lattice(-1, [0.5, 0.0, 0.5])) is Drift.OSCILLATES
-    assert drift_classify(lattice(-1, [0.7, 0.0, 0.3])) is Drift.MINUS
+    assert drift_classify(truncated_data(delta(1), 80)) is Drift.PLUS
+    assert drift_classify(truncated_data(lattice(-1, [1 / 3] * 3), 80)) is Drift.OSCILLATES
+    assert drift_classify(truncated_data(lattice(-1, [0.7, 0.0, 0.3]), 80)) is Drift.MINUS
+    assert drift_classify(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 80)) is Drift.UNDECIDED
     assert drift_classify(p5_data) is Drift.MINUS
-
-
-def test_ladder_renewal_deterministic_descent():
-    rm = ladder_renewal(delta(-1), 6, 80)
-    assert np.allclose(rm.values, 1.0, atol=1e-14)
-
-
-def test_ladder_renewal_skipfree_zero_mean_tends_to_one():
-    mu = lattice(-1, [0.5, 0.0, 0.5])
-    near = ladder_renewal(mu, 4, 1000)
-    far = ladder_renewal(mu, 4, 4000)
-    assert np.all(np.abs(far.values - 1.0) <= 0.06)
-    # null-recurrent DP: deficit shrinks like horizon^{-1/2}
-    assert np.all(1.0 - far.values < 1.0 - near.values)
-    assert np.all(far.values <= 1.0 + 1e-12)
-
-
-def test_ladder_renewal_overshoot_below_one():
-    rm = ladder_renewal(lattice(-2, [0.5, 0.0, 0.0, 0.5]), 3, 400)
-    assert rm.values[0] < 0.9
 
 
 def test_exp_moment_delta1_exact_ratio():
@@ -255,7 +236,7 @@ def test_exp_moment_ratio_matches_mgf():
     data = truncated_data(mu, 80)
     rep = exp_moment_conditions(data)
     for probe in rep.probes:
-        want = eval_transform(mu, TransformKind.MGF, probe.lam).value.real
+        want = eval_transform(mu, np.exp(probe.lam)).real
         assert probe.growth == pytest.approx(want, rel=1e-9)
 
 

@@ -380,12 +380,3 @@ def test_recovered_agrees_with_first_power():
         for k in range(0, top + 1):
             assert rep.recovered.mass(k) == r1.mass(k)
 
-
-def test_report_serializes():
-    rep = auto_reconstruct(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 60))
-    doc = rep.to_dict()
-    import json
-
-    json.dumps(doc)
-    assert doc["detected_class"] == CLASS_SKIP_FREE
-    assert doc["diagnostics"]["v_rank_deficient"] is True
