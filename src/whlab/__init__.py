@@ -44,7 +44,6 @@ from .ladder import (
     chi_eval_grid,
     drift_classify,
     exp_moment_conditions,
-    ladder_epochs_from_data,
     ladder_law,
     neg_prob_sequence,
     spitzer_chi_grid,
@@ -143,7 +142,6 @@ __all__ = [
     "drift_classify",
     "ExpMomentReport",
     "exp_moment_conditions",
-    "ladder_epochs_from_data",
     # expfit
     "ExpFit",
     "pencil_fit",

@@ -47,7 +47,6 @@ __all__ = [
     "exp_moment_conditions",
     "log_restricted_mgf",
     "default_lambda_grid",
-    "ladder_epochs_from_data",
 ]
 
 
@@ -394,53 +393,3 @@ def exp_moment_conditions(data: TruncatedData) -> ExpMomentReport:
         condition_b = False
     return ExpMomentReport(tuple(probes), condition_b, witness, cap)
 
-
-# -- ladder law re-derived from half-line data -------------------------------
-
-
-def ladder_epochs_from_data(data: TruncatedData, height_cap: int) -> np.ndarray:
-    """Joint upward first-passage masses from restricted powers alone.
-
-    Exponentiates the truncated log-series in the epoch variable; the
-    height variable is a polynomial coefficient array saturated at
-    ``height_cap``: column ``height_cap + 1`` aggregates all larger heights,
-    exactly (heights only add under products). Row n-1 is the law of
-    (tau+ = n, S_tau), valid for height queries <= height_cap.
-    """
-    if height_cap < 0:
-        raise DomainError("height_cap must be nonnegative")
-    width = height_cap + 2
-    n_terms = data.horizon
-
-    def saturate(raw: np.ndarray) -> np.ndarray:
-        if len(raw) <= width:
-            out = np.zeros(width)
-            out[: len(raw)] = raw
-            return out
-        out = raw[:width].copy()
-        out[width - 1] += raw[width:].sum()
-        return out
-
-    log_terms = np.zeros((n_terms + 1, width))
-    for n in range(1, n_terms + 1):
-        r = data.restricted_power(n)
-        if r.is_zero:
-            continue
-        raw = np.zeros(r.max_index + 1)
-        raw[r.min_index :] = r.weights
-        log_terms[n] = saturate(raw) / n
-
-    exp_terms = np.zeros((n_terms + 1, width))
-    exp_terms[0, 0] = 1.0
-    for m in range(1, n_terms + 1):
-        acc = np.zeros(width)
-        for i in range(1, m + 1):
-            if not log_terms[i].any():
-                continue
-            prod = np.convolve(log_terms[i], exp_terms[m - i])
-            acc += i * saturate(prod)
-        exp_terms[m] = -acc / m
-    table = -exp_terms[1:]
-    # coefficients are probabilities up to roundoff
-    table[(table < 0) & (table > -1e-12)] = 0.0
-    return table

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, SizeLimitError
 
@@ -55,7 +54,9 @@ class LatticeDist:
     canonical: the first and last weight are nonzero unless the measure is
     identically zero (empty ``weights``, ``offset`` 0). ``truncated_mass``
     records mass a generator knowingly cut off; operations treat the stored
-    window as exact and do not propagate it.
+    window as exact and do not propagate it. The offset must be an
+    integer: a float or bool offset raises, and a numpy integer is stored as
+    ``int``.
     """
 
     offset: int
@@ -64,6 +65,7 @@ class LatticeDist:
     total: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", _integer_offset(self.offset))
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise DomainError("weights must be a 1-d array")
@@ -169,7 +171,9 @@ def lattice(offset: int, weights, truncated_mass: float = 0.0) -> LatticeDist:
     are always preserved. Tiny negative weights from floating-point
     convolution are clamped to zero, anything more negative raises, and so
     does a NaN or infinite weight. The offset must be an integer: a float or
-    bool offset raises rather than being truncated.
+    bool offset raises rather than being truncated. It is checked before
+    trimming, which would otherwise shift a bool into an int or drop the
+    offset of an all-zero window.
     """
     offset = _integer_offset(offset)
     w = np.array(weights, dtype=float)
@@ -186,7 +190,7 @@ def lattice(offset: int, weights, truncated_mass: float = 0.0) -> LatticeDist:
 
 def delta(k: int = 0) -> LatticeDist:
     """Point mass at k."""
-    return LatticeDist(_integer_offset(k), np.ones(1))
+    return LatticeDist(k, np.ones(1))
 
 
 def zero_measure() -> LatticeDist:
@@ -236,8 +240,9 @@ def _convolve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Convolution of two nonempty weight arrays, as a new array.
 
     Direct summation below FFT_THRESHOLD output length keeps tiny tail
-    masses exact; the FFT path above it carries a ~1e-17 noise floor, whose
-    tiny negative weights are clamped to zero.
+    masses exact; the FFT path above it (numpy's real FFT, padded to a power
+    of two) carries a ~1e-17 noise floor, whose tiny negative weights are
+    clamped to zero.
     """
     out_len = len(a) + len(b) - 1
     if out_len > MAX_WINDOW:
@@ -252,7 +257,8 @@ def _convolve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return b[0] * a
     if out_len < FFT_THRESHOLD:
         return np.convolve(a, b)
-    w = fftconvolve(a, b)
+    n = 1 << (out_len - 1).bit_length()
+    w = np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:out_len]
     _clamp_negatives(w)
     return w
 

@@ -39,9 +39,10 @@ from .errors import (
     DomainError,
 )
 from .ladder import (
+    UPWARD,
     drift_classify,
     exp_moment_conditions,
-    ladder_epochs_from_data,
+    ladder_law,
     log_restricted_mgf,
     neg_prob_sequence,
 )
@@ -373,35 +374,37 @@ def recover_exponential(
 # -- skip-free detection -----------------------------------------------------
 
 
-def _skipfree_identity_diagnostics(data: TruncatedData) -> dict[str, object]:
-    """Renewal-identity diagnostics for the skip-free hypothesis.
+def _skipfree_identity_diagnostics(
+    candidate: LatticeDist, horizon: int
+) -> dict[str, object]:
+    """Renewal-identity diagnostics for an accepted skip-free candidate.
 
     The overshoot tails of the upward first passage satisfy
     P(S_tau > n, tau < inf) = sum_r v(r) P(S_1 > n + r) with v identically
-    one exactly in the downward skip-free non-drifting case. Both the
-    deviation of the v = 1 prediction and a least-squares solve for v are
-    reported; a short positive support leaves the system rank-deficient,
-    which is flagged rather than solved.
+    one exactly in the downward skip-free non-drifting case. The ladder
+    law comes from the candidate's killed-walk DP to the data horizon,
+    which the data determine: the candidate's forward powers match them
+    within CONSISTENCY_TOL. Both the deviation of the v = 1 prediction and
+    a least-squares solve for v are reported; a short positive support
+    leaves the system rank-deficient, which is flagged rather than solved.
     """
-    r1 = data.restricted_power(1)
+    r1 = restrict_nonneg(candidate)
     k_top = r1.max_index if not r1.is_zero else 0
     if k_top <= 0:
         return {"v_rank": 0, "v_rank_deficient": True, "v_band": 1.0}
-    table = ladder_epochs_from_data(data, height_cap=k_top)
+    law = ladder_law(candidate, UPWARD, horizon)
     pos = _dense_r1(r1)
     tail1 = np.concatenate([np.cumsum(pos[::-1])[::-1][1:], [0.0]])
-    lhs = np.array([table[:, n + 1 :].sum() for n in range(k_top)])
-    band = float(max(0.0, 1.0 - table.sum()))
+    # upward overshoots never exceed the largest step, k_top
+    lhs = np.array([law.masses[:, law.heights > n].sum() for n in range(k_top)])
+    band = float(max(0.0, 1.0 - law.total()))
 
     pred = np.array([tail1[n:].sum() for n in range(k_top)])
     identity_dev = float(np.abs(lhs - pred).max())
 
     n_cols = max(1, k_top - 1)
-    design = np.zeros((k_top, n_cols))
-    for n in range(k_top):
-        for r in range(1, n_cols + 1):
-            if n + r < k_top:
-                design[n, r - 1] = tail1[n + r]
+    idx = np.arange(k_top)[:, None] + np.arange(1, n_cols + 1)[None, :]
+    design = np.where(idx < k_top, tail1[np.minimum(idx, k_top)], 0.0)
     rank = int(np.linalg.matrix_rank(design, tol=1e-12))
     out: dict[str, object] = {
         "v_identity_dev": identity_dev,
@@ -423,12 +426,19 @@ def recover_skipfree(
 
     The mass deficit of restricted(1) pins the only admissible candidate,
     whatever the drift, which is accepted iff its forward powers reproduce
-    every observed restricted power within CONSISTENCY_TOL. The drift is
-    reported as a diagnostic; the renewal-identity diagnostics are computed
-    for an accepted candidate only.
+    every observed restricted power within CONSISTENCY_TOL. At horizon 1
+    the candidate reproduces r1 by construction, so nothing could refute
+    it: with a positive deficit the class is not detected there. The drift
+    is reported as a diagnostic; the renewal-identity diagnostics are
+    computed for an accepted candidate only, from the candidate's own
+    killed-walk DP.
     """
     r1 = data.restricted_power(1)
     deficit = _deficit(data)
+    if data.horizon < 2 and deficit > 0.0:
+        raise ClassNotDetected(
+            "one restricted power cannot refute the mass-deficit candidate"
+        )
     candidate = _assemble(r1, np.array([deficit]) if deficit > 0.0 else np.zeros(0))
     forward = truncated_data(candidate, data.horizon)
     consistency = max(
@@ -438,7 +448,7 @@ def recover_skipfree(
     diagnostics: dict[str, object] = {"drift": drift_classify(data)}
     residuals = {"consistency_sup": consistency, "deficit": deficit}
     if consistency <= CONSISTENCY_TOL:
-        diagnostics.update(_skipfree_identity_diagnostics(data))
+        diagnostics.update(_skipfree_identity_diagnostics(candidate, data.horizon))
         if truth is not None:
             residuals["tv_distance"] = tv_distance(candidate, truth)
         return ReconstructionReport(CLASS_SKIP_FREE, candidate, residuals, diagnostics)
@@ -615,6 +625,8 @@ def recover_cm_discrete(
     linear system. A direct nonnegative kernel inversion of the same
     correlation runs in parallel and the smaller-residual route wins.
     """
+    if data.horizon < 2:
+        raise ClassNotDetected("correlation sequence needs horizon >= 2")
     r1 = data.restricted_power(1)
     if r1.is_zero:
         raise ClassNotDetected("restricted(1) carries no mass")

@@ -5,7 +5,16 @@ import sys
 
 import pytest
 
-from whlab import lattice, power_tail_pair, save_data_dir, truncated_data
+from whlab import (
+    LatticeDist,
+    geometric_mixture,
+    lattice,
+    power_tail_pair,
+    save_data_dir,
+    truncated_data,
+    tv_distance,
+    two_point,
+)
 
 
 def run_cli(*args):
@@ -186,6 +195,55 @@ def test_non_integer_offset_in_distribution_rejected_with_exit_2(tmp_path, famil
     assert result.returncode == 2, result.stderr
     assert "offset must be an integer" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+TWO_POWER_LAWS = {
+    "skip_free": lattice(-1, [0.5, 0.2, 0.1, 0.2]),
+    "power_tail_pair": power_tail_pair().dist,
+    "geo_mixture_shift_2": geometric_mixture((0.3, 0.5), (0.5, 0.5), shift=-2).dist,
+    "two_point": two_point(-2, 1, 0.85).dist,
+}
+
+
+def _reconstruct_saved(tmp_path, mu, horizon):
+    """Exit code and report of whlab reconstruct on mu's saved data."""
+    root = save_data_dir(truncated_data(mu, horizon), tmp_path / "d")
+    result = _reconstruct_exit(tmp_path, root)
+    report = json.loads((tmp_path / "out" / "reconstruct_report.json").read_text())
+    return result, report
+
+
+@pytest.mark.parametrize("name", ["power_tail_pair", "two_point", "geo_mixture_shift_2"])
+def test_reconstruct_one_power_with_negative_mass_is_none(tmp_path, name):
+    # r1 alone fixes the deficit but not where the negative mass sits
+    result, report = _reconstruct_saved(tmp_path, TWO_POWER_LAWS[name], 1)
+    assert result.returncode == 3, result.stderr
+    assert report["detected_class"] == "none"
+    assert report["recovered"] is None
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("skip_free", "skip_free"),
+        ("power_tail_pair", "triangular"),
+        ("geo_mixture_shift_2", "discrete_cm"),
+    ],
+)
+def test_reconstruct_from_two_powers(tmp_path, name, expected):
+    truth = TWO_POWER_LAWS[name]
+    result, report = _reconstruct_saved(tmp_path, truth, 2)
+    assert result.returncode == 0, result.stderr
+    assert report["detected_class"] == expected
+    assert tv_distance(LatticeDist.from_dict(report["recovered"]), truth) <= 1e-10
+
+
+def test_reconstruct_two_powers_do_not_reach_the_exponential_class(tmp_path):
+    result, report = _reconstruct_saved(tmp_path, TWO_POWER_LAWS["two_point"], 2)
+    assert result.returncode == 3, result.stderr
+    assert report["detected_class"] == "none"
+    verdict = report["diagnostics"]["detector_verdicts"]["exponential"]
+    assert verdict.startswith("not_detected")
 
 
 @pytest.mark.parametrize("manifest", ['{"horizon": 3, "powers": [', '{"horizon": 3}'])

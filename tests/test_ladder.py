@@ -1,5 +1,7 @@
 """Ladder laws, Wiener-Hopf factors, and the drift/moment diagnostics."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from whlab import (
     verify_factorization,
 )
 from whlab.errors import DomainError
-from whlab.ladder import DOWNWARD, UPWARD, Drift, ladder_epochs_from_data
+from whlab.ladder import DOWNWARD, UPWARD, Drift
 from whlab.lattice import _half_line_walk
 
 S_GRID = np.arange(0.1, 0.95, 0.1)
@@ -257,14 +259,13 @@ def test_exp_moment_heavy_tail_stays_undecided(p5_data):
     assert rep.condition_b is not True
 
 
-def test_epochs_from_data_match_ladder_dp():
-    mu = lattice(-1, [0.2, 0.0, 0.8])
-    data = truncated_data(mu, 30)
-    law = ladder_law(mu, UPWARD, 30)
-    tab = ladder_epochs_from_data(data, height_cap=6)
-    for n in range(1, 31):
-        for k in range(0, 7):
-            assert tab[n - 1, k] == pytest.approx(law.mass(n, k), abs=1e-12)
+def test_ladder_law_on_fft_path_matches_direct(monkeypatch):
+    mu = lattice(-2, [0.3, 0.0, 0.1, 0.2, 0.4])
+    direct = ladder_law(mu, UPWARD, 60)
+    # whlab.lattice is the re-exported function, so patch the module itself
+    monkeypatch.setattr(importlib.import_module("whlab.lattice"), "FFT_THRESHOLD", 8)
+    fft = ladder_law(mu, UPWARD, 60)
+    assert np.abs(fft.survival - direct.survival).max() <= 1e-14
 
 
 # -- the raw-array walk against the loop of public calls it replaced ---------

@@ -146,6 +146,39 @@ def test_window_limit_enforced(monkeypatch):
         convolve(wide, wide)
 
 
+def test_fft_path_matches_exact_oracle(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("whlab.lattice"), "FFT_THRESHOLD", 8)
+    rng = np.random.default_rng(5)
+    # interior zeros leave FFT noise in the gaps, which must not go negative
+    a = lattice(-3, np.concatenate([rng.random(6), np.zeros(5), rng.random(6)]) / 6)
+    b = lattice(2, [0.5, 0.0, 0.0, 0.0, 0.25, 0.0, 0.25])
+    got = convolve(a, b)
+    offset, exact = convolve_exact(a, b)
+    assert got.min_index == offset
+    assert len(got.weights) == len(exact)
+    assert max(abs(w - float(x)) for w, x in zip(got.weights, exact)) <= 1e-15
+    assert got.weights.min() >= 0.0
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.0, True])
+def test_constructor_rejects_non_integer_offset(offset):
+    with pytest.raises(DomainError, match="offset must be an integer"):
+        LatticeDist(offset, np.ones(1))
+
+
+def test_constructor_stores_numpy_integer_offset_as_int():
+    d = LatticeDist(np.int64(-3), np.ones(1))
+    assert type(d.offset) is int
+    assert d.offset == -3
+
+
+@pytest.mark.parametrize("offset, weights", [(True, [0.0, 1.0]), (0.5, [0.0])])
+def test_lattice_checks_offset_before_trimming(offset, weights):
+    # trimming would turn True + 1 into the int 2 and drop an all-zero offset
+    with pytest.raises(DomainError, match="offset must be an integer"):
+        lattice(offset, weights)
+
+
 def test_eval_transform_characteristic():
     mu = lattice(-1, [0.25, 0.25, 0.5])
     t = 0.7

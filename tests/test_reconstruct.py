@@ -132,6 +132,43 @@ def test_recover_skipfree_accepts_drifting_walk():
     assert rep.detected_class == CLASS_SKIP_FREE
 
 
+def test_recover_skipfree_refuted_by_second_power():
+    # two_point(-2, 1, .85) and the skip-free candidate lattice(-1, [.15, 0, .85])
+    # share r1, so only r2 can tell them apart
+    mu = two_point(-2, 1, 0.85).dist
+    data = truncated_data(mu, 2)
+    candidate = lattice(-1, [0.15, 0.0, 0.85])
+    forward = truncated_data(candidate, 2)
+    assert sup_distance(forward.restricted_power(1), data.restricted_power(1)) == 0.0
+    rep = recover_skipfree(data)
+    assert rep.detected_class == CLASS_NONE
+    assert rep.residuals["deficit"] == pytest.approx(0.15, abs=1e-15)
+    r2_gap = sup_distance(forward.restricted_power(2), data.restricted_power(2))
+    assert rep.residuals["consistency_sup"] == r2_gap > 0.1
+
+
+def test_recover_skipfree_needs_two_powers_to_refute():
+    data = truncated_data(two_point(-2, 1, 0.85).dist, 1)
+    with pytest.raises(ClassNotDetected, match="cannot refute"):
+        recover_skipfree(data)
+    # with no deficit there is nothing to refute: the law is r1 itself
+    mu = lattice(0, [0.5, 0.5])
+    rep = recover_skipfree(truncated_data(mu, 1), truth=mu)
+    assert rep.detected_class == CLASS_SKIP_FREE
+    assert rep.residuals["tv_distance"] == 0.0
+
+
+def test_skipfree_identity_holds_within_truncation_band():
+    # zero drift and skip-free downward: v == 1, up to the mass the DP
+    # still carries alive at the horizon
+    mu = lattice(-1, [0.6, 0.1, 0.1, 0.1, 0.1])
+    rep = recover_skipfree(truncated_data(mu, 200))
+    diag = rep.diagnostics
+    assert diag["v_rank"] == 2
+    assert diag["v_rank_deficient"] is False
+    assert 0.0 < diag["v_identity_dev"] <= diag["v_band"] < 0.05
+
+
 def test_correlation_lhs_positive_support_vanishes():
     data = truncated_data(lattice(1, [0.6, 0.4]), 6)
     assert np.max(np.abs(correlation_lhs_from_data(data))) <= 1e-15
