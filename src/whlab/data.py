@@ -101,6 +101,13 @@ def save_data_dir(data: TruncatedData, directory: str | Path) -> Path:
     return root
 
 
+def _manifest_int(value, what: str) -> int:
+    # int() would truncate 3.7 and parse "3"; bool is an int subclass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 def load_data_dir(directory: str | Path) -> TruncatedData:
     """Load a data directory, verifying the manifest hashes."""
     root = Path(directory)
@@ -109,8 +116,11 @@ def load_data_dir(directory: str | Path) -> TruncatedData:
         raise DataInconsistencyError("no manifest.json in %s" % root)
     try:
         manifest = json.loads(manifest_path.read_bytes())
-        horizon = int(manifest["horizon"])
-        entries = [(int(e["n"]), str(e["file"]), str(e["sha256"])) for e in manifest["powers"]]
+        horizon = _manifest_int(manifest["horizon"], "horizon")
+        entries = [
+            (_manifest_int(e["n"], "power n"), str(e["file"]), str(e["sha256"]))
+            for e in manifest["powers"]
+        ]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise DataInconsistencyError(
             "malformed manifest.json in %s: %s: %s" % (root, type(exc).__name__, exc)

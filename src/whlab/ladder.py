@@ -340,16 +340,15 @@ class ExpMomentReport:
 _MGF_ARG_CAP = 1e3
 
 
-def log_restricted_mgf(data: TruncatedData, lam: float) -> np.ndarray:
-    """log E[e^{lam S_n}; S_n >= 0] for n = 1..N, safe against overflow."""
-    out = np.full(data.horizon, -np.inf)
-    for i, r in enumerate(data.restricted):
-        if r.is_zero:
-            continue
-        with np.errstate(divide="ignore"):
-            logw = np.log(r.weights)
-        out[i] = logsumexp(lam * r.indices() + logw)
-    return out
+def log_restricted_mgf(data: TruncatedData, lambdas, n: int) -> np.ndarray:
+    """log E[e^{lam S_n}; S_n >= 0] for each lam, -inf when r_n is zero."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    r = data.restricted_power(n)
+    if r.is_zero:
+        return np.full(lambdas.shape, -np.inf)
+    with np.errstate(divide="ignore"):
+        logw = np.log(r.weights)
+    return logsumexp(np.multiply.outer(lambdas, r.indices()) + logw, axis=1)
 
 
 def default_lambda_grid(data: TruncatedData) -> np.ndarray:
@@ -362,20 +361,19 @@ def default_lambda_grid(data: TruncatedData) -> np.ndarray:
 def exp_moment_conditions(data: TruncatedData) -> ExpMomentReport:
     grid = default_lambda_grid(data)
     cap = float(grid.max())
+    # a nonzero power has a finite log-MGF at every lambda
+    nonzero = [n for n, r in enumerate(data.restricted, start=1) if not r.is_zero]
+    if len(nonzero) < 6:
+        probes = tuple(LambdaProbe(float(lam), None, False, False) for lam in grid)
+        return ExpMomentReport(probes, None, None, cap)
+    logs = np.array([log_restricted_mgf(data, grid, n) for n in nonzero[-5:]])
+    ratios = np.exp(np.diff(logs, axis=0))  # (4, len(grid))
     probes = []
     witness = None
     any_unstable = False
-    for lam in grid:
-        logs = log_restricted_mgf(data, lam)
-        finite = np.isfinite(logs)
-        if finite.sum() < 6:
-            probes.append(LambdaProbe(float(lam), None, False, False))
-            any_unstable = True
-            continue
-        ratios = np.exp(np.diff(logs[finite]))
-        last = ratios[-4:]
+    for lam, last in zip(grid, ratios.T):
         spread = float(last.max() - last.min())
-        growth = float(ratios[-1])
+        growth = float(last[-1])
         stabilized = spread <= 1e-8 * max(1.0, abs(growth))
         certified = stabilized and growth > 1.0 + 1e-9
         if certified and witness is None:
@@ -392,4 +390,3 @@ def exp_moment_conditions(data: TruncatedData) -> ExpMomentReport:
     else:
         condition_b = False
     return ExpMomentReport(tuple(probes), condition_b, witness, cap)
-

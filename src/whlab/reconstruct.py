@@ -229,19 +229,21 @@ def _char_ratio_points(data: TruncatedData):
     the transform tends to 1 at 0).
     """
     packed = packed_restricted(data)
+    head, tail = packed[0].astype(complex), packed[-3:].astype(complex)
     idx = np.arange(packed.shape[1])
     half_width = 1.0
     for _ in range(8):
         t = np.linspace(-half_width, half_width, 49)
         phases = np.exp(1j * np.outer(idx, t))
-        a = packed.astype(complex) @ phases
-        safe = (np.abs(a[-2]) > 1e-280) & (np.abs(a[-3]) > 1e-280)
-        est = np.where(safe, a[-1] / np.where(safe, a[-2], 1.0), 0.0)
-        prev = np.where(safe, a[-2] / np.where(safe, a[-3], 1.0), 0.0)
+        a3, a2, a1 = tail @ phases
+        safe = (np.abs(a2) > 1e-280) & (np.abs(a3) > 1e-280)
+        est = np.where(safe, a1 / np.where(safe, a2, 1.0), 0.0)
+        prev = np.where(safe, a2 / np.where(safe, a3, 1.0), 0.0)
         stable = safe & (np.abs(est - prev) <= _STAB_TOL * np.maximum(1.0, np.abs(est)))
         if stable.sum() >= 16:
-            known = (packed[0].astype(complex) @ phases)[stable]
-            return t[stable], est[stable], known
+            # a vector-matrix product, not a row of the one above: BLAS
+            # sums the two in different orders
+            return t[stable], est[stable], (head @ phases)[stable]
         half_width /= 2.0
     raise ConditioningError(
         "ratio statistic failed to stabilize on any characteristic grid",
@@ -251,18 +253,14 @@ def _char_ratio_points(data: TruncatedData):
 
 def _mgf_ratio_points(data: TruncatedData, lambdas: np.ndarray):
     """Moment-generating estimates at probe lambdas with stabilized ratios."""
-    pts, est, known = [], [], []
-    for lam in lambdas:
-        logs = log_restricted_mgf(data, lam)
-        if not np.all(np.isfinite(logs[-3:])):
-            continue
-        ratio = float(np.exp(logs[-1] - logs[-2]))
-        prev = float(np.exp(logs[-2] - logs[-3]))
-        if abs(ratio - prev) <= _STAB_TOL * max(1.0, abs(ratio)):
-            pts.append(float(lam))
-            est.append(ratio)
-            known.append(float(np.exp(logs[0])))
-    return np.array(pts), np.array(est), np.array(known)
+    n = data.horizon
+    log1, a3, a2, a1 = (log_restricted_mgf(data, lambdas, k) for k in (1, n - 2, n - 1, n))
+    with np.errstate(invalid="ignore", over="ignore"):
+        ratio = np.exp(a1 - a2)
+        drift = np.abs(ratio - np.exp(a2 - a3))
+    stable = drift <= _STAB_TOL * np.maximum(1.0, np.abs(ratio))
+    keep = np.isfinite(a3) & np.isfinite(a2) & np.isfinite(a1) & stable
+    return lambdas[keep], ratio[keep], np.exp(log1[keep])
 
 
 def _window_search(design_fn, rhs, total):
@@ -389,7 +387,7 @@ def _skipfree_identity_diagnostics(
     leaves the system rank-deficient, which is flagged rather than solved.
     """
     r1 = restrict_nonneg(candidate)
-    k_top = r1.max_index if not r1.is_zero else 0
+    k_top = r1.max_index
     if k_top <= 0:
         return {"v_rank": 0, "v_rank_deficient": True, "v_band": 1.0}
     law = ladder_law(candidate, UPWARD, horizon)
@@ -428,12 +426,16 @@ def recover_skipfree(
     whatever the drift, which is accepted iff its forward powers reproduce
     every observed restricted power within CONSISTENCY_TOL. At horizon 1
     the candidate reproduces r1 by construction, so nothing could refute
-    it: with a positive deficit the class is not detected there. The drift
+    it: with a positive deficit the class is not detected there. A zero r1
+    is not detected either: every law on the negative half-line gives the
+    same all-zero data, so the data do not single out delta(-1). The drift
     is reported as a diagnostic; the renewal-identity diagnostics are
     computed for an accepted candidate only, from the candidate's own
     killed-walk DP.
     """
     r1 = data.restricted_power(1)
+    if r1.is_zero:
+        raise ClassNotDetected("r1 is zero: the step law lives on the negative half-line")
     deficit = _deficit(data)
     if data.horizon < 2 and deficit > 0.0:
         raise ClassNotDetected(
@@ -471,21 +473,18 @@ def correlation_lhs_from_data(data: TruncatedData) -> np.ndarray:
     """
     if data.horizon < 2:
         raise DomainError("correlation sequence needs horizon >= 2")
-    r1 = data.restricted_power(1)
-    r2 = data.restricted_power(2)
-    length = max(r2.max_index if not r2.is_zero else 0, 1)
-    pos = _dense_r1(r1)
+    pos = _dense_r1(data.restricted_power(1))
+    # the appended zero is r2(1) when r2 is empty or lives on {0}
+    r2 = np.append(_dense_r1(data.restricted_power(2)), 0.0)
+    length = max(len(r2) - 2, 1)
     auto = np.convolve(pos, pos)
-    out = np.zeros(length)
-    for n in range(1, length + 1):
-        inner = auto[n] if n < len(auto) else 0.0
-        # remove pairs (k, n-k) with k = 0 and k = n: those involve mu(0..n)
-        # only through the j = 0 correlation term, which stays
-        boundary = 0.0
-        if n < len(pos):
-            boundary = 2.0 * pos[0] * pos[n]
-        out[n - 1] = 0.5 * (r2.mass(n) - (inner - boundary))
-    return out
+    n = np.arange(1, length + 1)
+    inner = np.where(n < len(auto), auto[np.minimum(n, len(auto) - 1)], 0.0)
+    # remove pairs (k, n-k) with k = 0 and k = n: those involve mu(0..n)
+    # only through the j = 0 correlation term, which stays
+    pos_n = pos[np.minimum(n, len(pos) - 1)]
+    boundary = np.where(n < len(pos), 2.0 * pos[0] * pos_n, 0.0)
+    return 0.5 * (r2[1 : length + 1] - (inner - boundary))
 
 
 @dataclass(frozen=True)

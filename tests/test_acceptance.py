@@ -103,7 +103,6 @@ def _skipfree_members():
     power = 0.3 / np.arange(1, 30, dtype=float) ** 3
     power = power / power.sum() * 0.3
     return [
-        delta(-1),
         lattice(-1, [0.5, 0.0, 0.5]),
         lattice(-1, [0.6, 0.4]),
         lattice(-1, [0.5, 0.2, 0.1, 0.2]),
@@ -119,6 +118,7 @@ def _skipfree_members():
 
 
 def test_criterion_4a_skipfree_roundtrip():
+    start = time.perf_counter()
     members = _skipfree_members()
     exact = 0
     worst = 0.0
@@ -129,11 +129,17 @@ def test_criterion_4a_skipfree_roundtrip():
             worst = max(worst, rep.residuals["tv_distance"])
         else:
             worst = np.inf
-    ok = exact == len(members) and worst <= 1e-10
+    # delta(-1) is skip-free but lives on the negative half-line: its data
+    # are all zero, as for every such law, so no class may be claimed
+    zero = auto_reconstruct(truncated_data(delta(-1), HORIZON))
+    refused = zero.detected_class == CLASS_NONE
+    elapsed = time.perf_counter() - start
+    ok = exact == len(members) and worst <= 1e-10 and refused
     assert _record(
         "4a skip-free round trip",
         ok,
-        "%d/%d detected, worst tv %.3e" % (exact, len(members), worst),
+        "%d/%d detected, worst tv %.3e, all-zero data refused %s, %.1fs"
+        % (exact, len(members), worst, refused, elapsed),
     )
 
 
@@ -152,16 +158,18 @@ TWO_POINT_MEMBERS = [
 
 
 def test_criterion_4b_exponential_roundtrip():
+    start = time.perf_counter()
     worst = 0.0
     for down, up, p_up in TWO_POINT_MEMBERS:
         mu = two_point(down, up, p_up).dist
         rep = recover_exponential(truncated_data(mu, HORIZON), truth=mu)
         worst = max(worst, rep.residuals["tv_distance"])
+    elapsed = time.perf_counter() - start
     ok = worst <= 1e-6
     assert _record(
         "4b exponential round trip",
         ok,
-        "worst tv %.3e over %d members" % (worst, len(TWO_POINT_MEMBERS)),
+        "worst tv %.3e over %d members, %.1fs" % (worst, len(TWO_POINT_MEMBERS), elapsed),
     )
 
 

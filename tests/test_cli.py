@@ -246,6 +246,26 @@ def test_reconstruct_two_powers_do_not_reach_the_exponential_class(tmp_path):
     assert verdict.startswith("not_detected")
 
 
+def test_reconstruct_all_zero_data_is_none(tmp_path):
+    result, report = _reconstruct_saved(tmp_path, lattice(-2, [1.0]), 10)
+    assert result.returncode == 3, result.stderr
+    assert report["detected_class"] == "none"
+    assert report["recovered"] is None
+
+
+@pytest.mark.parametrize("key, value", [("horizon", 3.7), ("horizon", "3"), ("n", 1.9)])
+def test_reconstruct_rejects_non_integer_manifest_field_with_exit_2(tmp_path, key, value):
+    root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 3), tmp_path / "d")
+    manifest = json.loads((root / "manifest.json").read_text())
+    target = manifest if key == "horizon" else manifest["powers"][0]
+    target[key] = value
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    result = _reconstruct_exit(tmp_path, root)
+    assert result.returncode == 2, result.stderr
+    assert "must be an integer" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("manifest", ['{"horizon": 3, "powers": [', '{"horizon": 3}'])
 def test_reconstruct_rejects_malformed_manifest_with_exit_2(tmp_path, manifest):
     root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 3), tmp_path / "d")

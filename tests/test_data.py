@@ -125,6 +125,30 @@ def test_malformed_manifest_rejected(tmp_path, manifest):
         load_data_dir(root)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("horizon", 3.7),
+        ("horizon", 3.0),
+        ("horizon", "3"),
+        ("horizon", True),
+        ("n", 1.9),
+        ("n", 1.0),
+        ("n", "1"),
+        ("n", True),
+    ],
+)
+def test_non_integer_manifest_field_rejected(tmp_path, key, value):
+    # int() would load these silently, truncating 3.7 to 3 and 1.9 to 1
+    root = save_data_dir(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 3), tmp_path / "d")
+    manifest = json.loads((root / "manifest.json").read_text())
+    target = manifest if key == "horizon" else manifest["powers"][0]
+    target[key] = value
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataInconsistencyError, match="must be an integer"):
+        load_data_dir(root)
+
+
 @pytest.mark.parametrize("outside", [False, True])
 def test_manifest_file_outside_directory_rejected(tmp_path, outside):
     root = save_data_dir(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 3), tmp_path / "d")

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+import whlab.ladder
 from whlab import (
+    TruncatedData,
     chi_eval_grid,
     delta,
     drift_classify,
@@ -20,11 +23,13 @@ from whlab import (
     spitzer_chi_grid,
     split_nonneg,
     truncated_data,
+    two_point,
     verify_factorization,
 )
 from whlab.errors import DomainError
-from whlab.ladder import DOWNWARD, UPWARD, Drift
-from whlab.lattice import _half_line_walk
+from whlab.ladder import DOWNWARD, UPWARD, Drift, default_lambda_grid
+from whlab.lattice import _half_line_walk, zero_measure
+from whlab.reconstruct import _STAB_TOL, _mgf_ratio_points
 
 S_GRID = np.arange(0.1, 0.95, 0.1)
 T_GRID = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
@@ -315,3 +320,129 @@ def test_walk_kernel_matches_public_loop(mu, side, horizon):
     for got, ref in zip(data.restricted, restricted, strict=True):
         assert got.offset == ref.offset
         assert np.array_equal(got.weights, ref.weights)
+
+
+# -- half-line probes against the every-row, one-lambda-at-a-time form ------
+
+
+def _old_log_restricted_mgf(data, lam):
+    out = np.full(data.horizon, -np.inf)
+    for i, r in enumerate(data.restricted):
+        if r.is_zero:
+            continue
+        with np.errstate(divide="ignore"):
+            logw = np.log(r.weights)
+        out[i] = logsumexp(lam * r.indices() + logw)
+    return out
+
+
+def _old_exp_moment_probes(data):
+    """(lam, growth or nan, stabilized, certified) rows, condition_b, witness."""
+    rows, witness, any_unstable = [], None, False
+    for lam in default_lambda_grid(data):
+        logs = _old_log_restricted_mgf(data, lam)
+        finite = np.isfinite(logs)
+        if finite.sum() < 6:
+            rows.append((lam, np.nan, False, False))
+            any_unstable = True
+            continue
+        ratios = np.exp(np.diff(logs[finite]))
+        last = ratios[-4:]
+        growth = float(ratios[-1])
+        stabilized = float(last.max() - last.min()) <= 1e-8 * max(1.0, abs(growth))
+        certified = stabilized and growth > 1.0 + 1e-9
+        if certified and witness is None:
+            witness = float(lam)
+        any_unstable = any_unstable or not stabilized
+        rows.append((lam, growth if stabilized else np.nan, stabilized, certified))
+    condition_b = True if witness is not None else (None if any_unstable else False)
+    return np.array(rows, dtype=float), condition_b, witness
+
+
+def _old_mgf_ratio_points(data, lambdas):
+    pts, est, known = [], [], []
+    for lam in lambdas:
+        logs = _old_log_restricted_mgf(data, lam)
+        if not np.all(np.isfinite(logs[-3:])):
+            continue
+        ratio = float(np.exp(logs[-1] - logs[-2]))
+        prev = float(np.exp(logs[-2] - logs[-3]))
+        if abs(ratio - prev) <= _STAB_TOL * max(1.0, abs(ratio)):
+            pts.append(float(lam))
+            est.append(ratio)
+            known.append(float(np.exp(logs[0])))
+    return np.array(pts), np.array(est), np.array(known)
+
+
+def _assert_probes_match(data):
+    """The probes equal their every-row forms bit for bit."""
+    rep = exp_moment_conditions(data)
+    rows = [
+        (p.lam, np.nan if p.growth is None else p.growth, p.stabilized, p.certified)
+        for p in rep.probes
+    ]
+    want, condition_b, witness = _old_exp_moment_probes(data)
+    assert np.array_equal(np.array(rows, dtype=float), want, equal_nan=True)
+    assert (rep.condition_b, rep.b_witness) == (condition_b, witness)
+    if data.horizon < 3:
+        return  # the ratio points need three powers
+    grid = default_lambda_grid(data)
+    lambdas = np.unique(np.concatenate([grid, np.geomspace(grid[0] / 20.0, grid[-1], 40)]))
+    got = _mgf_ratio_points(data, lambdas)
+    ref = _old_mgf_ratio_points(data, lambdas)
+    for a, b in zip(got, ref, strict=True):
+        assert np.array_equal(a, b)
+
+
+# sub-distributions on 0..4, the empty measure included
+_half_line_powers = st.one_of(
+    st.just(zero_measure()),
+    st.tuples(st.integers(0, 4), st.lists(_weights, min_size=1, max_size=5))
+    .filter(lambda t: t[1][0] > 0.0 and t[1][-1] > 0.0)
+    .map(lambda t: lattice(t[0], np.asarray(t[1]) / (1.5 * sum(t[1])))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_laws, st.integers(1, 8))
+def test_probes_match_every_row_form_on_walk_data(mu, horizon):
+    _assert_probes_match(truncated_data(mu, horizon))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_half_line_powers, min_size=1, max_size=8))
+def test_probes_match_every_row_form_on_ragged_data(powers):
+    _assert_probes_match(TruncatedData(len(powers), tuple(powers)))
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 8])
+def test_probes_match_every_row_form_on_all_zero_data(horizon):
+    _assert_probes_match(TruncatedData(horizon, (zero_measure(),) * horizon))
+
+
+def test_probes_match_every_row_form_with_zero_power_in_the_middle():
+    powers = [lattice(0, [0.2, 0.3, 0.1]) for _ in range(8)]
+    powers[3] = zero_measure()
+    powers[6] = lattice(2, [0.4])
+    _assert_probes_match(TruncatedData(8, tuple(powers)))
+
+
+def test_probes_evaluate_only_the_powers_they_read(monkeypatch):
+    import whlab.reconstruct
+
+    data = truncated_data(two_point(-2, 1, 0.85).dist, 40)
+    inner = whlab.ladder.log_restricted_mgf
+    calls = []
+
+    def spy(data, lambdas, n):
+        calls.append((n, len(lambdas)))
+        return inner(data, lambdas, n)
+
+    monkeypatch.setattr(whlab.ladder, "log_restricted_mgf", spy)
+    monkeypatch.setattr(whlab.reconstruct, "log_restricted_mgf", spy)
+    exp_moment_conditions(data)
+    assert calls == [(n, 12) for n in range(36, 41)]
+    calls.clear()
+    lambdas = np.geomspace(1e-3, 1.0, 41)
+    _mgf_ratio_points(data, lambdas)
+    assert calls == [(n, 41) for n in (1, 38, 39, 40)]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whlab import (
     CLASS_DISCRETE_CM,
@@ -24,6 +26,7 @@ from whlab import (
     recover_triangular,
     truncated_data,
     tv_distance,
+    zero_measure,
 )
 from whlab.errors import (
     ClassNotDetected,
@@ -147,6 +150,18 @@ def test_recover_skipfree_refuted_by_second_power():
     assert rep.residuals["consistency_sup"] == r2_gap > 0.1
 
 
+def test_recover_skipfree_refuses_all_zero_data():
+    # every law on the negative half-line gives these data, so delta(-1)
+    # is not determined by them
+    data = truncated_data(delta(-2), 10)
+    with pytest.raises(ClassNotDetected, match="r1 is zero"):
+        recover_skipfree(data)
+    rep = auto_reconstruct(data)
+    assert rep.detected_class == CLASS_NONE
+    assert rep.recovered is None
+    assert rep.diagnostics["detector_verdicts"]["skip_free"].startswith("not_detected")
+
+
 def test_recover_skipfree_needs_two_powers_to_refute():
     data = truncated_data(two_point(-2, 1, 0.85).dist, 1)
     with pytest.raises(ClassNotDetected, match="cannot refute"):
@@ -180,6 +195,47 @@ def test_correlation_lhs_keeps_boundary_term():
     b = correlation_lhs_from_data(truncated_data(mu, 6))
     for n in range(1, len(b) + 1):
         assert b[n - 1] == pytest.approx(mu.mass(0) * mu.mass(n), abs=1e-15)
+
+
+def _loop_correlation_lhs(data):
+    """b(n) one n at a time, reading r2 through LatticeDist.mass."""
+    r1, r2 = data.restricted_power(1), data.restricted_power(2)
+    length = max(r2.max_index if not r2.is_zero else 0, 1)
+    top = 0 if r1.is_zero else r1.max_index
+    pos = np.array([r1.mass(k) for k in range(top + 1)])
+    auto = np.convolve(pos, pos)
+    out = np.zeros(length)
+    for n in range(1, length + 1):
+        inner = auto[n] if n < len(auto) else 0.0
+        boundary = 2.0 * pos[0] * pos[n] if n < len(pos) else 0.0
+        out[n - 1] = 0.5 * (r2.mass(n) - (inner - boundary))
+    return out
+
+
+# windows inside [-5, 8] with interior zeros
+_signed_laws = st.tuples(
+    st.integers(-5, 0), st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=1, max_size=9)
+).filter(lambda t: sum(t[1]) > 0.0).map(lambda t: lattice(t[0], np.asarray(t[1]) / sum(t[1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_signed_laws, st.sampled_from([2, 5]))
+def test_correlation_lhs_matches_loop_form(mu, horizon):
+    data = truncated_data(mu, horizon)
+    assert np.array_equal(correlation_lhs_from_data(data), _loop_correlation_lhs(data))
+
+
+@pytest.mark.parametrize(
+    "r1, r2",
+    [
+        (lattice(0, [0.5]), zero_measure()),
+        (lattice(0, [0.3, 0.2]), lattice(0, [0.4])),
+        (zero_measure(), lattice(2, [0.1, 0.0, 0.2])),
+    ],
+)
+def test_correlation_lhs_matches_loop_form_on_short_powers(r1, r2):
+    data = TruncatedData(2, (r1, r2))
+    assert np.array_equal(correlation_lhs_from_data(data), _loop_correlation_lhs(data))
 
 
 def test_correlation_lhs_three_point():
