@@ -148,12 +148,12 @@ class ExperimentConfig:
             raise ConfigError("missing required key %r" % key, line=1)
         return self.doc[key]
 
-    def positive_int(self, key: str, default=None, minimum: int = 1) -> int:
+    def positive_int(self, key: str, default=None) -> int:
         value = self.doc.get(key, default)
         if value is None:
             self.require(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            self._fail(key, "%r must be an integer >= %d" % (key, minimum))
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            self._fail(key, "%r must be an integer >= 1" % key)
         return value
 
     def s_values(self) -> tuple[float, ...]:
@@ -176,8 +176,9 @@ class ExperimentConfig:
         if not isinstance(table, dict):
             self._fail("tolerances", "'tolerances' must be an object")
         value = table.get(name, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            self._fail("tolerances", "tolerance %r must be positive" % name)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value < math.inf):
+            self._fail("tolerances", "tolerance %r must be finite and positive" % name)
         return float(value)
 
     def side(self) -> str:
@@ -206,7 +207,7 @@ class ExperimentConfig:
         if not isinstance(spec, dict):
             self._fail("distribution", "'distribution' must be an object")
         if "file" in spec:
-            path = Path(spec["file"])
+            path = Path(str(spec["file"]))
             if not path.is_absolute():
                 path = self.config_path.parent / path
             if not path.is_file():
@@ -272,9 +273,9 @@ def parse_config(
 
     if "horizon" in doc:
         cfg.positive_int("horizon")
-    for key in ("seed", "n_samples", "max_steps", "t_points"):
+    for key in ("n_samples", "max_steps", "t_points"):
         if key in doc:
-            cfg.positive_int(key, minimum=0 if key == "seed" else 1)
+            cfg.positive_int(key)
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         cfg._fail("tolerances", "'tolerances' must be an object")
@@ -284,9 +285,11 @@ def parse_config(
     cfg.side()
     cfg.detectors()
 
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
-        cfg._fail("seed", "'seed' must be an integer in [0, 2^64)")
+    # the document's seed must be valid even when --seed overrides it
+    seeds = [doc.get("seed", 0)] + ([] if seed_override is None else [seed_override])
+    for seed in seeds:
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
+            cfg._fail("seed", "'seed' must be an integer in [0, 2^64)")
 
     if out_override is not None:
         out_dir = Path(out_override)
@@ -296,7 +299,7 @@ def parse_config(
             out_dir = config_path.parent / out_dir
     else:
         out_dir = Path(".")
-    return replace(cfg, output_dir=out_dir, seed=seed)
+    return replace(cfg, output_dir=out_dir, seed=seeds[-1])
 
 
 # -- command runners ----------------------------------------------------------

@@ -2,8 +2,13 @@
 
 A :class:`TruncatedData` object is what every reconstruction routine sees,
 and nothing else: the first ``horizon`` convolution powers of an unknown
-distribution, each restricted to the nonnegative lattice. The on-disk form
-is a directory of per-power JSON files plus a manifest with hashes.
+distribution, each restricted to the nonnegative lattice.
+
+On disk a data directory holds two files. ``restricted.f64`` is the dense
+(horizon, W) table of :func:`packed_restricted` as raw little-endian
+float64, row n-1 holding r_n on 0..W-1. ``manifest.json`` names the format,
+the horizon and the sha256 of the table. Directories of the older
+one-file-per-power format are refused.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataInconsistencyError
-from .lattice import MASS_TOL, LatticeDist, _half_line_walk
+from .errors import DataInconsistencyError, DomainError
+from .lattice import MASS_TOL, LatticeDist, _half_line_walk, lattice
 
 __all__ = [
     "TruncatedData",
@@ -82,62 +87,63 @@ def packed_restricted(data: TruncatedData) -> np.ndarray:
     return out
 
 
-def _sha256_bytes(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
+DATA_FORMAT = "whlab-truncated-data/2"
+TABLE = "restricted.f64"
 
 
 def save_data_dir(data: TruncatedData, directory: str | Path) -> Path:
-    """Write one JSON file per restricted power plus a hashed manifest."""
+    """Write the packed restricted powers as one float64 table plus a hashed
+    manifest; a power with ``truncated_mass`` is refused, not dropped."""
+    if any(r.truncated_mass for r in data.restricted):
+        raise DomainError("%s does not store truncated_mass" % DATA_FORMAT)
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for n in range(1, data.horizon + 1):
-        name = "restricted_%04d.json" % n
-        payload = data.restricted_power(n).to_json().encode()
-        (root / name).write_bytes(payload)
-        entries.append({"n": n, "file": name, "sha256": _sha256_bytes(payload)})
-    manifest = {"format": "whlab-truncated-data", "horizon": data.horizon, "powers": entries}
+    payload = packed_restricted(data).astype("<f8", copy=False).tobytes()
+    (root / TABLE).write_bytes(payload)
+    sha256 = hashlib.sha256(payload).hexdigest()
+    manifest = {"format": DATA_FORMAT, "horizon": data.horizon, "sha256": sha256}
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return root
 
 
 def _manifest_int(value, what: str) -> int:
     # int() would truncate 3.7 and parse "3"; bool is an int subclass
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s must be an integer, got %r" % (what, value))
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (what, value))
     return value
 
 
 def load_data_dir(directory: str | Path) -> TruncatedData:
-    """Load a data directory, verifying the manifest hashes."""
+    """Load a data directory, verifying its format, horizon and table hash."""
     root = Path(directory)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise DataInconsistencyError("no manifest.json in %s" % root)
     try:
         manifest = json.loads(manifest_path.read_bytes())
+        if not isinstance(manifest, dict) or manifest.get("format") != DATA_FORMAT:
+            raise ValueError("format is not %r" % DATA_FORMAT)
         horizon = _manifest_int(manifest["horizon"], "horizon")
-        entries = [
-            (_manifest_int(e["n"], "power n"), str(e["file"]), str(e["sha256"]))
-            for e in manifest["powers"]
-        ]
+        sha256 = str(manifest["sha256"])
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise DataInconsistencyError(
             "malformed manifest.json in %s: %s: %s" % (root, type(exc).__name__, exc)
         ) from exc
-    table: dict[int, LatticeDist] = {}
-    for n, name, sha256 in entries:
-        # a plain file name: "../x.json" or an absolute path would read
-        # outside the data directory
-        if name in ("", "..") or Path(name).name != name:
-            raise DataInconsistencyError("manifest file %r is not a plain file name" % name)
-        try:
-            payload = (root / name).read_bytes()
-            if _sha256_bytes(payload) != sha256:
-                raise DataInconsistencyError("hash mismatch for %s" % name)
-            table[n] = LatticeDist.from_json(payload.decode())
-        except (OSError, TypeError, ValueError) as exc:
-            raise DataInconsistencyError("invalid power file %s: %s" % (name, exc)) from exc
-    if len(table) != horizon or sorted(table) != list(range(1, horizon + 1)):
-        raise DataInconsistencyError("manifest powers do not cover 1..horizon")
-    return TruncatedData(horizon, tuple(table[n] for n in range(1, horizon + 1)))
+    try:
+        payload = (root / TABLE).read_bytes()
+    except OSError as exc:
+        raise DataInconsistencyError("cannot read %s: %s" % (TABLE, exc)) from exc
+    if hashlib.sha256(payload).hexdigest() != sha256:
+        raise DataInconsistencyError("hash mismatch for %s" % TABLE)
+    if not payload or len(payload) % (8 * horizon):
+        raise DataInconsistencyError(
+            "%s holds %d bytes, not a nonzero multiple of 8 * horizon (%d)"
+            % (TABLE, len(payload), horizon)
+        )
+    # no np.load: it would open zip archives and trust a header's shape
+    rows = np.frombuffer(payload, dtype="<f8").reshape(horizon, -1)
+    try:
+        restricted = tuple(lattice(0, row) for row in rows)
+    except DomainError as exc:
+        raise DataInconsistencyError("invalid weight in %s: %s" % (TABLE, exc)) from exc
+    return TruncatedData(horizon, restricted)

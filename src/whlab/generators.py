@@ -1,8 +1,8 @@
 """Named step-distribution families used by demos, tests, and the CLI.
 
-Every constructor returns a LatticeDist together with enough metadata to
-rebuild it.  Families with infinite support are truncated at an explicit
-cutoff and the clipped mass is reported, never silently renormalized.
+Every constructor returns a LatticeDist tagged with its family name.
+Families with infinite support are truncated at an explicit cutoff and
+never renormalized, so the clipped mass shows as ``1 - dist.total``.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ __all__ = [
 @dataclass(frozen=True)
 class GeneratedDist:
     family: str
-    parameters: dict
     dist: LatticeDist
-    truncated_mass: float = 0.0
 
 
 def point_mass(location: int) -> GeneratedDist:
-    return GeneratedDist("point_mass", {"location": location}, delta(location))
+    return GeneratedDist("point_mass", delta(location))
 
 
 def two_point(down: int, up: int, p_up: float) -> GeneratedDist:
@@ -51,18 +49,14 @@ def two_point(down: int, up: int, p_up: float) -> GeneratedDist:
     weights = np.zeros(width + 1)
     weights[0] = 1.0 - p_up
     weights[-1] = p_up
-    return GeneratedDist(
-        "two_point", {"down": down, "up": up, "p_up": p_up}, lattice(down, weights)
-    )
+    return GeneratedDist("two_point", lattice(down, weights))
 
 
 def uniform_window(low: int, high: int) -> GeneratedDist:
     if low > high:
         raise DomainError("uniform_window needs low <= high")
     n = high - low + 1
-    return GeneratedDist(
-        "uniform_window", {"low": low, "high": high}, lattice(low, np.full(n, 1.0 / n))
-    )
+    return GeneratedDist("uniform_window", lattice(low, np.full(n, 1.0 / n)))
 
 
 def geometric_mixture(
@@ -84,16 +78,9 @@ def geometric_mixture(
     n_terms = cutoff - shift + 1
     k = np.arange(n_terms)
     weights = np.zeros(n_terms)
-    clipped = 0.0
     for c, w in zip(atoms, atom_weights):
         weights += w * (1.0 - c) * c**k
-        clipped += w * c**n_terms
-    return GeneratedDist(
-        "geometric_mixture",
-        {"atoms": atoms, "atom_weights": atom_weights, "shift": shift, "cutoff": cutoff},
-        lattice(shift, weights),
-        truncated_mass=float(clipped),
-    )
+    return GeneratedDist("geometric_mixture", lattice(shift, weights))
 
 
 def power_tail_pair(cutoff: int = 200) -> GeneratedDist:
@@ -104,7 +91,8 @@ def power_tail_pair(cutoff: int = 200) -> GeneratedDist:
     Negative drift, no finite positive exponential moment, and the first
     two restricted powers vanish on 0..a and 0..2a respectively, which is
     the regime the triangular solver targets.  Truncation keeps the exact
-    tail mass sum_{n > cutoff} n^-3 out of the weights and reports it.
+    tail mass sum_{n > cutoff} n^-3 out of the weights, so the total falls
+    short of one by that much.
     """
     a, b = 1, 3
     if cutoff < a + b:
@@ -114,17 +102,16 @@ def power_tail_pair(cutoff: int = 200) -> GeneratedDist:
     weights[0] = weights[1] = (1.0 - c) / 2.0
     n = np.arange(a + b, cutoff + 1)
     weights[n + b - 1] = 1.0 / n.astype(float) ** 3
-    return GeneratedDist(
-        "power_tail_pair",
-        {"cutoff": cutoff},
-        lattice(-(b - 1), weights),
-        truncated_mass=float(zeta(3, cutoff + 1)),
-    )
+    return GeneratedDist("power_tail_pair", lattice(-(b - 1), weights))
 
 
 def custom_file(path: str | Path) -> GeneratedDist:
-    """Load a distribution from JSON: {"min_index": int, "weights": [...]}."""
-    raw = Path(path).read_text()
+    """Load a distribution from JSON: {"min_index": int, "weights": [...]},
+    with an optional nonnegative "truncated_mass" kept on the LatticeDist."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read distribution file %s: %s" % (path, exc))
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -132,15 +119,14 @@ def custom_file(path: str | Path) -> GeneratedDist:
     if not isinstance(payload, dict) or "min_index" not in payload or "weights" not in payload:
         raise ConfigError("custom file needs min_index and weights keys")
     try:
-        dist = lattice(payload["min_index"], np.asarray(payload["weights"], dtype=float))
+        dist = lattice(
+            payload["min_index"],
+            np.asarray(payload["weights"], dtype=float),
+            float(payload.get("truncated_mass", 0.0)),
+        )
     except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError("custom file does not define a distribution: %s" % exc)
-    return GeneratedDist(
-        "custom_file",
-        {"path": str(path)},
-        dist,
-        truncated_mass=float(payload.get("truncated_mass", 0.0)),
-    )
+    return GeneratedDist("custom_file", dist)
 
 
 FAMILIES = {
@@ -149,7 +135,6 @@ FAMILIES = {
     "uniform_window": uniform_window,
     "geometric_mixture": geometric_mixture,
     "power_tail_pair": power_tail_pair,
-    "custom_file": custom_file,
 }
 
 

@@ -8,7 +8,6 @@ mass below one, and nothing here ever renormalizes silently.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -146,13 +145,6 @@ class LatticeDist:
             weights,
             truncated_mass=float(doc.get("truncated_mass", 0.0)),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatticeDist":
-        return cls.from_dict(json.loads(text))
 
     def __repr__(self) -> str:
         if self.is_zero:

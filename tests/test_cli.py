@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from whlab import (
@@ -148,37 +149,66 @@ def _reconstruct_exit(tmp_path, data_dir):
     return run_cli("reconstruct", "--config", str(cfg), "--out", str(tmp_path / "out"))
 
 
-def _rewrite_power_file(root, name, edit):
-    """Apply edit to one power document and give it a matching manifest hash."""
-    target = root / name
-    doc = json.loads(target.read_text())
-    edit(doc)
-    target.write_text(json.dumps(doc))
+def _write_table(root, payload):
+    """Replace the saved table with payload and give it a matching manifest hash."""
+    (root / "restricted.f64").write_bytes(payload)
     manifest = json.loads((root / "manifest.json").read_text())
-    for entry in manifest["powers"]:
-        if entry["file"] == target.name:
-            entry["sha256"] = hashlib.sha256(target.read_bytes()).hexdigest()
+    manifest["sha256"] = hashlib.sha256(payload).hexdigest()
     (root / "manifest.json").write_text(json.dumps(manifest))
 
 
-def test_reconstruct_rejects_nan_weight_with_exit_2(tmp_path):
-    def nan_weight(doc):
-        doc["weights"][1] = float("nan")
+def _edit_table(root, row, k, value):
+    manifest = json.loads((root / "manifest.json").read_text())
+    table = np.frombuffer((root / "restricted.f64").read_bytes(), dtype="<f8")
+    table = table.reshape(manifest["horizon"], -1).copy()
+    table[row, k] = value
+    _write_table(root, table.astype("<f8").tobytes())
 
+
+def test_reconstruct_rejects_nan_weight_with_exit_2(tmp_path):
     root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 10), tmp_path / "d")
-    _rewrite_power_file(root, "restricted_0003.json", nan_weight)
+    _edit_table(root, 2, 1, float("nan"))
     result = _reconstruct_exit(tmp_path, root)
     assert result.returncode == 2, result.stderr
     assert "non-finite" in result.stderr
     assert "Traceback" not in result.stderr
 
 
-def test_reconstruct_rejects_non_integer_offset_with_exit_2(tmp_path):
-    root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 10), tmp_path / "d")
-    _rewrite_power_file(root, "restricted_0003.json", lambda doc: doc.update(offset=0.5))
+def _old_format_dir(root):
+    """A directory in the one-JSON-file-per-power format, no longer read."""
+    root.mkdir()
+    payload = json.dumps({"offset": 0, "weights": [0.5], "truncated_mass": 0.0})
+    (root / "restricted_0001.json").write_text(payload)
+    entry = {
+        "n": 1,
+        "file": "restricted_0001.json",
+        "sha256": hashlib.sha256(payload.encode()).hexdigest(),
+    }
+    manifest = {"format": "whlab-truncated-data", "horizon": 1, "powers": [entry]}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+MALFORMED_DATA_DIRS = {
+    "old_format": (_old_format_dir, "'whlab-truncated-data/2'"),
+    "hash_mismatch": (lambda root: (root / "restricted.f64").write_bytes(bytes(8)), "hash"),
+    "missing_table": (lambda root: (root / "restricted.f64").unlink(), "restricted.f64"),
+    "wrong_byte_count": (lambda root: _write_table(root, bytes(8)), "multiple"),
+    "empty_table": (lambda root: _write_table(root, b""), "multiple"),
+    "negative_weight": (lambda root: _edit_table(root, 1, 0, -1e-9), "negative weight"),
+    "total_above_one": (lambda root: _edit_table(root, 0, 0, 0.9), "above one"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DATA_DIRS))
+def test_reconstruct_rejects_malformed_data_dir_with_exit_2(tmp_path, case):
+    damage, message = MALFORMED_DATA_DIRS[case]
+    root = tmp_path / "d"
+    if case != "old_format":
+        save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 3), root)
+    damage(root)
     result = _reconstruct_exit(tmp_path, root)
     assert result.returncode == 2, result.stderr
-    assert "offset must be an integer" in result.stderr
+    assert message in result.stderr
     assert "Traceback" not in result.stderr
 
 
@@ -186,14 +216,48 @@ def test_reconstruct_rejects_non_integer_offset_with_exit_2(tmp_path):
 def test_non_integer_offset_in_distribution_rejected_with_exit_2(tmp_path, family):
     custom = tmp_path / "custom.json"
     custom.write_text(json.dumps({"min_index": -1.7, "weights": [0.5, 0.0, 0.5]}))
-    parameters = {"point_mass": {"location": 1.5}, "custom_file": {"path": str(custom)}}
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        {"distribution": {"family": family, "parameters": parameters[family]}, "horizon": 20},
-    )
+    specs = {
+        "point_mass": {"family": "point_mass", "parameters": {"location": 1.5}},
+        "custom_file": {"file": "custom.json"},
+    }
+    cfg = write_config(tmp_path / "cfg.json", {"distribution": specs[family], "horizon": 20})
     result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert result.returncode == 2, result.stderr
     assert "offset must be an integer" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def _custom_file(tmp_path, payload):
+    (tmp_path / "custom.json").write_bytes(payload)
+    return {"file": "custom.json"}
+
+
+BAD_CUSTOM_DISTRIBUTIONS = {
+    "not_utf8": lambda tmp: _custom_file(
+        tmp, b'{"min_index": -1, "weights": [1.0], "name": "\xff"}'
+    ),
+    "non_numeric_truncated_mass": lambda tmp: _custom_file(
+        tmp, b'{"min_index": -1, "weights": [1.0], "truncated_mass": "lots"}'
+    ),
+    "family_spelling_missing_path": lambda tmp: {
+        "family": "custom_file",
+        "parameters": {"path": str(tmp / "absent.json")},
+    },
+    "family_spelling_directory": lambda tmp: {
+        "family": "custom_file",
+        "parameters": {"path": str(tmp)},
+    },
+    "file_not_a_string": lambda tmp: {"file": 5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CUSTOM_DISTRIBUTIONS))
+def test_bad_custom_distribution_rejected_with_exit_2(tmp_path, case):
+    spec = BAD_CUSTOM_DISTRIBUTIONS[case](tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", {"distribution": spec, "horizon": 20})
+    result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2, result.stderr
+    assert "config error" in result.stderr
     assert "Traceback" not in result.stderr
 
 
@@ -253,12 +317,11 @@ def test_reconstruct_all_zero_data_is_none(tmp_path):
     assert report["recovered"] is None
 
 
-@pytest.mark.parametrize("key, value", [("horizon", 3.7), ("horizon", "3"), ("n", 1.9)])
+@pytest.mark.parametrize("key, value", [("horizon", 3.7), ("horizon", "3")])
 def test_reconstruct_rejects_non_integer_manifest_field_with_exit_2(tmp_path, key, value):
     root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 3), tmp_path / "d")
     manifest = json.loads((root / "manifest.json").read_text())
-    target = manifest if key == "horizon" else manifest["powers"][0]
-    target[key] = value
+    manifest[key] = value
     (root / "manifest.json").write_text(json.dumps(manifest))
     result = _reconstruct_exit(tmp_path, root)
     assert result.returncode == 2, result.stderr
@@ -286,6 +349,17 @@ def test_config_error_is_line_anchored(tmp_path):
     assert result.returncode == 2
     assert "config error" in result.stderr
     assert "line 3" in result.stderr
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tolerance_rejected_with_line(tmp_path, bad):
+    # json.dumps writes NaN and Infinity literals, and Python's json parses them
+    cfg = write_config(tmp_path / "cfg.json", dict(FACTORIZE_DOC, tolerances={"residual": bad}))
+    lines = cfg.read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if '"tolerances"' in text)
+    result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2, result.stderr
+    assert "line %d: tolerance 'residual' must be finite and positive" % line in result.stderr
 
 
 def test_invalid_json_reports_line(tmp_path):
@@ -370,6 +444,13 @@ def test_simulate_seed_override_lands_in_report(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "out" / "simulate_report.json").read_text())
     assert report["seed"] == 5
+
+
+def test_bad_document_seed_rejected_under_override(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", dict(SIMULATE_DOC, seed=-1))
+    result = run_cli("simulate", "--config", str(cfg), "--seed", "5")
+    assert result.returncode == 2, result.stderr
+    assert "'seed' must be an integer" in result.stderr
 
 
 def test_simulate_exit_1_when_no_cell_reaches_threshold(tmp_path):

@@ -1,6 +1,7 @@
 """Lattice measure arithmetic against exact-rational oracles."""
 
 import importlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -203,7 +204,7 @@ def test_distances():
 
 def test_json_round_trip_is_exact():
     mu = lattice(-3, np.random.default_rng(3).random(7), truncated_mass=1.25e-5)
-    back = LatticeDist.from_json(mu.to_json())
+    back = LatticeDist.from_dict(json.loads(json.dumps(mu.to_dict())))
     assert back.offset == mu.offset
     assert np.array_equal(back.weights, mu.weights)
     assert back.truncated_mass == mu.truncated_mass
