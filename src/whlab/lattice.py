@@ -218,11 +218,13 @@ def _trim(offset: int, w: np.ndarray) -> tuple[int, np.ndarray]:
         return 0, w
     if w[0] > 0.0 and w[-1] > 0.0:
         return offset, w
-    keep = np.flatnonzero(w)
-    if not keep.size:
+    # argmax finds each end's first nonzero; flatnonzero would list them all
+    nonzero = w != 0.0
+    lo = int(nonzero.argmax())
+    if not nonzero[lo]:
         return 0, w[:0]
-    lo, hi = int(keep[0]), int(keep[-1])
-    return offset + lo, w[lo : hi + 1]
+    hi = w.size - int(nonzero[::-1].argmax())
+    return offset + lo, w[lo:hi]
 
 
 # -- convolution ---------------------------------------------------------

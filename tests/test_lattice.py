@@ -23,7 +23,7 @@ from whlab import (
     zero_measure,
 )
 from whlab.errors import DomainError, SizeLimitError
-from whlab.lattice import convolve_exact
+from whlab.lattice import _trim, convolve_exact
 
 
 def test_canonical_window_trims_exact_zero_edges():
@@ -246,3 +246,19 @@ def test_convolve_support_adds(a, b):
 @given(small_dists, small_dists)
 def test_convolve_commutes(a, b):
     assert sup_distance(convolve(a, b), convolve(b, a)) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-5, 5),
+    st.lists(st.sampled_from([0.0, 0.0, 0.0, 2.0**-200, 0.5]), max_size=12),
+)
+def test_trim_keeps_first_through_last_nonzero(offset, weights):
+    w = np.array(weights)
+    keep = np.flatnonzero(w)
+    got_offset, got = _trim(offset, w)
+    if keep.size:
+        assert got_offset == offset + keep[0]
+        np.testing.assert_array_equal(got, w[keep[0] : keep[-1] + 1])
+    else:
+        assert (got_offset, got.size) == (0, 0)

@@ -1,5 +1,11 @@
+import hashlib
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whlab import (
     DOWNWARD,
@@ -12,11 +18,27 @@ from whlab import (
     ladder_law,
     lattice,
     sample_ladder,
+    two_point,
     walk_sample,
 )
+from whlab import montecarlo
 from whlab.montecarlo import EmpiricalLadder
 
 from conftest import CORPUS_SEED
+
+
+def _walk_by_walk(mu, side, n_samples, max_steps, seed):
+    """counts and censored_count of sample_ladder, from walk_sample."""
+    counts = {}
+    censored = 0
+    for i in range(n_samples):
+        w = walk_sample(mu, side, seed, i, max_steps=max_steps)
+        if w.censored:
+            censored += 1
+        else:
+            cell = (w.ladder_epoch, w.ladder_height)
+            counts[cell] = counts.get(cell, 0) + 1
+    return counts, censored
 
 
 def test_same_seed_reproduces_counts_exactly():
@@ -38,17 +60,101 @@ def test_single_walks_aggregate_to_batch():
     mu = lattice(-1, [0.3, 0.2, 0.5])
     n = 300
     batch = sample_ladder(mu, DOWNWARD, n, max_steps=50, seed=11)
-    counts = {}
-    censored = 0
-    for i in range(n):
-        w = walk_sample(mu, DOWNWARD, 11, i, max_steps=50)
-        if w.censored:
-            censored += 1
-        else:
-            cell = (w.ladder_epoch, w.ladder_height)
-            counts[cell] = counts.get(cell, 0) + 1
-    assert counts == batch.counts
-    assert censored == batch.censored_count
+    assert _walk_by_walk(mu, DOWNWARD, n, 50, 11) == (
+        batch.counts,
+        batch.censored_count,
+    )
+
+
+# Laws on [-6, 6]: point masses at -1, 0 and 1, and windows whose atoms
+# include exact zeros (interior zeros survive lattice()) and 1e-12.
+_ATOMS = st.sampled_from([0.0, 0.0, 1e-12, 0.05, 0.3, 1.0, 2.5])
+
+
+@st.composite
+def _step_laws(draw):
+    point = draw(st.sampled_from([None, -1, 0, 1]))
+    if point is not None:
+        return delta(point)
+    lo = draw(st.integers(-6, 6))
+    hi = draw(st.integers(lo, 6))
+    w = np.array(draw(st.lists(_ATOMS, min_size=hi - lo + 1, max_size=hi - lo + 1)))
+    if not w.sum():
+        w[0] = 1.0
+    return lattice(lo, w / w.sum())
+
+
+# step counts that end just before, on and just after block boundaries
+_BOUNDARY_STEPS = st.sampled_from([1, 2, 3, 7, 8, 9, 63, 64, 65])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _step_laws(),
+    st.sampled_from([UPWARD, DOWNWARD]),
+    st.integers(1, 40),
+    _BOUNDARY_STEPS,
+    st.integers(0, (1 << 64) - 1),
+)
+def test_blocked_sampler_matches_walk_by_walk(mu, side, n_samples, max_steps, seed):
+    # a 16-element budget gives groups of 16 walks and blocks of width
+    # 16 // active, so 1..40 walks run both below and above its width
+    with mock.patch.object(montecarlo, "_BLOCK_ELEMENTS", 16):
+        emp = sample_ladder(mu, side, n_samples, max_steps=max_steps, seed=seed)
+    expected = _walk_by_walk(mu, side, n_samples, max_steps, seed)
+    assert (emp.counts, emp.censored_count) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    _step_laws(),
+    st.sampled_from([UPWARD, DOWNWARD]),
+    st.integers(1, 4),
+    _BOUNDARY_STEPS,
+    st.integers(0, (1 << 64) - 1),
+)
+def test_module_budget_sampler_matches_walk_by_walk(
+    mu, side, n_samples, max_steps, seed
+):
+    emp = sample_ladder(mu, side, n_samples, max_steps=max_steps, seed=seed)
+    expected = _walk_by_walk(mu, side, n_samples, max_steps, seed)
+    assert (emp.counts, emp.censored_count) == expected
+
+
+# sha256 of repr((sorted(counts.items()), censored_count)) for the bench
+# simulate members at 5,000 walks and 300 steps with seed CORPUS_SEED, taken
+# with the step-at-a-time sampler that block evaluation replaced
+_PINNED = [
+    (
+        (-1, 1, 0.5),
+        UPWARD,
+        "03d9b3cfb2ea93d76fefba1648884dc1732f212239cac4211acb274176741650",
+    ),
+    (
+        (-2, 1, 0.7),
+        UPWARD,
+        "4dd81c9b8e67a1cc9b733edf032ff0477b853ee6d91f92746e3fa1b70825ae23",
+    ),
+    (
+        (-2, 1, 0.7),
+        DOWNWARD,
+        "e38ce81b7bd9e2780e5abccbe2914194f94966e82f5a0183f0f136eb70ff9b3a",
+    ),
+    (
+        (-1, 1, 0.65),
+        UPWARD,
+        "f278af004f12dc86a663b7e7a5fd208a3cda9f21920fbd1871adc08b447aba76",
+    ),
+]
+
+
+@pytest.mark.parametrize("law, side, digest", _PINNED)
+def test_bench_members_keep_their_counts(law, side, digest):
+    emp = sample_ladder(
+        two_point(*law).dist, side, 5000, max_steps=300, seed=CORPUS_SEED
+    )
+    body = repr((sorted(emp.counts.items()), emp.censored_count)).encode()
+    assert hashlib.sha256(body).hexdigest() == digest
 
 
 def test_frozen_symmetric_walk_statistics():
@@ -120,3 +226,83 @@ def test_improper_step_distribution_rejected():
 def test_side_token_validated():
     with pytest.raises(DomainError):
         sample_ladder(delta(1), "sideways", 10)
+
+
+# lattice(-1, [0.5, 0.5 + 5e-11, 1e-12]) is proper within MASS_TOL, and its
+# cumulative sum passes 1.0 before the last entry is forced to 1.0
+_LOOKUP_LAWS = [
+    lattice(-1, [0.5, 0.5 + 5e-11, 1e-12]),
+    lattice(-2, [0.3, 0.0, 0.0, 0.7]),
+    lattice(-3, [0.25, 0.0, 1e-12, 0.25, 0.0, 0.5 - 1e-12]),
+    lattice(0, [0.5, 1e-15, 1e-15, 1e-15, 0.5 - 3e-15]),  # 4 thresholds, 1 bucket
+    lattice(-6, np.full(13, 1.0 / 13)),
+    delta(0),
+]
+
+
+@pytest.mark.parametrize("mu", _LOOKUP_LAWS)
+def test_integer_step_lookup_matches_float_searchsorted(mu):
+    values, cdf = montecarlo._step_tables(mu)
+    lookup = montecarlo._StepLookup(values, cdf)
+    top = 1 << 53
+    xs = {0, top - 1}
+    for c in cdf:
+        threshold = math.ceil(float(c) * top)  # exact: c * 2**53 is a float
+        xs.update(x for x in (threshold - 1, threshold) if 0 <= x < top)
+    x = np.array(sorted(xs), dtype=np.int64)
+    expected = np.searchsorted(cdf, x.astype(np.float64) * 2.0**-53, side="right")
+    np.testing.assert_array_equal(lookup.index(x), expected)
+    bits = (x.astype(np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
+    np.testing.assert_array_equal(lookup.moves(bits), values[expected])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seed": 1.5},
+        {"seed": -1},
+        {"seed": 1 << 64},
+        {"seed": True},
+        {"max_steps": True},
+        {"max_steps": 0},
+        {"max_steps": 2.0},
+        {"n_samples": 0},
+        {"n_samples": 10.0},
+    ],
+    ids=repr,
+)
+def test_sample_ladder_rejects_bad_integers(kwargs):
+    args = {"n_samples": 10, "max_steps": 5, "seed": 0, **kwargs}
+    with pytest.raises(DomainError):
+        sample_ladder(delta(1), UPWARD, **args)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"sample_index": -1},
+        {"sample_index": (1 << 64) - 1},
+        {"sample_index": 1.0},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"seed": 1 << 64},
+        {"max_steps": True},
+        {"max_steps": 0},
+    ],
+    ids=repr,
+)
+def test_walk_sample_rejects_bad_integers(kwargs):
+    args = {"seed": 0, "sample_index": 0, "max_steps": 5, **kwargs}
+    with pytest.raises(DomainError):
+        walk_sample(delta(1), UPWARD, **args)
+
+
+def test_numpy_integers_and_extreme_seeds_accepted():
+    mu = lattice(-1, [0.5, 0.0, 0.5])
+    for seed in (0, (1 << 64) - 1):
+        a = sample_ladder(mu, UPWARD, np.int64(50), max_steps=np.uint16(20), seed=seed)
+        b = _walk_by_walk(mu, UPWARD, 50, 20, seed)
+        assert (a.counts, a.censored_count) == b
+    assert sample_ladder(mu, UPWARD, 50, seed=np.uint64(7)).counts == (
+        sample_ladder(mu, UPWARD, 50, seed=7).counts
+    )
