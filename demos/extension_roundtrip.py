@@ -32,11 +32,11 @@ for nu in (delta(-1), lattice(-1, [0.5, 0.5])):
         for n in range(1, 13)
     )
     dec = deconvolve_extension(extended, nu)
-    back = sup_distance(dec.per_power[0], data.restricted_power(1))
+    back = sup_distance(dec.r1, data.restricted_power(1))
     label = "delta(-1)      " if nu.mass(0) == 0.0 else "(d0 + d(-1))/2 "
     print(
         f"nu = {label} forward gap {forward:.2e}  "
-        f"recovery gap {back:.2e}  head determined from {dec.determined_from[0]}"
+        f"recovery gap {back:.2e}  head determined from {dec.determined_from}"
     )
 
 # two walks that agree above 1 but differ below: after a shift by -1 the
@@ -52,6 +52,6 @@ collapse = max(
 )
 dec_a = deconvolve_extension(ea, delta(-1))
 print("top atom at 1: extended data of the two walks differ by", collapse)
-print("deconvolution reports the head undetermined below", dec_a.determined_from[0])
-recovered_top = dec_a.per_power[0].mass(1)
+print("deconvolution reports the head undetermined below", dec_a.determined_from)
+recovered_top = dec_a.r1.mass(1)
 print("while the part above the frontier is still exact:", recovered_top)

@@ -20,7 +20,7 @@ from .errors import (
     SizeLimitError,
     WhlabError,
 )
-from .expfit import ExpFit, eval_exp_sum, pencil_fit
+from .expfit import ExpFit, pencil_fit
 from .generators import (
     FAMILIES,
     GeneratedDist,
@@ -54,7 +54,6 @@ from .lattice import (
     convolution_power,
     convolve,
     cross_correlation_direct,
-    cross_correlation_lhs,
     delta,
     eval_transform,
     lattice,
@@ -118,7 +117,6 @@ __all__ = [
     "restrict_nonneg",
     "eval_transform",
     "cross_correlation_direct",
-    "cross_correlation_lhs",
     "tv_distance",
     "sup_distance",
     # data
@@ -145,7 +143,6 @@ __all__ = [
     # expfit
     "ExpFit",
     "pencil_fit",
-    "eval_exp_sum",
     # reconstruct
     "CLASS_EXPONENTIAL",
     "CLASS_SKIP_FREE",

@@ -62,9 +62,6 @@ class TruncatedData:
             )
         return self.restricted[n - 1]
 
-    def totals(self):
-        return [r.total for r in self.restricted]
-
 
 def truncated_data(mu: LatticeDist, horizon: int) -> TruncatedData:
     """Forward-generate TruncatedData from a fully known distribution."""
@@ -93,9 +90,7 @@ TABLE = "restricted.f64"
 
 def save_data_dir(data: TruncatedData, directory: str | Path) -> Path:
     """Write the packed restricted powers as one float64 table plus a hashed
-    manifest; a power with ``truncated_mass`` is refused, not dropped."""
-    if any(r.truncated_mass for r in data.restricted):
-        raise DomainError("%s does not store truncated_mass" % DATA_FORMAT)
+    manifest."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     payload = packed_restricted(data).astype("<f8", copy=False).tobytes()

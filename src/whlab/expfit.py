@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ExpFit", "pencil_fit", "eval_exp_sum"]
+__all__ = ["ExpFit", "pencil_fit"]
 
 # singular values this factor below the top one are treated as noise
 SV_GAP = 1e6
@@ -29,15 +29,6 @@ class ExpFit:
     nodes: np.ndarray
     weights: np.ndarray
     residual: float
-
-
-def eval_exp_sum(nodes, weights, indices) -> np.ndarray:
-    nodes = np.asarray(nodes, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    indices = np.asarray(indices, dtype=int)
-    if nodes.size == 0:
-        return np.zeros(indices.shape)
-    return (nodes[None, :] ** indices[:, None]) @ weights
 
 
 def pencil_fit(seq) -> ExpFit:

@@ -106,8 +106,11 @@ def power_tail_pair(cutoff: int = 200) -> GeneratedDist:
 
 
 def custom_file(path: str | Path) -> GeneratedDist:
-    """Load a distribution from JSON: {"min_index": int, "weights": [...]},
-    with an optional nonnegative "truncated_mass" kept on the LatticeDist."""
+    """Load a distribution from JSON: {"min_index": int, "weights": [...]}.
+
+    Other keys are ignored; mass cut off when the file was written shows as
+    ``1 - dist.total``.
+    """
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -119,11 +122,7 @@ def custom_file(path: str | Path) -> GeneratedDist:
     if not isinstance(payload, dict) or "min_index" not in payload or "weights" not in payload:
         raise ConfigError("custom file needs min_index and weights keys")
     try:
-        dist = lattice(
-            payload["min_index"],
-            np.asarray(payload["weights"], dtype=float),
-            float(payload.get("truncated_mass", 0.0)),
-        )
+        dist = lattice(payload["min_index"], np.asarray(payload["weights"], dtype=float))
     except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError("custom file does not define a distribution: %s" % exc)
     return GeneratedDist("custom_file", dist)

@@ -89,12 +89,6 @@ class LadderLaw:
             return 0.0
         return float(self.masses[n - 1, j])
 
-    def epoch_masses(self) -> np.ndarray:
-        """P(tau = n) for n = 1..horizon."""
-        if self.masses.size == 0:
-            return np.zeros(self.horizon)
-        return self.masses.sum(axis=1)
-
     def total(self) -> float:
         """P(tau <= horizon)."""
         return float(self.masses.sum())

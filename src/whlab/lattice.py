@@ -38,7 +38,6 @@ __all__ = [
     "split_nonneg",
     "restrict_nonneg",
     "eval_transform",
-    "cross_correlation_lhs",
     "cross_correlation_direct",
     "tv_distance",
     "sup_distance",
@@ -51,16 +50,14 @@ class LatticeDist:
 
     ``weights[i]`` is the mass at lattice point ``offset + i``. Windows are
     canonical: the first and last weight are nonzero unless the measure is
-    identically zero (empty ``weights``, ``offset`` 0). ``truncated_mass``
-    records mass a generator knowingly cut off; operations treat the stored
-    window as exact and do not propagate it. The offset must be an
-    integer: a float or bool offset raises, and a numpy integer is stored as
-    ``int``.
+    identically zero (empty ``weights``, ``offset`` 0). Mass a generator
+    cut off is not carried: it shows as ``1 - total``. The offset must be
+    an integer: a float or bool offset raises, and a numpy integer is stored
+    as ``int``.
     """
 
     offset: int
     weights: np.ndarray
-    truncated_mass: float = 0.0
     total: float = field(init=False)
 
     def __post_init__(self):
@@ -72,8 +69,6 @@ class LatticeDist:
             raise DomainError("window not canonical: zero edge weight")
         if w.size and float(w.min()) < 0.0:
             raise DomainError("negative weight %r" % float(w.min()))
-        if not 0.0 <= self.truncated_mass < math.inf:
-            raise DomainError("truncated_mass must be finite and nonnegative")
         total = float(w.sum())
         if not math.isfinite(total):
             raise DomainError("non-finite weights (total %r)" % total)
@@ -95,12 +90,6 @@ class LatticeDist:
     def max_index(self) -> int:
         return self.offset + len(self.weights) - 1
 
-    def support(self) -> tuple[int, int] | None:
-        """Return (lowest, highest) carried index, or None for the zero measure."""
-        if self.is_zero:
-            return None
-        return (self.min_index, self.max_index)
-
     def indices(self) -> np.ndarray:
         return self.offset + np.arange(len(self.weights))
 
@@ -109,20 +98,8 @@ class LatticeDist:
             return 0.0
         return float(self.weights[k - self.offset])
 
-    def mean(self) -> float:
-        if self.is_zero:
-            return 0.0
-        return float(np.dot(self.indices(), self.weights))
-
     def is_proper(self) -> bool:
         return abs(self.total - 1.0) <= MASS_TOL
-
-    def tail_mass(self, k: int) -> float:
-        """Mass strictly above k."""
-        if self.is_zero or k >= self.max_index:
-            return 0.0
-        lo = max(0, k + 1 - self.offset)
-        return float(self.weights[lo:].sum())
 
     # -- serialization ---------------------------------------------------
 
@@ -130,7 +107,6 @@ class LatticeDist:
         return {
             "offset": int(self.offset),
             "weights": [float(w) for w in self.weights],
-            "truncated_mass": float(self.truncated_mass),
         }
 
     @classmethod
@@ -140,11 +116,7 @@ class LatticeDist:
             weights = doc["weights"]
         except (KeyError, TypeError) as exc:
             raise DomainError("distribution document needs offset and weights") from exc
-        return lattice(
-            offset,
-            weights,
-            truncated_mass=float(doc.get("truncated_mass", 0.0)),
-        )
+        return lattice(offset, weights)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -156,7 +128,7 @@ class LatticeDist:
         )
 
 
-def lattice(offset: int, weights, truncated_mass: float = 0.0) -> LatticeDist:
+def lattice(offset: int, weights) -> LatticeDist:
     """Build a canonical LatticeDist, trimming exact-zero edge weights.
 
     Any positive mass however small stays in the window, and interior zeros
@@ -177,7 +149,7 @@ def lattice(offset: int, weights, truncated_mass: float = 0.0) -> LatticeDist:
         raise DomainError("non-finite weight %r at index %d" % (float(w[i]), i))
     _clamp_negatives(w)
     offset, w = _trim(offset, w)
-    return LatticeDist(offset, w.copy(), truncated_mass)
+    return LatticeDist(offset, w.copy())
 
 
 def delta(k: int = 0) -> LatticeDist:
@@ -387,38 +359,22 @@ def eval_transform(mu: LatticeDist, base: complex) -> complex:
 # -- half-line cross-correlation ------------------------------------------
 
 
-def _pair_sum(mu: LatticeDist, n: int, k_lo: int, k_hi: int) -> float:
-    """sum of mu(n-k) mu(k) over k in [k_lo, k_hi], intersected with support."""
+def cross_correlation_direct(mu: LatticeDist, n: int) -> float:
+    """sum_{k <= 0} mu(n - k) mu(k), computed by direct summation.
+
+    The reference for the half-line identity that
+    ``reconstruct.correlation_lhs_from_data`` evaluates from r1 and r2.
+    """
+    if n < 1:
+        raise DomainError("cross-correlation is defined for n >= 1")
     if mu.is_zero:
         return 0.0
-    lo = max(k_lo, mu.min_index, n - mu.max_index)
-    hi = min(k_hi, mu.max_index, n - mu.min_index)
+    lo = max(mu.min_index, n - mu.max_index)
+    hi = min(0, mu.max_index, n - mu.min_index)
     if lo > hi:
         return 0.0
     k = np.arange(lo, hi + 1)
     return float(np.dot(mu.weights[k - mu.offset], mu.weights[(n - k) - mu.offset]))
-
-
-def cross_correlation_direct(mu: LatticeDist, n: int) -> float:
-    """sum_{k <= 0} mu(n - k) mu(k), computed by direct summation."""
-    if n < 1:
-        raise DomainError("cross-correlation is defined for n >= 1")
-    return _pair_sum(mu, n, -(1 << 62), 0)
-
-
-def cross_correlation_lhs(mu: LatticeDist, n: int) -> float:
-    """sum_{k <= 0} mu(n - k) mu(k) via the half-line identity.
-
-    Uses (mu*mu)(n) and the interior pair sum over 1 <= k <= n-1; the two
-    one-sided tails of the full convolution are equal by symmetry, which is
-    what makes the half factor exact. The direct-summation variant above is
-    kept as an independent cross-check.
-    """
-    if n < 1:
-        raise DomainError("cross-correlation is defined for n >= 1")
-    square = convolve(mu, mu)
-    interior = _pair_sum(mu, n, 1, n - 1)
-    return 0.5 * (square.mass(n) - interior)
 
 
 # -- distances -----------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientSamplesError
-from .ladder import DOWNWARD, UPWARD, LadderLaw
+from .ladder import UPWARD, LadderLaw, _check_side
 from .lattice import LatticeDist
 
 __all__ = [
@@ -58,11 +58,6 @@ def _check_int(name: str, value, low: int, high: int | None = None) -> int:
                 return k
     bounds = "[%d, %s)" % (low, "inf" if high is None else "%d" % high)
     raise DomainError("%s must be an integer in %s, got %r" % (name, bounds, value))
-
-
-def _check_side(side: str) -> None:
-    if side not in (UPWARD, DOWNWARD):
-        raise DomainError("side must be %r or %r" % (UPWARD, DOWNWARD))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

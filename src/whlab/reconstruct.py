@@ -54,6 +54,7 @@ from .lattice import (
     restrict_nonneg,
     sup_distance,
     tv_distance,
+    zero_measure,
 )
 
 CLASS_EXPONENTIAL = "exponential"
@@ -622,7 +623,9 @@ def recover_cm_discrete(
     the mixture atoms: fitting the atoms from restricted(1) turns the
     unknown tail's generating function values at the atoms into a small
     linear system. A direct nonnegative kernel inversion of the same
-    correlation runs in parallel and the smaller-residual route wins.
+    correlation runs in parallel and the smaller-residual route wins. A
+    direct winner whose design is rank-deficient does not determine the
+    masses, so it raises ConditioningError rather than claim a recovery.
     """
     if data.horizon < 2:
         raise ClassNotDetected("correlation sequence needs horizon >= 2")
@@ -678,6 +681,12 @@ def recover_cm_discrete(
         atom_diag["moment_route_skipped"] = "atom fit unusable"
 
     chosen = min(routes, key=lambda k: routes[k][1])
+    if chosen == "direct" and direct.rank_deficient:
+        raise ConditioningError(
+            "direct correlation inversion won with a rank-deficient design "
+            "(rank %d of %d lags)" % (direct.rank, len(direct.masses)),
+            condition_number=direct.condition_number,
+        )
     masses, residual = routes[chosen]
     recovered = _assemble(r1, masses)
     residuals = {
@@ -804,23 +813,22 @@ def extend_by_negative(data: TruncatedData, nu: LatticeDist) -> TruncatedData:
 
 @dataclass(frozen=True)
 class DeconvolvedData:
-    """Per-power deconvolution output with its determinability frontier.
+    """The first power recovered from extended data, with its frontier.
 
-    ``determined_from[n-1]`` is the smallest index at which power n is
-    recovered; below it the division has no information (this happens iff
-    nu(0) = 0, when extension is a lossy shift). For the first power the
-    head below the frontier is filled in from the second power's product
-    relations whenever the data's support top makes them solvable, after
-    which ``determined_from[0]`` drops to 0. ``stable[n-1]`` is False
-    when back-substitution noise grew out of the probability range; the
-    repeated unit-magnitude root of the divisor amplifies roundoff
-    polynomially in the support length, so high powers of spread-out nu
-    are flagged and zeroed instead of reported as masses.
+    ``determined_from`` is the smallest index at which ``r1`` is recovered;
+    below it the division has no information (this happens iff nu(0) = 0,
+    when extension is a lossy shift). The head below the frontier is
+    filled in from the second power's product relations whenever the
+    data's support top makes them solvable, after which ``determined_from``
+    drops to 0. ``stable`` is False when back-substitution noise grew out
+    of the probability range; the repeated unit-magnitude root of the
+    divisor amplifies roundoff polynomially in the support length, so an
+    unstable ``r1`` is zeroed instead of reported as masses.
     """
 
-    per_power: tuple[LatticeDist, ...]
-    determined_from: tuple[int, ...]
-    stable: tuple[bool, ...]
+    r1: LatticeDist
+    determined_from: int
+    stable: bool
 
 
 def _refine_head(r1: LatticeDist, r2: LatticeDist, gap: int):
@@ -856,68 +864,51 @@ def _refine_head(r1: LatticeDist, r2: LatticeDist, gap: int):
     return lattice(0, full)
 
 
+def _divide(ext: LatticeDist, power: LatticeDist, lift: int) -> LatticeDist | None:
+    """r on lift, lift + 1, ... with ext(k) = sum_{j>=0} r(lift + k + j) w(j),
+    where w(j) = power(-lift - j) and power's top sits at -lift.
+
+    Back-substitutes from the top of ext down. Returns None when roundoff
+    pushed a mass out of [0, 1].
+    """
+    if ext.is_zero:
+        return zero_measure()
+    top = ext.max_index
+    depth = -power.min_index - lift
+    w = [power.mass(-lift - j) for j in range(min(depth, top) + 1)]
+    rec = np.zeros(top + 1)
+    for k in range(top, -1, -1):
+        acc = ext.mass(k)
+        for j in range(1, min(depth, top - k) + 1):
+            acc -= rec[k + j] * w[j]
+        rec[k] = acc / w[0]
+    rec[np.abs(rec) < 1e-15] = 0.0
+    if not (np.all(np.isfinite(rec)) and rec.min() >= -1e-8 and rec.max() <= 1.0 + 1e-8):
+        return None
+    return lattice(lift, np.clip(rec, 0.0, None))
+
+
 def deconvolve_extension(extended: TruncatedData, nu: LatticeDist) -> DeconvolvedData:
-    """Invert :func:`extend_by_negative` by long division from the top.
+    """Recover r1 from :func:`extend_by_negative` data by long division.
 
     With w = nu^{*n} supported on [-L, 0], ext(k) = sum_j r(k+j) w(-j) is
     upper triangular in r read from the highest index down, so r follows by
     back-substitution whenever w(0) > 0; otherwise the recoverable range
-    starts at n times the top gap of nu.
+    starts at n times the top gap of nu. Only r1 is divided, and r2 as well
+    when that gap is positive, to fill in r1's head below the frontier.
     """
     if nu.is_zero or nu.max_index > 0:
         raise DomainError("nu must be nonzero on the nonpositive lattice")
     gap = -nu.max_index
-    out = []
-    starts = []
-    flags = []
-    power = None
-    for n in range(1, extended.horizon + 1):
-        power = nu if power is None else convolve(power, nu)
-        ext = extended.restricted_power(n)
-        start = n * gap
-        if gap > 0:
-            # pure shift component: ext(k) = sum r(k + n*gap + ...) with the
-            # shifted kernel's top weight at zero offset
-            shifted = lattice(power.offset + n * gap, power.weights.copy())
-        else:
-            shifted = power
-        w0 = shifted.mass(0)
-        depth = -shifted.min_index if not shifted.is_zero else 0
-        top = ext.max_index if not ext.is_zero else -1
-        if top < 0:
-            out.append(lattice(0, np.zeros(1)))
-            starts.append(start)
-            flags.append(True)
-            continue
-        rec = np.zeros(top + 1)
-        for k in range(top, -1, -1):
-            acc = ext.mass(k)
-            for j in range(1, min(depth, top - k) + 1):
-                acc -= rec[k + j] * shifted.mass(-j)
-            rec[k] = acc / w0
-        rec[np.abs(rec) < 1e-15] = 0.0
-        ok = bool(
-            np.all(np.isfinite(rec))
-            and rec.min() >= -1e-8
-            and rec.max() <= 1.0 + 1e-8
-        )
-        starts.append(start)
-        flags.append(ok)
-        if ok:
-            out.append(lattice(start, np.clip(rec, 0.0, None)))
-        else:
-            out.append(lattice(0, np.zeros(1)))
-    if gap > 0 and len(out) >= 2 and flags[0] and flags[1]:
-        untruncated = (
-            extended.restricted_power(1).truncated_mass == 0.0
-            and extended.restricted_power(2).truncated_mass == 0.0
-        )
-        if untruncated:
-            refined = _refine_head(out[0], out[1], gap)
-            if refined is not None:
-                out[0] = refined
-                starts[0] = 0
-    return DeconvolvedData(tuple(out), tuple(starts), tuple(flags))
+    r1 = _divide(extended.restricted_power(1), nu, gap)
+    if r1 is None:
+        return DeconvolvedData(zero_measure(), gap, False)
+    if gap > 0 and extended.horizon >= 2:
+        r2 = _divide(extended.restricted_power(2), convolve(nu, nu), 2 * gap)
+        refined = None if r2 is None else _refine_head(r1, r2, gap)
+        if refined is not None:
+            return DeconvolvedData(refined, 0, True)
+    return DeconvolvedData(r1, gap, True)
 
 
 # -- dispatcher ---------------------------------------------------------------

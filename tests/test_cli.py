@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,14 +19,24 @@ from whlab import (
     tv_distance,
     two_point,
 )
+from whlab.cli import main
+
+
+class CliResult(NamedTuple):
+    returncode: int
+    stderr: str
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "whlab.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+    """Run ``whlab.cli.main`` in this process, capturing stderr; an argparse
+    exit gives its exit code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, err.getvalue())
 
 
 def write_config(path, doc):
@@ -199,6 +212,23 @@ MALFORMED_DATA_DIRS = {
 }
 
 
+def test_module_entry_point_rejects_malformed_data_dir_with_exit_2(tmp_path):
+    # the one run through a real interpreter: ``python -m whlab.cli``
+    root = tmp_path / "d"
+    save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 3), root)
+    (root / "restricted.f64").write_bytes(bytes(8))
+    cfg = write_config(tmp_path / "cfg.json", {"data_dir": str(root)})
+    result = subprocess.run(
+        [sys.executable, "-m", "whlab.cli", "reconstruct", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "hash mismatch" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_DATA_DIRS))
 def test_reconstruct_rejects_malformed_data_dir_with_exit_2(tmp_path, case):
     damage, message = MALFORMED_DATA_DIRS[case]
@@ -235,9 +265,6 @@ def _custom_file(tmp_path, payload):
 BAD_CUSTOM_DISTRIBUTIONS = {
     "not_utf8": lambda tmp: _custom_file(
         tmp, b'{"min_index": -1, "weights": [1.0], "name": "\xff"}'
-    ),
-    "non_numeric_truncated_mass": lambda tmp: _custom_file(
-        tmp, b'{"min_index": -1, "weights": [1.0], "truncated_mass": "lots"}'
     ),
     "family_spelling_missing_path": lambda tmp: {
         "family": "custom_file",
@@ -284,6 +311,14 @@ def test_reconstruct_one_power_with_negative_mass_is_none(tmp_path, name):
     assert result.returncode == 3, result.stderr
     assert report["detected_class"] == "none"
     assert report["recovered"] is None
+
+
+def test_reconstruct_refuses_rank_deficient_cm_recovery_with_exit_3(tmp_path):
+    mu = geometric_mixture((0.3, 0.5), (0.5, 0.5), shift=-3).dist
+    result, report = _reconstruct_saved(tmp_path, mu, 40)
+    assert result.returncode == 3, result.stderr
+    assert report["detected_class"] == "none"
+    assert report["diagnostics"]["detector_verdicts"]["discrete_cm"].startswith("failed")
 
 
 @pytest.mark.parametrize(

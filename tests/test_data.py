@@ -37,8 +37,7 @@ def test_restricted_supports_and_totals():
     for r in data.restricted:
         assert r.is_zero or r.min_index >= 0
         assert r.total <= 1.0 + 1e-12
-    totals = data.totals()
-    assert totals[0] == pytest.approx(0.6, abs=1e-15)
+    assert data.restricted[0].total == pytest.approx(0.6, abs=1e-15)
 
 
 def test_negative_index_mass_rejected():
@@ -80,7 +79,6 @@ def test_save_load_round_trip(tmp_path):
         a, b = data.restricted_power(n), back.restricted_power(n)
         assert a.offset == b.offset
         assert np.array_equal(a.weights, b.weights)
-        assert a.truncated_mass == b.truncated_mass
 
 
 def rewrite_table(root, row, k, value):
@@ -115,13 +113,6 @@ def test_two_saves_are_byte_identical(tmp_path):
     b = save_data_dir(data, tmp_path / "b")
     for name in ("manifest.json", "restricted.f64"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-def test_save_refuses_truncated_mass(tmp_path):
-    data = TruncatedData(2, (lattice(0, [0.5]), lattice(1, [0.25], truncated_mass=0.1)))
-    with pytest.raises(DomainError, match="does not store truncated_mass"):
-        save_data_dir(data, tmp_path / "d")
-    assert not (tmp_path / "d").exists()
 
 
 # offsets 0..4 and windows of up to 6 weights, some or all exactly zero;

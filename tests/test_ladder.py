@@ -70,7 +70,7 @@ def test_downward_epochs_follow_catalan_counts():
 def test_epoch_mass_equals_alive_drop():
     mu = lattice(-2, [0.2, 0.1, 0.3, 0.15, 0.25])
     law = ladder_law(mu, UPWARD, 40)
-    marginals = law.epoch_masses()
+    marginals = law.masses.sum(axis=1)
     assert law.survival.shape == (41,) and law.survival[0] == 1.0
     for n, mass in enumerate(marginals, start=1):
         drop = law.survival[n - 1] - law.survival[n]
@@ -313,7 +313,7 @@ def test_walk_kernel_matches_public_loop(mu, side, horizon):
     assert law.height_offset == lo
     assert np.array_equal(law.masses, want)
     assert np.array_equal(law.survival, survival)
-    epochs = law.epoch_masses()
+    epochs = law.masses.sum(axis=1)
     for n in range(1, horizon + 1):
         assert abs(law.survival[n - 1] - law.survival[n] - epochs[n - 1]) <= 1e-14
     data = truncated_data(mu, horizon)

@@ -58,12 +58,6 @@ def test_non_finite_weights_rejected(weights):
         LatticeDist(0, np.array(weights))
 
 
-def test_non_finite_truncated_mass_rejected():
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            LatticeDist(0, np.ones(1), truncated_mass=bad)
-
-
 def test_non_canonical_direct_construction_rejected():
     with pytest.raises(DomainError):
         LatticeDist(0, np.array([0.0, 1.0]))
@@ -71,11 +65,10 @@ def test_non_canonical_direct_construction_rejected():
 
 def test_delta_and_zero_measure():
     d = delta(3)
-    assert d.support() == (3, 3)
-    assert d.mean() == 3.0
+    assert (d.offset, d.weights.tolist()) == (3, [1.0])
     z = zero_measure()
     assert z.is_zero
-    assert z.support() is None
+    assert (z.offset, z.weights.size) == (0, 0)
     assert z.total == 0.0
 
 
@@ -83,9 +76,8 @@ def test_mass_mean_tail():
     d = lattice(-1, [0.2, 0.3, 0.5])
     assert d.mass(-1) == 0.2
     assert d.mass(2) == 0.0
-    assert d.mean() == pytest.approx(-0.2 + 0.5, abs=1e-15)
-    assert d.tail_mass(0) == pytest.approx(0.5, abs=1e-15)
-    assert d.tail_mass(5) == 0.0
+    assert float(np.dot(d.indices(), d.weights)) == pytest.approx(-0.2 + 0.5, abs=1e-15)
+    assert float(d.weights[d.indices() > 0].sum()) == pytest.approx(0.5, abs=1e-15)
 
 
 def _frac_oracle(a, b):
@@ -126,7 +118,7 @@ def test_convolution_power_matches_iterated():
 
 def test_convolution_power_zero_is_delta():
     p = convolution_power(lattice(-1, [0.5, 0.0, 0.5]), 0)
-    assert p.support() == (0, 0)
+    assert (p.offset, p.weights.size) == (0, 1)
     assert p.total == 1.0
 
 
@@ -203,11 +195,12 @@ def test_distances():
 
 
 def test_json_round_trip_is_exact():
-    mu = lattice(-3, np.random.default_rng(3).random(7), truncated_mass=1.25e-5)
-    back = LatticeDist.from_dict(json.loads(json.dumps(mu.to_dict())))
+    mu = lattice(-3, np.random.default_rng(3).random(7))
+    doc = json.loads(json.dumps(mu.to_dict()))
+    assert sorted(doc) == ["offset", "weights"]
+    back = LatticeDist.from_dict(doc)
     assert back.offset == mu.offset
     assert np.array_equal(back.weights, mu.weights)
-    assert back.truncated_mass == mu.truncated_mass
 
 
 def test_from_dict_rejects_bad_payload():

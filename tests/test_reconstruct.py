@@ -34,7 +34,7 @@ from whlab.errors import (
     DataInconsistencyError,
     DomainError,
 )
-from whlab.generators import geometric_mixture, two_point, uniform_window
+from whlab.generators import geometric_mixture, power_tail_pair, two_point, uniform_window
 from whlab.ladder import Drift
 from whlab.lattice import cross_correlation_direct, sup_distance
 
@@ -392,9 +392,9 @@ def test_deconvolution_recovers_first_power(nu_weights, nu_offset):
     data = truncated_data(mu, 10)
     extended = extend_by_negative(data, nu)
     dec = deconvolve_extension(extended, nu)
-    assert dec.stable[0]
-    assert dec.determined_from[0] == 0
-    assert sup_distance(dec.per_power[0], data.restricted_power(1)) <= 1e-10
+    assert dec.stable
+    assert dec.determined_from == 0
+    assert sup_distance(dec.r1, data.restricted_power(1)) <= 1e-10
 
 
 def test_deconvolution_honest_about_undetermined_head():
@@ -409,8 +409,29 @@ def test_deconvolution_honest_about_undetermined_head():
     for n in range(1, 9):
         assert sup_distance(ext_a.restricted_power(n), ext_b.restricted_power(n)) == 0.0
     dec = deconvolve_extension(ext_a, nu)
-    assert dec.determined_from[0] == 1
-    assert dec.per_power[0].mass(1) == pytest.approx(0.4, abs=1e-15)
+    assert dec.determined_from == 1
+    assert dec.r1.mass(1) == pytest.approx(0.4, abs=1e-15)
+
+
+def test_deconvolution_flags_unstable_first_power():
+    # dividing by nu = 0.9 delta(-1) + 0.1 delta(0) from the top multiplies
+    # roundoff by 9 per index, which pushes r1 out of [0, 1]
+    nu = lattice(-1, [0.9, 0.1])
+    extended = extend_by_negative(truncated_data(power_tail_pair().dist, 2), nu)
+    dec = deconvolve_extension(extended, nu)
+    assert dec.stable is False
+    assert dec.r1.is_zero
+
+
+def test_deconvolution_at_horizon_one_keeps_the_frontier():
+    # the head below the frontier needs r2, which horizon-1 data lack
+    mu = lattice(-2, [0.15, 0.2, 0.25, 0.1, 0.3])
+    data = truncated_data(mu, 1)
+    dec = deconvolve_extension(extend_by_negative(data, delta(-1)), delta(-1))
+    assert dec.stable
+    assert dec.determined_from == 1
+    assert dec.r1.offset == 1
+    assert np.array_equal(dec.r1.weights, data.restricted_power(1).weights[1:])
 
 
 def test_auto_reconstruct_delta1():
@@ -433,6 +454,21 @@ def test_auto_reconstruct_cm_mixture():
     rep = auto_reconstruct(truncated_data(gen.dist, 60), truth=gen.dist)
     assert rep.detected_class == CLASS_DISCRETE_CM
     assert rep.residuals["tv_distance"] <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "atoms, atom_weights, shift", [((0.3, 0.5), (0.5, 0.5), -3), ((0.4,), (1.0,), -2)]
+)
+def test_cm_rank_deficient_direct_route_is_not_a_recovery(atoms, atom_weights, shift):
+    # the direct kernel inversion wins here with a design too narrow to
+    # determine the masses; its answer was off by up to tv 4.5e-2
+    mu = geometric_mixture(atoms, atom_weights, shift=shift).dist
+    data = truncated_data(mu, 40)
+    with pytest.raises(ConditioningError, match="rank-deficient"):
+        recover_cm_discrete(data, truth=mu)
+    rep = auto_reconstruct(data, truth=mu)
+    assert rep.detected_class == CLASS_NONE
+    assert rep.diagnostics["detector_verdicts"]["discrete_cm"].startswith("failed")
 
 
 def test_auto_reconstruct_exact_class_outranks_exponential(ssrw, ssrw_data):
