@@ -3,10 +3,10 @@
 Everything here consumes a :class:`~whlab.data.TruncatedData` and nothing
 else. Four structural classes are detected and inverted:
 
-* exponential: a geometric bound on P(S_n < 0), or a certified moment
-  generating value in (1, infinity), lets the ratio statistic recover the
-  transform near 0, after which the negative window is fitted by
-  mass-constrained least squares;
+* exponential: a certified moment generating value in (1, infinity) lets
+  the ratio of successive restricted moment generating values recover the
+  full transform at probe lambdas, after which the negative window is
+  fitted by mass-constrained least squares;
 * skip_free: the only negative mass sits at -1; the candidate is forced by
   the mass deficit and accepted by exact forward consistency;
 * triangular: a gap pattern (positive support starting at a+b, second
@@ -16,11 +16,11 @@ else. Four structural classes are detected and inverted:
   sequence into a finite Hausdorff moment problem solved through its
   geometric atoms, cross-checked against direct kernel inversion.
 
-The dispatcher walks the ``DETECTORS`` table (name to detector call, in
-``DETECTOR_ORDER``), runs every enabled detector once and labels by
-precedence exact-before-approximate. Reported residuals and rank flags are
-the honesty layer: a rank-deficient kernel yields a flag, never a
-fabricated answer.
+The dispatcher walks the ``DETECTORS`` table (name to detector call),
+which lists the detectors in precedence order, exact before approximate;
+it runs every enabled detector once and the first hit labels the data.
+Reported residuals and rank flags are the honesty layer: a rank-deficient
+kernel yields a flag, never a fabricated answer.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import nnls
 
-from .data import TruncatedData, packed_restricted, truncated_data
+from .data import TruncatedData, truncated_data
 from .errors import (
     ClassNotDetected,
     ConditioningError,
@@ -44,7 +44,6 @@ from .ladder import (
     exp_moment_conditions,
     ladder_law,
     log_restricted_mgf,
-    neg_prob_sequence,
 )
 from .lattice import (
     MASS_TOL,
@@ -63,22 +62,17 @@ CLASS_TRIANGULAR = "triangular"
 CLASS_DISCRETE_CM = "discrete_cm"
 CLASS_NONE = "none"
 
-# each entry looks its detector up at call time, so rebinding a module
-# attribute (as tracers and test spies do) reaches the dispatcher too
+# in precedence order, exact classes before approximate ones: the first
+# hit labels the data. Each entry looks its detector up at call time, so
+# rebinding a module attribute (as tracers and test spies do) reaches the
+# dispatcher too
 DETECTORS = {
-    "exponential": lambda data, truth: recover_exponential(data, truth=truth),
     "skip_free": lambda data, truth: recover_skipfree(data, truth=truth),
     "triangular": lambda data, truth: recover_triangular(data, truth=truth),
+    "exponential": lambda data, truth: recover_exponential(data, truth=truth),
     "discrete_cm": lambda data, truth: recover_cm_discrete(data, truth=truth),
 }
 DETECTOR_ORDER = tuple(DETECTORS)
-# exact classes outrank approximate ones when several detectors fire
-LABEL_PRECEDENCE = (
-    CLASS_SKIP_FREE,
-    CLASS_TRIANGULAR,
-    CLASS_EXPONENTIAL,
-    CLASS_DISCRETE_CM,
-)
 
 MAX_NEG_WINDOW = 32
 FIT_TOL = 1e-6
@@ -198,8 +192,7 @@ def _mass_constrained_fit(design: np.ndarray, rhs: np.ndarray, total: float):
     """
     m = design.shape[1]
     if m == 0:
-        sup = float(np.abs(rhs).max()) if rhs.size else 0.0
-        return np.zeros(0), sup, 1.0
+        return np.zeros(0), float(np.abs(rhs).max()), 1.0
     if m == 1:
         x = np.array([total])
         cond = 1.0
@@ -222,36 +215,6 @@ def _mass_constrained_fit(design: np.ndarray, rhs: np.ndarray, total: float):
 _STAB_TOL = 5e-8
 
 
-def _char_ratio_points(data: TruncatedData):
-    """Characteristic-function estimates by the ratio statistic.
-
-    Shrinks the t-interval until 16 of its 49 points have a stabilized
-    ratio (possible whenever the geometric decay condition holds, because
-    the transform tends to 1 at 0).
-    """
-    packed = packed_restricted(data)
-    head, tail = packed[0].astype(complex), packed[-3:].astype(complex)
-    idx = np.arange(packed.shape[1])
-    half_width = 1.0
-    for _ in range(8):
-        t = np.linspace(-half_width, half_width, 49)
-        phases = np.exp(1j * np.outer(idx, t))
-        a3, a2, a1 = tail @ phases
-        safe = (np.abs(a2) > 1e-280) & (np.abs(a3) > 1e-280)
-        est = np.where(safe, a1 / np.where(safe, a2, 1.0), 0.0)
-        prev = np.where(safe, a2 / np.where(safe, a3, 1.0), 0.0)
-        stable = safe & (np.abs(est - prev) <= _STAB_TOL * np.maximum(1.0, np.abs(est)))
-        if stable.sum() >= 16:
-            # a vector-matrix product, not a row of the one above: BLAS
-            # sums the two in different orders
-            return t[stable], est[stable], (head @ phases)[stable]
-        half_width /= 2.0
-    raise ConditioningError(
-        "ratio statistic failed to stabilize on any characteristic grid",
-        condition_number=float("inf"),
-    )
-
-
 def _mgf_ratio_points(data: TruncatedData, lambdas: np.ndarray):
     """Moment-generating estimates at probe lambdas with stabilized ratios."""
     n = data.horizon
@@ -264,105 +227,74 @@ def _mgf_ratio_points(data: TruncatedData, lambdas: np.ndarray):
     return lambdas[keep], ratio[keep], np.exp(log1[keep])
 
 
-def _window_search(design_fn, rhs, total):
+def _window_search(points: np.ndarray, rhs: np.ndarray, total: float):
     """Accept the smallest negative window whose fit carries the deficit.
 
-    Every candidate is solved as a nonnegative mass vector, so a window is
-    accepted only when a genuine sub-distribution reproduces the transform
+    Window w fits masses at -1..-w to the terms exp(-lam j) at the probe
+    points. Every candidate, the empty window included, is solved as a
+    nonnegative mass vector that must carry the deficit, so a window is
+    accepted only when a genuine distribution reproduces the transform
     data within tolerance. Nothing is ever returned on a failed fit; the
     alternative (the best-residual solution over all windows) is exactly
     the overfitted oscillating garbage ill-conditioned designs produce.
     """
-    rhs_scale = max(1.0, float(np.abs(rhs).max()) if rhs.size else 1.0)
-    last_cond = None
+    rhs_scale = max(1.0, float(np.abs(rhs).max()))
     for w in range(MAX_NEG_WINDOW + 1):
-        design = design_fn(w)
+        design = np.exp(-np.outer(points, np.arange(1, w + 1)))
         x, sup, cond = _mass_constrained_fit(design, rhs, total)
-        last_cond = cond
         if cond > COND_LIMIT:
             break
-        mass_ok = x.size == 0 or abs(float(x.sum()) - total) <= 1e-6 * max(1.0, total)
+        mass_ok = abs(float(x.sum()) - total) <= 1e-6 * max(1.0, total)
         if sup / rhs_scale <= FIT_TOL and mass_ok:
             return x, sup, cond, w
     raise ConditioningError(
         "no negative window fits the transform data with a distribution",
-        condition_number=last_cond if last_cond is not None else float("inf"),
+        condition_number=cond,
     )
 
 
 def recover_exponential(
     data: TruncatedData, truth: LatticeDist | None = None
 ) -> ReconstructionReport:
-    """Transform-route recovery under a decay or moment certificate.
+    """Transform-route recovery under a moment certificate.
 
-    The geometric-decay route estimates the characteristic function at
-    stabilized ratio points; the moment route estimates the real transform
-    at certified lambdas. The moment route runs when no decay rate is
-    fitted, and also when the ratio statistic fails to stabilize on the
-    characteristic grid while a moment certificate holds. Either way the
-    negative window is fitted by least squares constrained to carry
-    exactly the missing mass.
+    A certified moment generating value above one (the hypothesis of the
+    paper's case 1) makes E[e^{lam S_n}; S_n >= 0] grow like the powers of
+    the full transform, so the ratios of successive restricted moment
+    generating values, where they stabilize, estimate the full transform
+    at probe lambdas between a twentieth of the witness and the probe cap.
+    The negative window is then fitted by least squares constrained to
+    carry exactly the missing mass.
     """
     r1 = data.restricted_power(1)
     deficit = _deficit(data)
-    decay = neg_prob_sequence(data)
     conditions = exp_moment_conditions(data)
-    if decay.fitted_alpha is None and not conditions.condition_b:
+    if not conditions.condition_b:
         raise ClassNotDetected(
-            "neither a geometric decay rate nor a super-unit moment "
-            "generating value is certified by the data"
+            "no super-unit moment generating value is certified by the data"
         )
-    if data.horizon < 3:
-        raise ClassNotDetected("horizon below 3 cannot stabilize the ratio statistic")
-
-    points = None
-    if decay.fitted_alpha is not None:
-        try:
-            points, estimates, known = _char_ratio_points(data)
-        except ConditioningError:
-            if not conditions.condition_b:
-                raise
-
-    if points is not None:
-        route = "characteristic"
-        rhs_c = estimates - known
-        rhs = np.concatenate([rhs_c.real, rhs_c.imag])
-
-        def design_fn(w: int) -> np.ndarray:
-            cols = np.exp(-1j * np.outer(points, np.arange(1, w + 1)))
-            return np.concatenate([cols.real, cols.imag])
-
-    else:
-        route = "mgf"
-        grid = np.geomspace(
-            max(conditions.b_witness / 20.0, 1e-6), conditions.lambda_cap, 40
+    grid = np.geomspace(
+        max(conditions.b_witness / 20.0, 1e-6), conditions.lambda_cap, 40
+    )
+    lambdas = np.unique(np.concatenate([[conditions.b_witness], grid]))
+    points, estimates, known = _mgf_ratio_points(data, lambdas)
+    if len(points) < 4:
+        raise ConditioningError(
+            "too few stabilized moment-generating probes",
+            condition_number=float("inf"),
         )
-        lambdas = np.unique(np.concatenate([[conditions.b_witness], grid]))
-        points, estimates, known = _mgf_ratio_points(data, lambdas)
-        if len(points) < 4:
-            raise ConditioningError(
-                "too few stabilized moment-generating probes",
-                condition_number=float("inf"),
-            )
-        rhs = estimates - known
-
-        def design_fn(w: int) -> np.ndarray:
-            return np.exp(-np.outer(points, np.arange(1, w + 1)))
-
-    x, sup, cond, width = _window_search(design_fn, rhs, deficit)
+    rhs = estimates - known
+    x, sup, cond, width = _window_search(points, rhs, deficit)
     recovered = _assemble(r1, x)
     residuals = {
         "fit_residual": sup,
-        "relative_residual": sup / max(1.0, float(np.abs(rhs).max()) if rhs.size else 1.0),
+        "relative_residual": sup / max(1.0, float(np.abs(rhs).max())),
         "deficit": deficit,
     }
     if truth is not None:
         residuals["tv_distance"] = tv_distance(recovered, truth)
     diagnostics = {
-        "route": route,
         "negative_window": width,
-        "alpha": decay.fitted_alpha,
-        "alpha_r_squared": decay.r_squared,
         "b_witness": conditions.b_witness,
         "n_transform_points": int(len(points)),
         "condition_number": cond,
@@ -820,10 +752,11 @@ class DeconvolvedData:
     when extension is a lossy shift). The head below the frontier is
     filled in from the second power's product relations whenever the
     data's support top makes them solvable, after which ``determined_from``
-    drops to 0. ``stable`` is False when back-substitution noise grew out
-    of the probability range; the repeated unit-magnitude root of the
-    divisor amplifies roundoff polynomially in the support length, so an
-    unstable ``r1`` is zeroed instead of reported as masses.
+    drops to 0. ``stable`` is False when the divisor's pivot is too small
+    to divide by safely or back-substitution noise grew out of the
+    probability range; the repeated unit-magnitude root of the divisor
+    amplifies roundoff polynomially in the support length, so an unstable
+    ``r1`` is zeroed instead of reported as masses.
     """
 
     r1: LatticeDist
@@ -868,14 +801,19 @@ def _divide(ext: LatticeDist, power: LatticeDist, lift: int) -> LatticeDist | No
     """r on lift, lift + 1, ... with ext(k) = sum_{j>=0} r(lift + k + j) w(j),
     where w(j) = power(-lift - j) and power's top sits at -lift.
 
-    Back-substitutes from the top of ext down. Returns None when roundoff
-    pushed a mass out of [0, 1].
+    Back-substitutes from the top of ext down. Returns None when the pivot
+    w(0) is so small against the largest w that roundoff alone could push
+    a mass past the range slack, or when roundoff did push a mass out of
+    [0, 1].
     """
     if ext.is_zero:
         return zero_measure()
     top = ext.max_index
     depth = -power.min_index - lift
     w = [power.mass(-lift - j) for j in range(min(depth, top) + 1)]
+    slack = 1e-8  # how far roundoff may carry a mass outside [0, 1]
+    if w[0] <= 0.0 or np.finfo(float).eps * max(w) > slack * w[0]:
+        return None
     rec = np.zeros(top + 1)
     for k in range(top, -1, -1):
         acc = ext.mass(k)
@@ -883,7 +821,7 @@ def _divide(ext: LatticeDist, power: LatticeDist, lift: int) -> LatticeDist | No
             acc -= rec[k + j] * w[j]
         rec[k] = acc / w[0]
     rec[np.abs(rec) < 1e-15] = 0.0
-    if not (np.all(np.isfinite(rec)) and rec.min() >= -1e-8 and rec.max() <= 1.0 + 1e-8):
+    if not (np.all(np.isfinite(rec)) and rec.min() >= -slack and rec.max() <= 1.0 + slack):
         return None
     return lattice(lift, np.clip(rec, 0.0, None))
 
@@ -919,20 +857,20 @@ def auto_reconstruct(
     detectors=None,
     truth: LatticeDist | None = None,
 ) -> ReconstructionReport:
-    """Run the class detectors and return the highest-precedence hit.
+    """Run the class detectors and return the first hit in ``DETECTORS`` order.
 
-    Every enabled detector runs once and its verdict is attached; among
-    the successful ones the exact classes
-    (skip_free, triangular) outrank the transform and moment routes. With
-    no hit the generic correlation inversion is reported as diagnostics
-    only, never as a recovery.
+    Every enabled detector runs once and its verdict is attached; the
+    exact classes (skip_free, triangular) come first, then the
+    exponential transform route, then discrete_cm. With no hit the
+    generic correlation inversion is reported as diagnostics only, never
+    as a recovery.
     """
     enabled = DETECTOR_ORDER if detectors is None else tuple(detectors)
     for name in enabled:
         if name not in DETECTOR_ORDER:
             raise DomainError("unknown detector %r" % name)
     verdicts: dict[str, str] = {}
-    hits: list[ReconstructionReport] = []
+    hit: ReconstructionReport | None = None
     for name, detector in DETECTORS.items():
         if name not in enabled:
             verdicts[name] = "disabled"
@@ -950,13 +888,12 @@ def auto_reconstruct(
             verdicts[name] = "not_detected: %s" % reason
             continue
         verdicts[name] = "detected: %s" % report.detected_class
-        hits.append(report)
+        if hit is None:
+            hit = report
 
-    for label in LABEL_PRECEDENCE:
-        for report in hits:
-            if report.detected_class == label:
-                diagnostics = {**report.diagnostics, "detector_verdicts": verdicts}
-                return replace(report, diagnostics=diagnostics)
+    if hit is not None:
+        diagnostics = {**hit.diagnostics, "detector_verdicts": verdicts}
+        return replace(hit, diagnostics=diagnostics)
 
     diagnostics = {"detector_verdicts": verdicts}
     residuals: dict[str, float] = {}

@@ -321,6 +321,14 @@ def test_reconstruct_refuses_rank_deficient_cm_recovery_with_exit_3(tmp_path):
     assert report["diagnostics"]["detector_verdicts"]["discrete_cm"].startswith("failed")
 
 
+@pytest.mark.parametrize("down", [-45, -46])
+def test_reconstruct_refuses_a_fit_that_drops_the_deficit_with_exit_3(tmp_path, down):
+    result, report = _reconstruct_saved(tmp_path, two_point(down, 1, 0.9).dist, 40)
+    assert result.returncode == 3, result.stderr
+    assert report["detected_class"] == "none"
+    assert report["diagnostics"]["detector_verdicts"]["exponential"].startswith("failed")
+
+
 @pytest.mark.parametrize(
     "name, expected",
     [

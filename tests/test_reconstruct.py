@@ -38,6 +38,8 @@ from whlab.generators import geometric_mixture, power_tail_pair, two_point, unif
 from whlab.ladder import Drift
 from whlab.lattice import cross_correlation_direct, sup_distance
 
+from conftest import random_corpus
+
 
 def test_recover_exponential_delta1():
     rep = recover_exponential(truncated_data(delta(1), 60), truth=delta(1))
@@ -84,14 +86,36 @@ def test_recover_exponential_never_returns_bad_fit():
 
 
 @pytest.mark.parametrize("horizon", [40, 120])
-def test_recover_exponential_falls_back_to_moment_route(horizon):
-    # a decay rate is fitted but the ratio statistic never stabilizes on
-    # the characteristic grid; the moment certificate still recovers
+def test_recover_exponential_uniform_window(horizon):
+    # P(S_n < 0) decays geometrically here, but the law is recovered
+    # through its moment certificate like any other exponential member
     mu = uniform_window(-2, 3).dist
     rep = recover_exponential(truncated_data(mu, horizon), truth=mu)
-    assert rep.diagnostics["alpha"] is not None
-    assert rep.diagnostics["route"] == "mgf"
     assert rep.residuals["tv_distance"] <= 1e-6
+
+
+@pytest.mark.parametrize("index", [7, 36, 57, 95])
+def test_exponential_corpus_laws_recovered_within_class_tolerance(corpus100, index):
+    # laws whose P(S_n < 0) has a geometric decay fit are recovered
+    # through their moment certificate like the rest
+    mu = corpus100[index]
+    rep = auto_reconstruct(truncated_data(mu, 200), truth=mu)
+    assert rep.detected_class == CLASS_EXPONENTIAL
+    assert rep.residuals["tv_distance"] <= 1e-6
+
+
+@pytest.mark.parametrize("down", [-45, -46])
+def test_exponential_refuses_a_fit_that_drops_the_deficit(down):
+    # both laws give bit-identical horizon-40 data; no negative window
+    # inside the search carries the 0.1 deficit, and the empty window
+    # must not be accepted without it
+    mu = two_point(down, 1, 0.9).dist
+    data = truncated_data(mu, 40)
+    with pytest.raises(ConditioningError):
+        recover_exponential(data)
+    rep = auto_reconstruct(data, truth=mu)
+    assert rep.detected_class == CLASS_NONE
+    assert rep.recovered is None
 
 
 def test_cm_detector_needs_positive_width():
@@ -421,6 +445,21 @@ def test_deconvolution_flags_unstable_first_power():
     dec = deconvolve_extension(extended, nu)
     assert dec.stable is False
     assert dec.r1.is_zero
+
+
+def test_deconvolution_refuses_a_vanishing_pivot():
+    # the top of nu * nu (1e-340) underflows to nothing, and dividing by
+    # the 1e-170 top of nu amplifies roundoff far past the range slack
+    nu = lattice(-2, [1.0, 1e-170])
+    for mu in random_corpus(30):
+        r1 = truncated_data(mu, 1).restricted_power(1)
+        for horizon in (2, 5):
+            extended = extend_by_negative(truncated_data(mu, horizon), nu)
+            dec = deconvolve_extension(extended, nu)
+            if dec.stable:
+                top = max(r1.max_index, dec.r1.max_index)
+                for k in range(dec.determined_from, top + 1):
+                    assert abs(dec.r1.mass(k) - r1.mass(k)) <= 1e-8
 
 
 def test_deconvolution_at_horizon_one_keeps_the_frontier():
