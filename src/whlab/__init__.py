@@ -35,17 +35,14 @@ from .generators import (
 from .ladder import (
     DOWNWARD,
     UPWARD,
-    DecaySequence,
     Drift,
     ExpMomentReport,
     FactorizationReport,
     LadderLaw,
     TransformGrid,
     chi_eval_grid,
-    drift_classify,
     exp_moment_conditions,
     ladder_law,
-    neg_prob_sequence,
     spitzer_chi_grid,
     verify_factorization,
 )
@@ -134,10 +131,7 @@ __all__ = [
     "spitzer_chi_grid",
     "FactorizationReport",
     "verify_factorization",
-    "DecaySequence",
-    "neg_prob_sequence",
     "Drift",
-    "drift_classify",
     "ExpMomentReport",
     "exp_moment_conditions",
     # expfit

@@ -245,7 +245,12 @@ def parse_config(
     if not config_path.is_file():
         raise ConfigError("config file %s not found" % config_path)
     raw_bytes = config_path.read_bytes()
-    raw_text = raw_bytes.decode("utf-8", errors="replace")
+    try:
+        raw_text = raw_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw_bytes.count(b"\n", 0, exc.start) + 1
+        message = "config is not UTF-8: %s at byte %d" % (exc.reason, exc.start)
+        raise ConfigError(message, line=line)
     try:
         doc = json.loads(raw_text)
     except json.JSONDecodeError as exc:

@@ -38,10 +38,7 @@ __all__ = [
     "spitzer_chi_grid",
     "FactorizationReport",
     "verify_factorization",
-    "DecaySequence",
-    "neg_prob_sequence",
     "Drift",
-    "drift_classify",
     "ExpMomentReport",
     "LambdaProbe",
     "exp_moment_conditions",
@@ -223,83 +220,16 @@ def verify_factorization(
     return FactorizationReport(horizon, s_arr, t_arr, plus, minus, residuals, bounds)
 
 
-# -- negative-probability decay --------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecaySequence:
-    """P(S_n < 0) for n = 1..N together with a geometric-decay fit.
-
-    ``fitted_alpha`` is None when no geometric fit is accepted, +inf when
-    the sequence is identically zero.
-    """
-
-    values: np.ndarray
-    fitted_alpha: float | None
-    r_squared: float | None
-
-
-# P(S_n < 0) below this is float-cancellation noise (computed as 1 - total).
-_DECAY_FLOOR = 1e-12
-_ALPHA_MIN = 1e-3
-_R2_MIN = 0.999
-
-
-def neg_prob_sequence(data: TruncatedData) -> DecaySequence:
-    values = np.array([max(0.0, 1.0 - r.total) for r in data.restricted])
-    if values.max() <= 0.0:
-        return DecaySequence(values, float("inf"), None)
-    eligible = np.nonzero(values >= _DECAY_FLOOR)[0]
-    if eligible.size < 8:
-        return DecaySequence(values, None, None)
-    window = eligible[eligible.size // 2 :]
-    n = window + 1.0
-    logv = np.log(values[window])
-    slope, intercept = np.polyfit(n, logv, 1)
-    fitted = slope * n + intercept
-    ss_res = float(np.sum((logv - fitted) ** 2))
-    ss_tot = float(np.sum((logv - logv.mean()) ** 2))
-    if ss_tot <= 1e-20:
-        return DecaySequence(values, None, None)
-    r2 = 1.0 - ss_res / ss_tot
-    alpha = -float(slope)
-    if alpha >= _ALPHA_MIN and r2 >= _R2_MIN:
-        return DecaySequence(values, alpha, r2)
-    return DecaySequence(values, None, r2)
-
-
-# -- drift classification ---------------------------------------------------
+# -- drift -------------------------------------------------------------------
 
 
 class Drift(Enum):
+    """Long-run behaviour of S_n: to +infinity, to -infinity, or oscillating
+    (limsup +infinity, liminf -infinity)."""
+
     PLUS = "drifts_plus"
     MINUS = "drifts_minus"
     OSCILLATES = "oscillates"
-    UNDECIDED = "undecided"
-
-
-def drift_classify(data: TruncatedData) -> Drift:
-    """Classify the walk's long-run behaviour from half-line data alone.
-
-    The verdict is a finite-horizon heuristic built on the decay of
-    P(S_n < 0), and UNDECIDED is an honest outcome.
-    """
-    decay = neg_prob_sequence(data)
-    values = decay.values
-    if values.max() <= 0.0:
-        return Drift.PLUS
-    if decay.fitted_alpha is not None:
-        return Drift.PLUS
-    tail = values[-max(5, len(values) // 4) :]
-    tail_mean = float(tail.mean())
-    half = values[len(values) // 2]
-    if tail_mean >= 0.9 and tail[-1] >= half - 1e-9:
-        return Drift.MINUS
-    if tail_mean < 0.02 and values[-1] <= half:
-        return Drift.PLUS
-    if float(tail.max() - tail.min()) <= 0.02 and 0.02 < tail_mean < 0.9:
-        return Drift.OSCILLATES
-    return Drift.UNDECIDED
 
 
 # -- exponential-moment probes ----------------------------------------------

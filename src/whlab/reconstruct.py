@@ -40,7 +40,7 @@ from .errors import (
 )
 from .ladder import (
     UPWARD,
-    drift_classify,
+    Drift,
     exp_moment_conditions,
     ladder_law,
     log_restricted_mgf,
@@ -357,14 +357,16 @@ def recover_skipfree(
 
     The mass deficit of restricted(1) pins the only admissible candidate,
     whatever the drift, which is accepted iff its forward powers reproduce
-    every observed restricted power within CONSISTENCY_TOL. At horizon 1
-    the candidate reproduces r1 by construction, so nothing could refute
-    it: with a positive deficit the class is not detected there. A zero r1
-    is not detected either: every law on the negative half-line gives the
-    same all-zero data, so the data do not single out delta(-1). The drift
-    is reported as a diagnostic; the renewal-identity diagnostics are
-    computed for an accepted candidate only, from the candidate's own
-    killed-walk DP.
+    every observed restricted power within CONSISTENCY_TOL; otherwise the
+    class is not detected. At horizon 1 the candidate reproduces r1 by
+    construction, so nothing could refute it: with a positive deficit the
+    class is not detected there. A zero r1 is not detected either: every
+    law on the negative half-line gives the same all-zero data, so the data
+    do not single out delta(-1). The reported drift is the sign of the
+    accepted law's mean (a finite-mean walk drifts that way, and oscillates
+    at mean zero), with |mean| <= MASS_TOL, the tolerance of a proper law,
+    read as zero. The renewal-identity diagnostics come from the
+    candidate's own killed-walk DP.
     """
     r1 = data.restricted_power(1)
     if r1.is_zero:
@@ -380,17 +382,20 @@ def recover_skipfree(
         sup_distance(forward.restricted_power(n), data.restricted_power(n))
         for n in range(1, data.horizon + 1)
     )
-    diagnostics: dict[str, object] = {"drift": drift_classify(data)}
+    if consistency > CONSISTENCY_TOL:
+        raise ClassNotDetected(
+            "forward powers of the mass-deficit candidate do not match the data"
+        )
+    mean = float(candidate.indices() @ candidate.weights)
+    if abs(mean) <= MASS_TOL:
+        drift = Drift.OSCILLATES
+    else:
+        drift = Drift.PLUS if mean > 0.0 else Drift.MINUS
+    diagnostics = {"drift": drift, **_skipfree_identity_diagnostics(candidate, data.horizon)}
     residuals = {"consistency_sup": consistency, "deficit": deficit}
-    if consistency <= CONSISTENCY_TOL:
-        diagnostics.update(_skipfree_identity_diagnostics(candidate, data.horizon))
-        if truth is not None:
-            residuals["tv_distance"] = tv_distance(candidate, truth)
-        return ReconstructionReport(CLASS_SKIP_FREE, candidate, residuals, diagnostics)
-    diagnostics["reject_reason"] = (
-        "forward powers of the mass-deficit candidate do not match the data"
-    )
-    return ReconstructionReport(CLASS_NONE, None, residuals, diagnostics)
+    if truth is not None:
+        residuals["tv_distance"] = tv_distance(candidate, truth)
+    return ReconstructionReport(CLASS_SKIP_FREE, candidate, residuals, diagnostics)
 
 
 # -- one-sided correlation ---------------------------------------------------
@@ -863,9 +868,14 @@ def auto_reconstruct(
     exact classes (skip_free, triangular) come first, then the
     exponential transform route, then discrete_cm. With no hit the
     generic correlation inversion is reported as diagnostics only, never
-    as a recovery.
+    as a recovery. ``detectors`` is None for all of them, or a nonempty
+    collection of names from ``DETECTOR_ORDER``.
     """
+    if isinstance(detectors, str):
+        raise DomainError("detectors must be a collection of names, not %r" % detectors)
     enabled = DETECTOR_ORDER if detectors is None else tuple(detectors)
+    if not enabled:
+        raise DomainError("detectors must name at least one of %s" % list(DETECTOR_ORDER))
     for name in enabled:
         if name not in DETECTOR_ORDER:
             raise DomainError("unknown detector %r" % name)
@@ -882,10 +892,6 @@ def auto_reconstruct(
             continue
         except (ConditioningError, DataInconsistencyError) as exc:
             verdicts[name] = "failed: %s" % exc
-            continue
-        if report.detected_class == CLASS_NONE:
-            reason = report.diagnostics.get("reject_reason", "no class structure")
-            verdicts[name] = "not_detected: %s" % reason
             continue
         verdicts[name] = "detected: %s" % report.detected_class
         if hit is None:

@@ -103,7 +103,7 @@ def test_roundtrip_skip_free_exact(tmp_path):
     assert report["detected_class"] == "skip_free"
     assert report["passed"] is True
     assert report["diagnostics"]["v_rank_deficient"] is True
-    assert report["diagnostics"]["drift"] == "undecided"
+    assert report["diagnostics"]["drift"] == "oscillates"
 
 
 def test_roundtrip_exit_1_when_tolerance_unreachable(tmp_path):
@@ -411,6 +411,14 @@ def test_invalid_json_reports_line(tmp_path):
     result = run_cli("factorize", "--config", str(cfg))
     assert result.returncode == 2
     assert "line 3" in result.stderr
+
+
+def test_non_utf8_config_reports_line(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{\n "horizon": 10,\n "note": "caf\xe9"\n}\n')
+    result = run_cli("factorize", "--config", str(cfg))
+    assert result.returncode == 2
+    assert "line 3: config is not UTF-8" in result.stderr
 
 
 def test_missing_config_file_rejected(tmp_path):

@@ -1,4 +1,4 @@
-"""Ladder laws, Wiener-Hopf factors, and the drift/moment diagnostics."""
+"""Ladder laws, Wiener-Hopf factors, and the exponential-moment probes."""
 
 import importlib
 
@@ -13,13 +13,11 @@ from whlab import (
     TruncatedData,
     chi_eval_grid,
     delta,
-    drift_classify,
     eval_transform,
     convolve,
     exp_moment_conditions,
     ladder_law,
     lattice,
-    neg_prob_sequence,
     spitzer_chi_grid,
     split_nonneg,
     truncated_data,
@@ -27,7 +25,7 @@ from whlab import (
     verify_factorization,
 )
 from whlab.errors import DomainError
-from whlab.ladder import DOWNWARD, UPWARD, Drift, default_lambda_grid
+from whlab.ladder import DOWNWARD, UPWARD, default_lambda_grid
 from whlab.lattice import _half_line_walk, zero_measure
 from whlab.reconstruct import _STAB_TOL, _mgf_ratio_points
 
@@ -180,52 +178,6 @@ def test_factorization_at_t_zero_matches_one_minus_s():
         prod = (1 - minus.values[0, 0]) * (1 - plus.values[0, 0])
         bound = plus.bounds[0] + minus.bounds[0]
         assert abs(prod - (1 - s)) <= 3 * bound + 1e-10
-
-
-def test_neg_prob_delta1_all_zero_with_sentinel():
-    seq = neg_prob_sequence(truncated_data(delta(1), 30))
-    assert np.all(seq.values == 0.0)
-    assert seq.fitted_alpha == np.inf
-
-
-def test_neg_prob_aperiodic_drifting_walk_fits_rate():
-    mu = lattice(-1, [0.2, 0.1, 0.7])
-    seq = neg_prob_sequence(truncated_data(mu, 120))
-    assert np.all(seq.values > 0.0)
-    assert seq.fitted_alpha is not None and seq.fitted_alpha > 0.0
-    assert seq.r_squared >= 0.999
-    # large-deviation rate for P(S_n < 0) is -ln inf_theta phi(theta)
-    want = -np.log(0.1 + 2.0 * np.sqrt(0.2 * 0.7))
-    assert seq.fitted_alpha == pytest.approx(want, rel=0.15)
-
-
-def test_neg_prob_periodic_walk_declines_rate_fit():
-    # P(S_n < 0) zig-zags by lattice parity, so the affine-confidence
-    # fit must refuse rather than average the two branches
-    seq = neg_prob_sequence(truncated_data(lattice(-1, [0.2, 0.0, 0.8]), 120))
-    assert seq.fitted_alpha is None
-
-
-def test_neg_prob_symmetric_walk_has_no_rate():
-    seq = neg_prob_sequence(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 200))
-    assert seq.fitted_alpha is None
-    assert seq.values[-1] == pytest.approx(0.5, abs=0.05)
-
-
-def test_neg_prob_path_inequality():
-    for w, lo in (([0.2, 0.0, 0.8], -1), ([0.4, 0.1, 0.5], -1), ([0.25, 0.3, 0.45], -2)):
-        seq = neg_prob_sequence(truncated_data(lattice(lo, w), 60))
-        base = seq.values[0]
-        for n, v in enumerate(seq.values, start=1):
-            assert v >= base**n - 1e-12
-
-
-def test_drift_classify_examples(p5_data):
-    assert drift_classify(truncated_data(delta(1), 80)) is Drift.PLUS
-    assert drift_classify(truncated_data(lattice(-1, [1 / 3] * 3), 80)) is Drift.OSCILLATES
-    assert drift_classify(truncated_data(lattice(-1, [0.7, 0.0, 0.3]), 80)) is Drift.MINUS
-    assert drift_classify(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 80)) is Drift.UNDECIDED
-    assert drift_classify(p5_data) is Drift.MINUS
 
 
 def test_exp_moment_delta1_exact_ratio():

@@ -36,7 +36,7 @@ from whlab.errors import (
 )
 from whlab.generators import geometric_mixture, power_tail_pair, two_point, uniform_window
 from whlab.ladder import Drift
-from whlab.lattice import cross_correlation_direct, sup_distance
+from whlab.lattice import MASS_TOL, cross_correlation_direct, sup_distance
 
 from conftest import random_corpus
 
@@ -142,9 +142,8 @@ def test_recover_skipfree_symmetric():
 
 def test_recover_skipfree_rejects_two_step_down():
     mu = lattice(-2, [0.5, 0.0, 0.0, 0.5])
-    rep = recover_skipfree(truncated_data(mu, 120), truth=mu)
-    assert rep.detected_class == CLASS_NONE
-    assert "reject_reason" in rep.diagnostics
+    with pytest.raises(ClassNotDetected, match="forward powers"):
+        recover_skipfree(truncated_data(mu, 120), truth=mu)
 
 
 def test_recover_skipfree_accepts_drifting_walk():
@@ -159,6 +158,52 @@ def test_recover_skipfree_accepts_drifting_walk():
     assert rep.detected_class == CLASS_SKIP_FREE
 
 
+def _mean_sign(mu):
+    mean = float(mu.indices() @ mu.weights)
+    if abs(mean) <= MASS_TOL:
+        return Drift.OSCILLATES
+    return Drift.PLUS if mean > 0.0 else Drift.MINUS
+
+
+def _skipfree_law(weights, down, zero_mean):
+    w = np.asarray(weights)
+    k = np.arange(w.size)
+    if zero_mean:
+        # mass k @ w at -1 balances the positive part
+        w = w / (w.sum() + k @ w)
+        down = k @ w
+    else:
+        w = w * (1.0 - down) / w.sum()
+    return lattice(-1, np.concatenate([[down], w]))
+
+
+# mass at -1 and weights on 0..6, some laws built to have mean zero
+_skipfree_laws = st.tuples(
+    st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=7, max_size=7).filter(
+        lambda w: sum(w[1:]) > 0.0
+    ),
+    st.floats(0.05, 0.95),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_skipfree_laws, st.integers(2, 40))
+def test_recover_skipfree_drift_is_sign_of_mean(law, horizon):
+    weights, down, zero_mean = law
+    mu = _skipfree_law(weights, down, zero_mean)
+    rep = recover_skipfree(truncated_data(mu, horizon))
+    assert rep.diagnostics["drift"] is _mean_sign(rep.recovered) is _mean_sign(mu)
+    if zero_mean:
+        assert rep.diagnostics["drift"] is Drift.OSCILLATES
+
+
+@pytest.mark.parametrize("detectors", ["skip_free", [], ()])
+def test_auto_reconstruct_refuses_string_or_empty_detectors(detectors):
+    with pytest.raises(DomainError, match="detectors must"):
+        auto_reconstruct(truncated_data(delta(1), 10), detectors=detectors)
+
+
 def test_recover_skipfree_refuted_by_second_power():
     # two_point(-2, 1, .85) and the skip-free candidate lattice(-1, [.15, 0, .85])
     # share r1, so only r2 can tell them apart
@@ -167,11 +212,10 @@ def test_recover_skipfree_refuted_by_second_power():
     candidate = lattice(-1, [0.15, 0.0, 0.85])
     forward = truncated_data(candidate, 2)
     assert sup_distance(forward.restricted_power(1), data.restricted_power(1)) == 0.0
-    rep = recover_skipfree(data)
-    assert rep.detected_class == CLASS_NONE
-    assert rep.residuals["deficit"] == pytest.approx(0.15, abs=1e-15)
+    with pytest.raises(ClassNotDetected, match="forward powers"):
+        recover_skipfree(data)
     r2_gap = sup_distance(forward.restricted_power(2), data.restricted_power(2))
-    assert rep.residuals["consistency_sup"] == r2_gap > 0.1
+    assert r2_gap > 0.1
 
 
 def test_recover_skipfree_refuses_all_zero_data():
