@@ -12,9 +12,9 @@ else. Four structural classes are detected and inverted:
 * triangular: a gap pattern (positive support starting at a+b, second
   power vanishing through a) makes the one-sided correlation system
   triangular and exactly solvable;
-* discrete_cm: a completely monotone positive part turns the correlation
-  sequence into a finite Hausdorff moment problem solved through its
-  geometric atoms, cross-checked against direct kernel inversion.
+* discrete_cm: a completely monotone positive part is the kernel of a
+  nonnegative inversion of the one-sided correlation sequence, accepted
+  only at full design rank and a residual within CONSISTENCY_TOL.
 
 The dispatcher walks the ``DETECTORS`` table (name to detector call),
 which lists the detectors in precedence order, exact before approximate;
@@ -38,13 +38,7 @@ from .errors import (
     DataInconsistencyError,
     DomainError,
 )
-from .ladder import (
-    UPWARD,
-    Drift,
-    exp_moment_conditions,
-    ladder_law,
-    log_restricted_mgf,
-)
+from .ladder import Drift, exp_moment_conditions, log_restricted_mgf
 from .lattice import (
     MASS_TOL,
     LatticeDist,
@@ -77,9 +71,9 @@ DETECTOR_ORDER = tuple(DETECTORS)
 MAX_NEG_WINDOW = 32
 FIT_TOL = 1e-6
 EPS_CM = 1e-10
-EPS_V = 1e-8
 COND_LIMIT = 1e12
-# sup distance within which the skip-free candidate's forward powers match
+# sup distance within which the skip-free candidate's forward powers match,
+# and within which the discrete_cm correlation system must be solved
 CONSISTENCY_TOL = 1e-9
 # mass below this is treated as absent when reading support patterns
 # (iterated large-window convolutions leave roundoff dust in support gaps)
@@ -305,51 +299,6 @@ def recover_exponential(
 # -- skip-free detection -----------------------------------------------------
 
 
-def _skipfree_identity_diagnostics(
-    candidate: LatticeDist, horizon: int
-) -> dict[str, object]:
-    """Renewal-identity diagnostics for an accepted skip-free candidate.
-
-    The overshoot tails of the upward first passage satisfy
-    P(S_tau > n, tau < inf) = sum_r v(r) P(S_1 > n + r) with v identically
-    one exactly in the downward skip-free non-drifting case. The ladder
-    law comes from the candidate's killed-walk DP to the data horizon,
-    which the data determine: the candidate's forward powers match them
-    within CONSISTENCY_TOL. Both the deviation of the v = 1 prediction and
-    a least-squares solve for v are reported; a short positive support
-    leaves the system rank-deficient, which is flagged rather than solved.
-    """
-    r1 = restrict_nonneg(candidate)
-    k_top = r1.max_index
-    if k_top <= 0:
-        return {"v_rank": 0, "v_rank_deficient": True, "v_band": 1.0}
-    law = ladder_law(candidate, UPWARD, horizon)
-    pos = _dense_r1(r1)
-    tail1 = np.concatenate([np.cumsum(pos[::-1])[::-1][1:], [0.0]])
-    # upward overshoots never exceed the largest step, k_top
-    lhs = np.array([law.masses[:, law.heights > n].sum() for n in range(k_top)])
-    band = float(max(0.0, 1.0 - law.total()))
-
-    pred = np.array([tail1[n:].sum() for n in range(k_top)])
-    identity_dev = float(np.abs(lhs - pred).max())
-
-    n_cols = max(1, k_top - 1)
-    idx = np.arange(k_top)[:, None] + np.arange(1, n_cols + 1)[None, :]
-    design = np.where(idx < k_top, tail1[np.minimum(idx, k_top)], 0.0)
-    rank = int(np.linalg.matrix_rank(design, tol=1e-12))
-    out: dict[str, object] = {
-        "v_identity_dev": identity_dev,
-        "v_band": band,
-        "v_rank": rank,
-        "v_rank_deficient": rank < n_cols,
-    }
-    if rank == n_cols:
-        v_hat, *_ = np.linalg.lstsq(design, lhs - tail1[:k_top], rcond=None)
-        out["v_hat"] = v_hat
-        out["v_max_deviation"] = float(np.abs(v_hat - 1.0).max()) if v_hat.size else 0.0
-    return out
-
-
 def recover_skipfree(
     data: TruncatedData, truth: LatticeDist | None = None
 ) -> ReconstructionReport:
@@ -365,8 +314,7 @@ def recover_skipfree(
     do not single out delta(-1). The reported drift is the sign of the
     accepted law's mean (a finite-mean walk drifts that way, and oscillates
     at mean zero), with |mean| <= MASS_TOL, the tolerance of a proper law,
-    read as zero. The renewal-identity diagnostics come from the
-    candidate's own killed-walk DP.
+    read as zero.
     """
     r1 = data.restricted_power(1)
     if r1.is_zero:
@@ -391,7 +339,7 @@ def recover_skipfree(
         drift = Drift.OSCILLATES
     else:
         drift = Drift.PLUS if mean > 0.0 else Drift.MINUS
-    diagnostics = {"drift": drift, **_skipfree_identity_diagnostics(candidate, data.horizon)}
+    diagnostics = {"drift": drift}
     residuals = {"consistency_sup": consistency, "deficit": deficit}
     if truth is not None:
         residuals["tv_distance"] = tv_distance(candidate, truth)
@@ -540,29 +488,18 @@ def _cm_test(seq: np.ndarray):
     return True, None
 
 
-def _fit_geometric_atoms(pos: np.ndarray):
-    from .expfit import pencil_fit
-
-    head = pos[: min(len(pos), 100)]
-    fit = pencil_fit(head)
-    keep = (fit.nodes > 1e-8) & (fit.nodes < 1.0 - 1e-8) & (fit.weights > 1e-12)
-    nodes = fit.nodes[keep]
-    weights = fit.weights[keep]
-    return nodes, weights, fit.residual
-
-
 def recover_cm_discrete(
     data: TruncatedData, truth: LatticeDist | None = None
 ) -> ReconstructionReport:
-    """Recovery when restricted(1) is a mixture of geometric sequences.
+    """Recovery when restricted(1) is completely monotone.
 
-    The correlation sequence is then a Hausdorff-type moment sequence along
-    the mixture atoms: fitting the atoms from restricted(1) turns the
-    unknown tail's generating function values at the atoms into a small
-    linear system. A direct nonnegative kernel inversion of the same
-    correlation runs in parallel and the smaller-residual route wins. A
-    direct winner whose design is rank-deficient does not determine the
-    masses, so it raises ConditioningError rather than claim a recovery.
+    A completely monotone positive part (the paper's case 2) passes the
+    alternating-difference gate; the correlation b(n) with the j = 0 term
+    removed is then inverted against restricted(1) as kernel for
+    nonnegative masses at -1, -2, ... carrying the mass deficit. A
+    rank-deficient design does not determine the masses, so it raises
+    ConditioningError, and a fit whose residual exceeds CONSISTENCY_TOL
+    raises ClassNotDetected. Neither claims a recovery.
     """
     if data.horizon < 2:
         raise ClassNotDetected("correlation sequence needs horizon >= 2")
@@ -583,68 +520,29 @@ def recover_cm_discrete(
         )
     deficit = _deficit(data)
     b_corr = correlation_lhs_from_data(data)
-    b_tilde = _b_tilde(r1, b_corr)
-
-    nodes, node_weights, pencil_residual = _fit_geometric_atoms(pos)
-    atoms = list(zip(nodes.tolist(), node_weights.tolist()))
-
-    direct = correlation_inverse(r1, b_tilde, deficit)
-    routes: dict[str, tuple[np.ndarray, float]] = {
-        "direct": (direct.masses, direct.residual_sup)
-    }
-
-    atom_diag: dict[str, object] = {
-        "atoms": atoms,
-        "pencil_residual": pencil_residual,
-    }
-    if nodes.size > 0 and pencil_residual <= 1e-6 * max(1.0, pos.max()):
-        m_rows = min(len(b_corr), 80)
-        vand = nodes[None, :] ** np.arange(1, m_rows + 1)[:, None]
-        theta, *_ = np.linalg.lstsq(vand, b_corr[:m_rows], rcond=None)
-        targets = theta / node_weights - pos[0]
-        n_unknowns = int(nodes.size)
-        gf = nodes[:, None] ** np.arange(1, n_unknowns + 1)[None, :]
-        scale = max(1.0, float(np.abs(gf).max()))
-        stacked = np.vstack([gf, np.full((1, n_unknowns), 1e3 * scale)])
-        target = np.concatenate([targets, [1e3 * scale * deficit]])
-        x_m, _ = nnls(stacked, target)
-        if deficit > 0.0 and x_m.sum() > 0.0:
-            x_m = x_m * (deficit / x_m.sum())
-        design = _kernel_design(r1, len(b_tilde), range(1, n_unknowns + 1))
-        moment_res = float(np.abs(design @ x_m - b_tilde).max())
-        routes["moment"] = (x_m, moment_res)
-        atom_diag["moment_targets"] = targets
-    else:
-        atom_diag["moment_route_skipped"] = "atom fit unusable"
-
-    chosen = min(routes, key=lambda k: routes[k][1])
-    if chosen == "direct" and direct.rank_deficient:
+    sol = correlation_inverse(r1, _b_tilde(r1, b_corr), deficit)
+    if sol.rank_deficient:
         raise ConditioningError(
-            "direct correlation inversion won with a rank-deficient design "
-            "(rank %d of %d lags)" % (direct.rank, len(direct.masses)),
-            condition_number=direct.condition_number,
+            "correlation inversion has a rank-deficient design "
+            "(rank %d of %d lags)" % (sol.rank, len(sol.masses)),
+            condition_number=sol.condition_number,
         )
-    masses, residual = routes[chosen]
-    recovered = _assemble(r1, masses)
-    residuals = {
-        "system_residual": residual,
-        "direct_residual": routes["direct"][1],
-        "deficit": deficit,
-    }
-    if "moment" in routes:
-        residuals["moment_residual"] = routes["moment"][1]
+    if sol.residual_sup > CONSISTENCY_TOL:
+        raise ClassNotDetected(
+            "the correlation inversion leaves a residual of %.3g"
+            % sol.residual_sup
+        )
+    recovered = _assemble(r1, sol.masses)
+    residuals = {"system_residual": sol.residual_sup, "deficit": deficit}
     if truth is not None:
         residuals["tv_distance"] = tv_distance(recovered, truth)
     diagnostics: dict[str, object] = {
-        "route": chosen,
-        # the correlation moments b(1..M) with the geometric atoms behind them
-        "moments": {"moments": b_corr, "atoms": atoms or None},
-        "direct_rank": direct.rank,
-        "direct_rank_deficient": direct.rank_deficient,
-        "direct_reg_used": direct.reg_used,
-        "direct_window": int(len(direct.masses)),
+        # the correlation moments b(1..M)
+        "moments": b_corr,
+        "rank": sol.rank,
+        "reg_used": sol.reg_used,
+        "window": int(len(sol.masses)),
     }
-    diagnostics.update(atom_diag)
     return ReconstructionReport(CLASS_DISCRETE_CM, recovered, residuals, diagnostics)
 
 

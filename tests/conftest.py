@@ -35,6 +35,20 @@ def random_corpus(count: int, seed: int = CORPUS_SEED) -> list[LatticeDist]:
     return out
 
 
+def cm_shallow_window_law() -> LatticeDist:
+    """Masses on -4..-1 under a three-atom completely monotone positive part.
+
+    The three-atom kernel gives no full-rank lag window as deep as the
+    law, and the widest full-rank one solves the correlation system only
+    to 6.8e-8, with a law tv 0.30 from the truth.
+    """
+    k = np.arange(188)
+    c = np.array([0.17, 0.24, 0.29])
+    w = np.array([0.14, 0.68, 0.18])
+    p = (w[:, None] * (1.0 - c[:, None]) * c[:, None] ** k).sum(axis=0)
+    return lattice(-4, np.concatenate([[0.2, 0.16, 0.1, 0.05], 0.49 * p / p.sum()]))
+
+
 @pytest.fixture(scope="session")
 def corpus100() -> list[LatticeDist]:
     return random_corpus(100)

@@ -7,9 +7,11 @@ session corpus and records PASS or FAIL in the terminal summary block.
 import time
 
 import numpy as np
+import pytest
 
 from conftest import CORPUS_SEED, acceptance_lines
 from whlab import (
+    CLASS_DISCRETE_CM,
     CLASS_NONE,
     CLASS_SKIP_FREE,
     CLASS_TRIANGULAR,
@@ -231,6 +233,16 @@ def test_criterion_4d_discrete_cm_roundtrip():
         ok,
         "worst tv %.3e over %d members" % (worst, len(CM_MEMBERS)),
     )
+
+
+@pytest.mark.parametrize("atoms, weights", CM_MEMBERS)
+def test_cm_members_at_depth_two(atoms, weights):
+    # criterion 4d's shift -1 members are all skip-free; at shift -2 only
+    # the correlation inversion recovers them
+    mu = geometric_mixture(atoms, weights, shift=-2).dist
+    rep = auto_reconstruct(truncated_data(mu, 80), truth=mu)
+    assert rep.detected_class == CLASS_DISCRETE_CM
+    assert rep.residuals["tv_distance"] <= 1e-9
 
 
 def test_criterion_5_degenerate_kernel_honesty():

@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from conftest import cm_shallow_window_law
 from whlab import (
     LatticeDist,
     geometric_mixture,
@@ -102,7 +103,6 @@ def test_roundtrip_skip_free_exact(tmp_path):
     report = json.loads((tmp_path / "out" / "roundtrip_report.json").read_text())
     assert report["detected_class"] == "skip_free"
     assert report["passed"] is True
-    assert report["diagnostics"]["v_rank_deficient"] is True
     assert report["diagnostics"]["drift"] == "oscillates"
 
 
@@ -319,6 +319,14 @@ def test_reconstruct_refuses_rank_deficient_cm_recovery_with_exit_3(tmp_path):
     assert result.returncode == 3, result.stderr
     assert report["detected_class"] == "none"
     assert report["diagnostics"]["detector_verdicts"]["discrete_cm"].startswith("failed")
+
+
+def test_reconstruct_refuses_an_unsolved_cm_system_with_exit_3(tmp_path):
+    result, report = _reconstruct_saved(tmp_path, cm_shallow_window_law(), 40)
+    assert result.returncode == 3, result.stderr
+    assert report["detected_class"] == "none"
+    verdict = report["diagnostics"]["detector_verdicts"]["discrete_cm"]
+    assert verdict.startswith("not_detected: the correlation inversion")
 
 
 @pytest.mark.parametrize("down", [-45, -46])

@@ -37,8 +37,9 @@ from whlab.errors import (
 from whlab.generators import geometric_mixture, power_tail_pair, two_point, uniform_window
 from whlab.ladder import Drift
 from whlab.lattice import MASS_TOL, cross_correlation_direct, sup_distance
+from whlab.reconstruct import CONSISTENCY_TOL
 
-from conftest import random_corpus
+from conftest import cm_shallow_window_law, random_corpus
 
 
 def test_recover_exponential_delta1():
@@ -241,17 +242,6 @@ def test_recover_skipfree_needs_two_powers_to_refute():
     assert rep.residuals["tv_distance"] == 0.0
 
 
-def test_skipfree_identity_holds_within_truncation_band():
-    # zero drift and skip-free downward: v == 1, up to the mass the DP
-    # still carries alive at the horizon
-    mu = lattice(-1, [0.6, 0.1, 0.1, 0.1, 0.1])
-    rep = recover_skipfree(truncated_data(mu, 200))
-    diag = rep.diagnostics
-    assert diag["v_rank"] == 2
-    assert diag["v_rank_deficient"] is False
-    assert 0.0 < diag["v_identity_dev"] <= diag["v_band"] < 0.05
-
-
 def test_correlation_lhs_positive_support_vanishes():
     data = truncated_data(lattice(1, [0.6, 0.4]), 6)
     assert np.max(np.abs(correlation_lhs_from_data(data))) <= 1e-15
@@ -370,9 +360,44 @@ def test_cm_two_atom_mixture():
     data = truncated_data(gen.dist, 60)
     rep = recover_cm_discrete(data, truth=gen.dist)
     assert rep.detected_class == CLASS_DISCRETE_CM
-    nodes = sorted(node for node, _ in rep.diagnostics["atoms"])
-    assert np.allclose(nodes, [0.3, 0.7], atol=1e-3)
     assert rep.residuals["tv_distance"] <= 1e-4
+
+
+@pytest.mark.parametrize("horizon", [2, 40])
+def test_cm_refuses_a_fit_with_a_residual_above_tolerance(horizon):
+    mu = cm_shallow_window_law()
+    data = truncated_data(mu, horizon)
+    with pytest.raises(ClassNotDetected, match="leaves a residual"):
+        recover_cm_discrete(data, truth=mu)
+    rep = auto_reconstruct(data, truth=mu)
+    assert rep.detected_class == CLASS_NONE
+    assert rep.diagnostics["detector_verdicts"]["discrete_cm"].startswith("not_detected")
+
+
+def test_cm_seeded_sweep_hits_are_recoveries():
+    # random laws with a completely monotone positive part: every law the
+    # detector accepts must be the truth, and enough of them are accepted
+    rng = np.random.default_rng(11)
+    hits = 0
+    for _ in range(400):
+        depth = int(rng.integers(1, 5))
+        n_atoms = int(rng.integers(1, 4))
+        c = rng.uniform(0.05, 0.95, n_atoms)
+        w = rng.dirichlet(np.ones(n_atoms))
+        k = np.arange(int(rng.integers(40, 251)))
+        p = (w[:, None] * (1.0 - c[:, None]) * c[:, None] ** k).sum(axis=0)
+        pos_mass = float(rng.uniform(0.2, 0.9))
+        neg = (1.0 - pos_mass) * rng.dirichlet(np.ones(depth))
+        mu = lattice(-depth, np.concatenate([neg, pos_mass * p / p.sum()]))
+        data = truncated_data(mu, int(rng.choice([2, 5, 40, 120])))
+        try:
+            rep = recover_cm_discrete(data, truth=mu)
+        except (ClassNotDetected, ConditioningError):
+            continue
+        hits += 1
+        assert rep.residuals["tv_distance"] <= 1e-4
+        assert rep.residuals["system_residual"] <= CONSISTENCY_TOL
+    assert hits >= 100
 
 
 def test_cm_gate_rejects_sign_changing_differences():
@@ -542,9 +567,9 @@ def test_auto_reconstruct_cm_mixture():
 @pytest.mark.parametrize(
     "atoms, atom_weights, shift", [((0.3, 0.5), (0.5, 0.5), -3), ((0.4,), (1.0,), -2)]
 )
-def test_cm_rank_deficient_direct_route_is_not_a_recovery(atoms, atom_weights, shift):
-    # the direct kernel inversion wins here with a design too narrow to
-    # determine the masses; its answer was off by up to tv 4.5e-2
+def test_cm_rank_deficient_design_is_not_a_recovery(atoms, atom_weights, shift):
+    # the correlation design here is too narrow to determine the masses;
+    # its answer was off by up to tv 4.5e-2
     mu = geometric_mixture(atoms, atom_weights, shift=shift).dist
     data = truncated_data(mu, 40)
     with pytest.raises(ConditioningError, match="rank-deficient"):
