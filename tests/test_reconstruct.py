@@ -567,7 +567,7 @@ def test_auto_reconstruct_cm_mixture():
 @pytest.mark.parametrize(
     "atoms, atom_weights, shift", [((0.3, 0.5), (0.5, 0.5), -3), ((0.4,), (1.0,), -2)]
 )
-def test_cm_rank_deficient_design_is_not_a_recovery(atoms, atom_weights, shift):
+def test_cm_rank_deficient_direct_route_is_not_a_recovery(atoms, atom_weights, shift):
     # the correlation design here is too narrow to determine the masses;
     # its answer was off by up to tv 4.5e-2
     mu = geometric_mixture(atoms, atom_weights, shift=shift).dist
