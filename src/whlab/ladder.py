@@ -120,9 +120,19 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
 
 def _check_s(s: complex) -> float:
     mod = abs(s)
-    if mod >= 1.0:
-        raise DomainError("|s| must be below one, got %r" % s)
+    if not mod < 1.0:  # also refuses nan
+        raise DomainError("|s| must be finite and below one, got %r" % s)
     return mod
+
+
+def _grid_args(s_values, t_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s as complex, t as float, |s|) after the domain checks of a grid."""
+    s_arr = np.asarray(s_values, dtype=complex)
+    t_arr = np.asarray(t_values, dtype=float)
+    mods = np.array([_check_s(s) for s in s_arr], dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise DomainError("t values must be finite")
+    return s_arr, t_arr, mods
 
 
 @dataclass(frozen=True)
@@ -132,21 +142,20 @@ class TransformGrid:
 
 
 def chi_eval_grid(law: LadderLaw, s_values, t_values) -> TransformGrid:
-    """E[s^tau e^{i t S_tau}; tau <= horizon] with tail bound |s|^{N+1}/(1-|s|)."""
-    s_arr = np.asarray(s_values, dtype=complex)
-    t_arr = np.asarray(t_values, dtype=float)
-    mods = np.array([_check_s(s) for s in s_arr])
-    n_idx = np.arange(1, law.horizon + 1)
-    if law.masses.size == 0:
-        vals = np.zeros((len(s_arr), len(t_arr)), dtype=complex)
-    else:
-        phases = np.exp(1j * np.outer(law.heights, t_arr))
-        per_epoch = law.masses.astype(complex) @ phases  # (N, T)
-        s_pow = s_arr[:, None] ** n_idx[None, :]  # (S, N)
-        # row at a time: a batched matmul picks shape-dependent kernels,
-        # and values must not depend on how an s sweep is chunked
-        vals = np.vstack([row @ per_epoch for row in s_pow])
-    bounds = mods ** (law.horizon + 1) / (1.0 - mods)
+    """E[s^tau e^{i t S_tau}; tau <= horizon] with tail bound |s|^{N+1} P(tau > N).
+
+    The epoch masses are summed over s before the height phases are
+    applied, one s row at a time: a batched matmul picks shape-dependent
+    kernels, and a value must not depend on how an s sweep is chunked.
+    """
+    s_arr, t_arr, mods = _grid_args(s_values, t_values)
+    vals = np.zeros((len(s_arr), len(t_arr)), dtype=complex)
+    if law.masses.size:
+        phases = np.exp(1j * np.outer(law.heights, t_arr))  # (W, T)
+        n_idx = np.arange(1, law.horizon + 1)
+        for i, row in enumerate(s_arr[:, None] ** n_idx[None, :]):
+            vals[i] = (row @ law.masses) @ phases
+    bounds = mods ** (law.horizon + 1) * law.survival[law.horizon]
     return TransformGrid(vals, bounds)
 
 
@@ -154,19 +163,21 @@ def spitzer_chi_grid(data: TruncatedData, s_values, t_values) -> TransformGrid:
     """Upward joint transform from half-line data via the log-series.
 
     1 - chi+(s, t) = exp(-sum_{n<=N} (s^n/n) sum_k e^{itk} r_n(k)), with a
-    certified bound on the effect of the dropped n > N series terms.
+    certified bound on the effect of the dropped n > N series terms. The
+    (N, W) table of restricted powers is summed over n for each s first,
+    and only the (S, W) result meets the height phases. The real and the
+    imaginary parts of the weights s^n/n are stacked into one real matrix,
+    so that the table is read once and as it is, never copied to complex.
     """
-    s_arr = np.asarray(s_values, dtype=complex)
-    t_arr = np.asarray(t_values, dtype=float)
-    mods = np.array([_check_s(s) for s in s_arr])
+    s_arr, t_arr, mods = _grid_args(s_values, t_values)
     horizon = data.horizon
     packed = packed_restricted(data)
-    phases = np.exp(1j * np.outer(np.arange(packed.shape[1]), t_arr))
-    a_vals = packed.astype(complex) @ phases  # (N, T)
+    phases = np.exp(1j * np.outer(np.arange(packed.shape[1]), t_arr))  # (W, T)
     n_idx = np.arange(1, horizon + 1)
-    s_pow = (s_arr[:, None] ** n_idx[None, :]) / n_idx[None, :]
-    series = s_pow @ a_vals
-    vals = 1.0 - np.exp(-series)
+    s_pow = (s_arr[:, None] ** n_idx[None, :]) / n_idx[None, :]  # (S, N)
+    parts = np.concatenate([s_pow.real, s_pow.imag]) @ packed  # (2S, W)
+    by_k = parts[: len(s_arr)] + 1j * parts[len(s_arr) :]
+    vals = 1.0 - np.exp(-(by_k @ phases))
     tail = mods ** (horizon + 1) / ((horizon + 1) * (1.0 - mods))
     bounds = tail * np.exp(tail) / (1.0 - mods)
     return TransformGrid(vals, bounds)
@@ -201,12 +212,15 @@ def verify_factorization(
 ) -> FactorizationReport:
     """Evaluate both truncated factors and the identity residual on a grid.
 
-    The certified bound 3 |s|^{N+1} / (1 - |s|) dominates the effect of the
-    two truncated tails on the product, so residuals above bound plus float
-    noise indicate a real defect.
+    Each factor is evaluated by ``chi_eval_grid`` (summed over s before
+    the height phases). Truncating chi+ and chi- at N moves the product
+    (1 - chi-)(1 - chi+) by at most
+    (1 + |s|) |s|^{N+1} (P(tau+ > N) + P(tau- > N)), read from the two
+    ladder laws' survival, since each factor is at most 1 + |s| in modulus
+    and each dropped tail at most |s|^{N+1} P(tau > N). Residuals above
+    that bound plus float noise indicate a real defect.
     """
-    s_arr = np.asarray(s_values, dtype=complex)
-    t_arr = np.asarray(t_values, dtype=float)
+    s_arr, t_arr, mods = _grid_args(s_values, t_values)
     up = ladder_law(mu, UPWARD, horizon)
     down = ladder_law(mu, DOWNWARD, horizon)
     plus = chi_eval_grid(up, s_arr, t_arr).values
@@ -215,8 +229,8 @@ def verify_factorization(
     lhs = 1.0 - s_arr[:, None] * phi[None, :]
     rhs = (1.0 - minus) * (1.0 - plus)
     residuals = np.abs(lhs - rhs)
-    mods = np.abs(s_arr)
-    bounds = 3.0 * mods ** (horizon + 1) / (1.0 - mods)
+    alive = up.survival[horizon] + down.survival[horizon]
+    bounds = (1.0 + mods) * mods ** (horizon + 1) * alive
     return FactorizationReport(horizon, s_arr, t_arr, plus, minus, residuals, bounds)
 
 

@@ -1,6 +1,7 @@
 """Ladder laws, Wiener-Hopf factors, and the exponential-moment probes."""
 
 import importlib
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import whlab.ladder
+from conftest import random_corpus
 from whlab import (
     TruncatedData,
     chi_eval_grid,
@@ -24,6 +26,7 @@ from whlab import (
     two_point,
     verify_factorization,
 )
+from whlab.data import packed_restricted
 from whlab.errors import DomainError
 from whlab.ladder import DOWNWARD, UPWARD, default_lambda_grid
 from whlab.lattice import _half_line_walk, zero_measure
@@ -102,9 +105,82 @@ def test_chi_eval_rejects_s_outside_disk():
 
 
 def test_chi_bound_formula():
+    # SSRW: P(tau+ > 30) = P(S_1 = -1) P(max_{k <= 29} S_k <= 0) = C(29, 14) / 2^30
     law = ladder_law(lattice(-1, [0.5, 0.0, 0.5]), UPWARD, 30)
     got = chi_eval_grid(law, [0.8], [0.0]).bounds[0]
-    assert got == pytest.approx(0.8**31 / 0.2, rel=1e-12)
+    assert got == pytest.approx(0.8**31 * comb(29, 14) / 2.0**30, rel=1e-12)
+
+
+GRID_ROUTES = {
+    "chi_eval_grid": lambda mu, horizon, s, t: chi_eval_grid(
+        ladder_law(mu, UPWARD, horizon), s, t
+    ),
+    "spitzer_chi_grid": lambda mu, horizon, s, t: spitzer_chi_grid(
+        truncated_data(mu, horizon), s, t
+    ),
+    "verify_factorization": lambda mu, horizon, s, t: verify_factorization(
+        mu, s, t, horizon
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(GRID_ROUTES))
+@pytest.mark.parametrize("s", [np.nan, complex(np.nan, 0.0), np.inf, 1.0])
+def test_grids_reject_s_not_inside_disk(route, s):
+    with pytest.raises(DomainError):
+        GRID_ROUTES[route](lattice(-1, [0.3, 0.3, 0.4]), 10, [0.5, s], [0.0])
+
+
+@pytest.mark.parametrize("route", sorted(GRID_ROUTES))
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_grids_reject_non_finite_t(route, t):
+    with pytest.raises(DomainError):
+        GRID_ROUTES[route](lattice(-1, [0.3, 0.3, 0.4]), 10, [0.5], [0.0, t])
+
+
+@pytest.mark.parametrize("route", sorted(GRID_ROUTES))
+def test_grids_on_empty_s_are_empty(route):
+    got = GRID_ROUTES[route](lattice(-1, [0.3, 0.3, 0.4]), 10, [], T_GRID)
+    values = got.chi_plus if route == "verify_factorization" else got.values
+    assert values.shape == (0, len(T_GRID))
+    assert got.bounds.shape == (0,)
+
+
+def _survival_corpus():
+    extra = [lattice(-1, [0.5, 0.0, 0.5]), lattice(-3, [0.1, 0.2, 0.3, 0.1, 0.3])]
+    return random_corpus(6) + extra
+
+
+BOUND_S = np.concatenate([S_GRID, [0.5j, -0.3 + 0.4j, -0.85]])
+
+
+@pytest.mark.parametrize("horizon", [20, 50])
+def test_chi_survival_bound_is_tighter_and_certifies(horizon):
+    mods = np.abs(BOUND_S)
+    old = mods ** (horizon + 1) / (1.0 - mods)
+    for mu in _survival_corpus():
+        for side in (UPWARD, DOWNWARD):
+            short = chi_eval_grid(ladder_law(mu, side, horizon), BOUND_S, T_GRID)
+            long = chi_eval_grid(ladder_law(mu, side, 8 * horizon), BOUND_S, T_GRID)
+            assert np.all(short.bounds <= old)
+            gap = np.abs(short.values - long.values).max(axis=1)
+            assert np.all(gap <= short.bounds + 1e-15)
+
+
+def _factor_product(report):
+    return (1.0 - report.chi_minus) * (1.0 - report.chi_plus)
+
+
+@pytest.mark.parametrize("horizon", [20, 50])
+def test_factorization_survival_bound_is_tighter_and_certifies(horizon):
+    mods = np.abs(BOUND_S)
+    old = 3.0 * mods ** (horizon + 1) / (1.0 - mods)
+    for mu in _survival_corpus():
+        short = verify_factorization(mu, BOUND_S, T_GRID, horizon)
+        long = verify_factorization(mu, BOUND_S, T_GRID, 8 * horizon)
+        assert np.all(short.bounds <= old)
+        gap = np.abs(_factor_product(short) - _factor_product(long)).max(axis=1)
+        assert np.all(gap <= short.bounds + 1e-15)
 
 
 def test_chi_eval_matches_spitzer_on_symmetric_walk():
@@ -141,11 +217,56 @@ def test_cross_oracle_three_point():
 def test_grid_matches_pointwise():
     mu = lattice(-2, [0.3, 0.1, 0.2, 0.4])
     law = ladder_law(mu, UPWARD, 25)
-    grid = chi_eval_grid(law, [0.2, 0.7], [0.0, 1.3])
-    for i, s in enumerate((0.2, 0.7)):
-        for j, t in enumerate((0.0, 1.3)):
-            point = chi_eval_grid(law, [s], [t]).values[0, 0]
-            assert grid.values[i, j] == pytest.approx(point, abs=1e-14)
+    data = truncated_data(mu, 25)
+    s_values = (0.2, 0.7, 0.5j, -0.3 + 0.4j)
+    for grid_fn in (
+        lambda s, t: chi_eval_grid(law, s, t),
+        lambda s, t: spitzer_chi_grid(data, s, t),
+    ):
+        grid = grid_fn(s_values, [0.0, 1.3])
+        for i, s in enumerate(s_values):
+            for j, t in enumerate((0.0, 1.3)):
+                point = grid_fn([s], [t]).values[0, 0]
+                assert grid.values[i, j] == pytest.approx(point, abs=1e-14)
+
+
+def _phase_first_chi(law, s_values, t_values):
+    """Phase-first reference for chi_eval_grid: every epoch row meets the
+    height phases before the sum over s."""
+    s_arr = np.asarray(s_values, dtype=complex)
+    if law.masses.size == 0:
+        return np.zeros((len(s_arr), len(t_values)), dtype=complex)
+    phases = np.exp(1j * np.outer(law.heights, t_values))
+    per_epoch = law.masses.astype(complex) @ phases
+    s_pow = s_arr[:, None] ** np.arange(1, law.horizon + 1)[None, :]
+    return np.vstack([row @ per_epoch for row in s_pow])
+
+
+def _phase_first_spitzer(data, s_values, t_values):
+    """Phase-first reference for spitzer_chi_grid: every row of the
+    restricted-power table meets the phases before the sum over n."""
+    s_arr = np.asarray(s_values, dtype=complex)
+    packed = packed_restricted(data)
+    phases = np.exp(1j * np.outer(np.arange(packed.shape[1]), t_values))
+    a_vals = packed.astype(complex) @ phases
+    n_idx = np.arange(1, data.horizon + 1)
+    s_pow = (s_arr[:, None] ** n_idx[None, :]) / n_idx[None, :]
+    return 1.0 - np.exp(-(s_pow @ a_vals))
+
+
+def test_grids_match_phase_first_reference(corpus100, corpus100_data):
+    s_values = np.concatenate([S_GRID, [0.5j, -0.3 + 0.4j]])
+    worst = 0.0
+    for mu, data in zip(corpus100, corpus100_data):
+        for side in (UPWARD, DOWNWARD):
+            law = ladder_law(mu, side, data.horizon)
+            got = chi_eval_grid(law, s_values, T_GRID).values
+            want = _phase_first_chi(law, s_values, T_GRID)
+            worst = max(worst, float(np.abs(got - want).max()))
+        got = spitzer_chi_grid(data, s_values, T_GRID).values
+        want = _phase_first_spitzer(data, s_values, T_GRID)
+        worst = max(worst, float(np.abs(got - want).max()))
+    assert worst <= 1e-13
 
 
 def test_factorization_delta0_residual_zero():
