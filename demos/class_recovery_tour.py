@@ -16,6 +16,7 @@ from whlab import (
     lattice,
     power_tail_pair,
     truncated_data,
+    tv_distance,
     two_point,
 )
 
@@ -28,8 +29,8 @@ cases = [
 
 for name, mu, horizon in cases:
     data = truncated_data(mu, horizon)
-    report = auto_reconstruct(data, truth=mu)
-    tv = report.residuals.get("tv_distance")
+    report = auto_reconstruct(data)
+    tv = tv_distance(report.recovered, mu)
     print(f"{name:34s} -> {report.detected_class:12s} tv={tv:.2e}")
 
 # a single-geometric kernel makes the correlation system rank one: any

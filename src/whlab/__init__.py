@@ -48,9 +48,7 @@ from .ladder import (
 )
 from .lattice import (
     LatticeDist,
-    convolution_power,
     convolve,
-    cross_correlation_direct,
     delta,
     eval_transform,
     lattice,
@@ -109,11 +107,9 @@ __all__ = [
     "delta",
     "zero_measure",
     "convolve",
-    "convolution_power",
     "split_nonneg",
     "restrict_nonneg",
     "eval_transform",
-    "cross_correlation_direct",
     "tv_distance",
     "sup_distance",
     # data

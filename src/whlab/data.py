@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataInconsistencyError, DomainError
-from .lattice import MASS_TOL, LatticeDist, _half_line_walk, lattice
+from .lattice import MASS_TOL, LatticeDist, _check_int, _half_line_walk, lattice
 
 __all__ = [
     "TruncatedData",
@@ -65,8 +65,7 @@ class TruncatedData:
 
 def truncated_data(mu: LatticeDist, horizon: int) -> TruncatedData:
     """Forward-generate TruncatedData from a fully known distribution."""
-    if horizon < 1:
-        raise DataInconsistencyError("horizon must be at least 1")
+    horizon = _check_int("horizon", horizon, 1)
     walk = _half_line_walk(mu, None, horizon)
     return TruncatedData(horizon, tuple(LatticeDist(k, w) for k, w in walk.crossings))
 

@@ -9,9 +9,10 @@ first passages are tracked, with deliberately asymmetric boundaries:
 Both are realized by one killed-walk dynamic program: convolve the
 surviving sub-law with mu, move the crossing part into the ladder table,
 keep the remainder alive. The joint transform of (tau, S_tau) truncated at
-a horizon carries a certified geometric tail bound, and the same transform
-is reproducible from half-line data alone through the log-series of the
-restricted powers, which is the basis of everything in `reconstruct`.
+a horizon carries a certified tail bound read off the DP's survival
+P(tau > N). The upward transform is also reproducible from half-line data
+alone through the log-series of the restricted powers (`spitzer_chi_grid`),
+which cross-checks the DP; no detector in `reconstruct` reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.special import logsumexp
 
 from .data import TruncatedData, packed_restricted
 from .errors import DomainError
-from .lattice import LatticeDist, _half_line_walk, eval_transform
+from .lattice import LatticeDist, _check_int, _half_line_walk, eval_transform
 
 UPWARD = "upward"
 DOWNWARD = "downward"
@@ -86,10 +87,6 @@ class LadderLaw:
             return 0.0
         return float(self.masses[n - 1, j])
 
-    def total(self) -> float:
-        """P(tau <= horizon)."""
-        return float(self.masses.sum())
-
 
 def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
     """Killed-walk dynamic program for the joint first-passage law.
@@ -100,8 +97,7 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
     _check_side(side)
     if mu.is_zero:
         raise DomainError("step distribution must be nonzero")
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
+    horizon = _check_int("horizon", horizon, 1)
     walk = _half_line_walk(mu, "nonneg" if side == UPWARD else "neg", horizon)
     rows = [(n, offset, w) for n, (offset, w) in enumerate(walk.crossings) if w.size]
     if not rows:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -33,12 +32,9 @@ __all__ = [
     "delta",
     "zero_measure",
     "convolve",
-    "convolve_exact",
-    "convolution_power",
     "split_nonneg",
     "restrict_nonneg",
     "eval_transform",
-    "cross_correlation_direct",
     "tv_distance",
     "sup_distance",
 ]
@@ -170,6 +166,20 @@ def _integer_offset(k) -> int:
     raise DomainError("lattice offset must be an integer, got %r" % (k,))
 
 
+def _check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """value as a Python int in [low, high), else DomainError."""
+    if not isinstance(value, bool):
+        try:
+            k = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if k >= low and (high is None or k < high):
+                return k
+    bounds = "[%d, %s)" % (low, "inf" if high is None else "%d" % high)
+    raise DomainError("%s must be an integer in %s, got %r" % (name, bounds, value))
+
+
 def _clamp_negatives(w: np.ndarray) -> None:
     """Zero tiny negative weights in place; raise below -1e-10."""
     neg = w < 0.0
@@ -234,41 +244,6 @@ def convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
     if a.is_zero or b.is_zero:
         return zero_measure()
     return lattice(a.offset + b.offset, _convolve_raw(a.weights, b.weights))
-
-
-def convolve_exact(a: LatticeDist, b: LatticeDist) -> tuple[int, list[Fraction]]:
-    """Exact-rational direct convolution, for oracle use in tests.
-
-    Float weights are taken at their exact binary values. Returns the
-    untrimmed (offset, coefficient) pair.
-    """
-    if a.is_zero or b.is_zero:
-        return (0, [])
-    fa = [Fraction(float(x)) for x in a.weights]
-    fb = [Fraction(float(x)) for x in b.weights]
-    out = [Fraction(0)] * (len(fa) + len(fb) - 1)
-    for i, x in enumerate(fa):
-        if x == 0:
-            continue
-        for j, y in enumerate(fb):
-            out[i + j] += x * y
-    return (a.offset + b.offset, out)
-
-
-def convolution_power(mu: LatticeDist, n: int) -> LatticeDist:
-    """n-fold convolution power by binary exponentiation; n = 0 gives delta_0."""
-    if n < 0:
-        raise DomainError("convolution power needs n >= 0")
-    result = delta(0)
-    base = mu
-    k = n
-    while k:
-        if k & 1:
-            result = convolve(result, base)
-        k >>= 1
-        if k:
-            base = convolve(base, base)
-    return result
 
 
 # -- restriction ---------------------------------------------------------
@@ -354,27 +329,6 @@ def eval_transform(mu: LatticeDist, base: complex) -> complex:
         return 0j
     powers = np.power(complex(base), mu.indices().astype(float))
     return complex(np.dot(mu.weights, powers))
-
-
-# -- half-line cross-correlation ------------------------------------------
-
-
-def cross_correlation_direct(mu: LatticeDist, n: int) -> float:
-    """sum_{k <= 0} mu(n - k) mu(k), computed by direct summation.
-
-    The reference for the half-line identity that
-    ``reconstruct.correlation_lhs_from_data`` evaluates from r1 and r2.
-    """
-    if n < 1:
-        raise DomainError("cross-correlation is defined for n >= 1")
-    if mu.is_zero:
-        return 0.0
-    lo = max(mu.min_index, n - mu.max_index)
-    hi = min(0, mu.max_index, n - mu.min_index)
-    if lo > hi:
-        return 0.0
-    k = np.arange(lo, hi + 1)
-    return float(np.dot(mu.weights[k - mu.offset], mu.weights[(n - k) - mu.offset]))
 
 
 # -- distances -----------------------------------------------------------

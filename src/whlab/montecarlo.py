@@ -13,14 +13,13 @@ recorded, with explicit censoring when max_steps is hit.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InsufficientSamplesError
 from .ladder import UPWARD, LadderLaw, _check_side
-from .lattice import LatticeDist
+from .lattice import LatticeDist, _check_int
 
 __all__ = [
     "WalkSample",
@@ -44,20 +43,6 @@ _GUIDE_BITS = 12
 # run at once. Each element holds about 40 bytes of temporaries (hash,
 # bucket, position, flags), so a block's temporaries stay near 1.3 MB.
 _BLOCK_ELEMENTS = 1 << 15
-
-
-def _check_int(name: str, value, low: int, high: int | None = None) -> int:
-    """value as a Python int in [low, high), else DomainError."""
-    if not isinstance(value, bool):
-        try:
-            k = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if k >= low and (high is None or k < high):
-                return k
-    bounds = "[%d, %s)" % (low, "inf" if high is None else "%d" % high)
-    raise DomainError("%s must be an integer in %s, got %r" % (name, bounds, value))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Recovery of a step distribution from its half-line convolution powers.
 
-Everything here consumes a :class:`~whlab.data.TruncatedData` and nothing
-else. Four structural classes are detected and inverted:
+Every detector, and the dispatcher over them, reads a
+:class:`~whlab.data.TruncatedData` and nothing else: the true law never
+enters, so a caller that knows it scores a recovery itself (with
+``lattice.tv_distance``). Four structural classes are detected and
+inverted:
 
 * exponential: a certified moment generating value in (1, infinity) lets
   the ratio of successive restricted moment generating values recover the
@@ -19,8 +22,9 @@ else. Four structural classes are detected and inverted:
 The dispatcher walks the ``DETECTORS`` table (name to detector call),
 which lists the detectors in precedence order, exact before approximate;
 it runs every enabled detector once and the first hit labels the data.
-Reported residuals and rank flags are the honesty layer: a rank-deficient
-kernel yields a flag, never a fabricated answer.
+With no hit the report is ``none``: no law, no residuals, only the
+detector verdicts. Reported residuals and rank flags are the honesty
+layer: a rank-deficient kernel yields a flag, never a fabricated answer.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .lattice import (
     lattice,
     restrict_nonneg,
     sup_distance,
-    tv_distance,
     zero_measure,
 )
 
@@ -61,10 +64,10 @@ CLASS_NONE = "none"
 # rebinding a module attribute (as tracers and test spies do) reaches the
 # dispatcher too
 DETECTORS = {
-    "skip_free": lambda data, truth: recover_skipfree(data, truth=truth),
-    "triangular": lambda data, truth: recover_triangular(data, truth=truth),
-    "exponential": lambda data, truth: recover_exponential(data, truth=truth),
-    "discrete_cm": lambda data, truth: recover_cm_discrete(data, truth=truth),
+    "skip_free": lambda data: recover_skipfree(data),
+    "triangular": lambda data: recover_triangular(data),
+    "exponential": lambda data: recover_exponential(data),
+    "discrete_cm": lambda data: recover_cm_discrete(data),
 }
 DETECTOR_ORDER = tuple(DETECTORS)
 
@@ -137,16 +140,6 @@ def _kernel_design(kernel: LatticeDist, n_rows: int, lags) -> np.ndarray:
     idx = np.arange(1, n_rows + 1)[:, None] + np.asarray(lags, dtype=int)[None, :]
     inside = (idx >= 0) & (idx < len(dense))
     return np.where(inside, dense[np.clip(idx, 0, len(dense) - 1)], 0.0)
-
-
-def _b_tilde(r1: LatticeDist, b_corr: np.ndarray) -> np.ndarray:
-    """b(n) - mu(0) r1(n) for n = 1..min(len(b), top of r1).
-
-    Removes the j = 0 term of the one-sided correlation, leaving the part
-    carried by the unknown masses at -1, -2, ...
-    """
-    usable = min(len(b_corr), max(1, r1.max_index))
-    return b_corr[:usable] - r1.mass(0) * _kernel_design(r1, usable, [0])[:, 0]
 
 
 def _first_visible(r: LatticeDist) -> int | None:
@@ -247,9 +240,7 @@ def _window_search(points: np.ndarray, rhs: np.ndarray, total: float):
     )
 
 
-def recover_exponential(
-    data: TruncatedData, truth: LatticeDist | None = None
-) -> ReconstructionReport:
+def recover_exponential(data: TruncatedData) -> ReconstructionReport:
     """Transform-route recovery under a moment certificate.
 
     A certified moment generating value above one (the hypothesis of the
@@ -285,8 +276,6 @@ def recover_exponential(
         "relative_residual": sup / max(1.0, float(np.abs(rhs).max())),
         "deficit": deficit,
     }
-    if truth is not None:
-        residuals["tv_distance"] = tv_distance(recovered, truth)
     diagnostics = {
         "negative_window": width,
         "b_witness": conditions.b_witness,
@@ -299,9 +288,7 @@ def recover_exponential(
 # -- skip-free detection -----------------------------------------------------
 
 
-def recover_skipfree(
-    data: TruncatedData, truth: LatticeDist | None = None
-) -> ReconstructionReport:
+def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
     """Detect and invert the class with negative support exactly {-1}.
 
     The mass deficit of restricted(1) pins the only admissible candidate,
@@ -341,8 +328,6 @@ def recover_skipfree(
         drift = Drift.PLUS if mean > 0.0 else Drift.MINUS
     diagnostics = {"drift": drift}
     residuals = {"consistency_sup": consistency, "deficit": deficit}
-    if truth is not None:
-        residuals["tv_distance"] = tv_distance(candidate, truth)
     return ReconstructionReport(CLASS_SKIP_FREE, candidate, residuals, diagnostics)
 
 
@@ -488,9 +473,7 @@ def _cm_test(seq: np.ndarray):
     return True, None
 
 
-def recover_cm_discrete(
-    data: TruncatedData, truth: LatticeDist | None = None
-) -> ReconstructionReport:
+def recover_cm_discrete(data: TruncatedData) -> ReconstructionReport:
     """Recovery when restricted(1) is completely monotone.
 
     A completely monotone positive part (the paper's case 2) passes the
@@ -520,7 +503,11 @@ def recover_cm_discrete(
         )
     deficit = _deficit(data)
     b_corr = correlation_lhs_from_data(data)
-    sol = correlation_inverse(r1, _b_tilde(r1, b_corr), deficit)
+    # b(n) - mu(0) r1(n) for n = 1..min(len(b), top of r1): removing the
+    # j = 0 correlation term leaves the part carried by the masses at -1, -2, ...
+    usable = min(len(b_corr), len(pos) - 1)
+    b_tilde = b_corr[:usable] - pos[0] * pos[1 : usable + 1]
+    sol = correlation_inverse(r1, b_tilde, deficit)
     if sol.rank_deficient:
         raise ConditioningError(
             "correlation inversion has a rank-deficient design "
@@ -534,8 +521,6 @@ def recover_cm_discrete(
         )
     recovered = _assemble(r1, sol.masses)
     residuals = {"system_residual": sol.residual_sup, "deficit": deficit}
-    if truth is not None:
-        residuals["tv_distance"] = tv_distance(recovered, truth)
     diagnostics: dict[str, object] = {
         # the correlation moments b(1..M)
         "moments": b_corr,
@@ -549,9 +534,7 @@ def recover_cm_discrete(
 # -- triangular (gap-pattern) recovery ---------------------------------------
 
 
-def recover_triangular(
-    data: TruncatedData, truth: LatticeDist | None = None
-) -> ReconstructionReport:
+def recover_triangular(data: TruncatedData) -> ReconstructionReport:
     """Exact solve when the support pattern makes the correlation triangular.
 
     Reads a and b off the data: the second power vanishes exactly on 0..a,
@@ -611,8 +594,6 @@ def recover_triangular(
         "unassigned_mass": unassigned,
         "deficit": deficit,
     }
-    if truth is not None:
-        residuals["tv_distance"] = tv_distance(recovered, truth)
     diagnostics: dict[str, object] = {
         "a": int(a),
         "b": int(b),
@@ -755,18 +736,14 @@ def deconvolve_extension(extended: TruncatedData, nu: LatticeDist) -> Deconvolve
 # -- dispatcher ---------------------------------------------------------------
 
 
-def auto_reconstruct(
-    data: TruncatedData,
-    detectors=None,
-    truth: LatticeDist | None = None,
-) -> ReconstructionReport:
+def auto_reconstruct(data: TruncatedData, detectors=None) -> ReconstructionReport:
     """Run the class detectors and return the first hit in ``DETECTORS`` order.
 
     Every enabled detector runs once and its verdict is attached; the
     exact classes (skip_free, triangular) come first, then the
-    exponential transform route, then discrete_cm. With no hit the
-    generic correlation inversion is reported as diagnostics only, never
-    as a recovery. ``detectors`` is None for all of them, or a nonempty
+    exponential transform route, then discrete_cm. With no hit the report
+    is ``none``: no recovered law, no residuals, and the verdicts as its
+    only diagnostics. ``detectors`` is None for all of them, or a nonempty
     collection of names from ``DETECTOR_ORDER``.
     """
     if isinstance(detectors, str):
@@ -784,7 +761,7 @@ def auto_reconstruct(
             verdicts[name] = "disabled"
             continue
         try:
-            report = detector(data, truth)
+            report = detector(data)
         except ClassNotDetected as exc:
             verdicts[name] = "not_detected: %s" % exc
             continue
@@ -795,26 +772,7 @@ def auto_reconstruct(
         if hit is None:
             hit = report
 
-    if hit is not None:
-        diagnostics = {**hit.diagnostics, "detector_verdicts": verdicts}
-        return replace(hit, diagnostics=diagnostics)
-
-    diagnostics = {"detector_verdicts": verdicts}
-    residuals: dict[str, float] = {}
-    try:
-        r1 = data.restricted_power(1)
-        if not r1.is_zero and data.horizon >= 2:
-            b_tilde = _b_tilde(r1, correlation_lhs_from_data(data))
-            generic = correlation_inverse(r1, b_tilde, _deficit(data))
-            diagnostics["generic_inverse"] = {
-                "masses": generic.masses,
-                "lags": generic.lags,
-                "rank": generic.rank,
-                "rank_deficient": generic.rank_deficient,
-                "residual_sup": generic.residual_sup,
-                "reg_used": generic.reg_used,
-            }
-            residuals["generic_residual"] = generic.residual_sup
-    except (DomainError, DataInconsistencyError):
-        pass
-    return ReconstructionReport(CLASS_NONE, None, residuals, diagnostics)
+    if hit is None:
+        return ReconstructionReport(CLASS_NONE, None, {}, {"detector_verdicts": verdicts})
+    diagnostics = {**hit.diagnostics, "detector_verdicts": verdicts}
+    return replace(hit, diagnostics=diagnostics)

@@ -1,0 +1,61 @@
+"""Slow, obviously correct references that the tests check the library against."""
+
+from fractions import Fraction
+
+import numpy as np
+
+from whlab import LatticeDist, convolve, delta
+from whlab.errors import DomainError
+
+
+def convolve_exact(a: LatticeDist, b: LatticeDist) -> tuple[int, list[Fraction]]:
+    """Exact-rational direct convolution.
+
+    Float weights are taken at their exact binary values. Returns the
+    untrimmed (offset, coefficient) pair.
+    """
+    if a.is_zero or b.is_zero:
+        return (0, [])
+    fa = [Fraction(float(x)) for x in a.weights]
+    fb = [Fraction(float(x)) for x in b.weights]
+    out = [Fraction(0)] * (len(fa) + len(fb) - 1)
+    for i, x in enumerate(fa):
+        if x == 0:
+            continue
+        for j, y in enumerate(fb):
+            out[i + j] += x * y
+    return (a.offset + b.offset, out)
+
+
+def convolution_power(mu: LatticeDist, n: int) -> LatticeDist:
+    """n-fold convolution power by binary exponentiation; n = 0 gives delta_0."""
+    if n < 0:
+        raise DomainError("convolution power needs n >= 0")
+    result = delta(0)
+    base = mu
+    k = n
+    while k:
+        if k & 1:
+            result = convolve(result, base)
+        k >>= 1
+        if k:
+            base = convolve(base, base)
+    return result
+
+
+def cross_correlation_direct(mu: LatticeDist, n: int) -> float:
+    """sum_{k <= 0} mu(n - k) mu(k), computed by direct summation.
+
+    The reference for the half-line identity that
+    ``reconstruct.correlation_lhs_from_data`` evaluates from r1 and r2.
+    """
+    if n < 1:
+        raise DomainError("cross-correlation is defined for n >= 1")
+    if mu.is_zero:
+        return 0.0
+    lo = max(mu.min_index, n - mu.max_index)
+    hi = min(0, mu.max_index, n - mu.min_index)
+    if lo > hi:
+        return 0.0
+    k = np.arange(lo, hi + 1)
+    return float(np.dot(mu.weights[k - mu.offset], mu.weights[(n - k) - mu.offset]))

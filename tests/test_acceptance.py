@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import CORPUS_SEED, acceptance_lines
+from reference import cross_correlation_direct
 from whlab import (
     CLASS_DISCRETE_CM,
     CLASS_NONE,
@@ -23,7 +24,6 @@ from whlab import (
     convolve,
     correlation_inverse,
     correlation_lhs_from_data,
-    cross_correlation_direct,
     deconvolve_extension,
     delta,
     extend_by_negative,
@@ -37,6 +37,7 @@ from whlab import (
     sample_ladder,
     spitzer_chi_grid,
     truncated_data,
+    tv_distance,
     two_point,
     verify_factorization,
 )
@@ -129,10 +130,10 @@ def test_criterion_4a_skipfree_roundtrip():
     exact = 0
     worst = 0.0
     for mu in members:
-        rep = auto_reconstruct(truncated_data(mu, HORIZON), truth=mu)
+        rep = auto_reconstruct(truncated_data(mu, HORIZON))
         if rep.detected_class == CLASS_SKIP_FREE:
             exact += 1
-            worst = max(worst, rep.residuals["tv_distance"])
+            worst = max(worst, tv_distance(rep.recovered, mu))
         else:
             worst = np.inf
     # delta(-1) is skip-free but lives on the negative half-line: its data
@@ -168,8 +169,8 @@ def test_criterion_4b_exponential_roundtrip():
     worst = 0.0
     for down, up, p_up in TWO_POINT_MEMBERS:
         mu = two_point(down, up, p_up).dist
-        rep = recover_exponential(truncated_data(mu, HORIZON), truth=mu)
-        worst = max(worst, rep.residuals["tv_distance"])
+        rep = recover_exponential(truncated_data(mu, HORIZON))
+        worst = max(worst, tv_distance(rep.recovered, mu))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6
     assert _record(
@@ -180,7 +181,7 @@ def test_criterion_4b_exponential_roundtrip():
 
 
 def test_criterion_4c_triangular_roundtrip(p5_dist, p5_data):
-    rep = recover_triangular(p5_data, truth=p5_dist)
+    rep = recover_triangular(p5_data)
     dev = max(
         abs(rep.recovered.mass(-2) - p5_dist.mass(-2)),
         abs(rep.recovered.mass(-1) - p5_dist.mass(-1)),
@@ -225,8 +226,8 @@ def test_criterion_4d_discrete_cm_roundtrip():
     worst = 0.0
     for atoms, weights in CM_MEMBERS:
         mu = geometric_mixture(atoms, weights).dist
-        rep = recover_cm_discrete(truncated_data(mu, 80), truth=mu)
-        worst = max(worst, rep.residuals["tv_distance"])
+        rep = recover_cm_discrete(truncated_data(mu, 80))
+        worst = max(worst, tv_distance(rep.recovered, mu))
     ok = worst <= 1e-4
     assert _record(
         "4d discrete-cm round trip",
@@ -240,9 +241,9 @@ def test_cm_members_at_depth_two(atoms, weights):
     # criterion 4d's shift -1 members are all skip-free; at shift -2 only
     # the correlation inversion recovers them
     mu = geometric_mixture(atoms, weights, shift=-2).dist
-    rep = auto_reconstruct(truncated_data(mu, 80), truth=mu)
+    rep = auto_reconstruct(truncated_data(mu, 80))
     assert rep.detected_class == CLASS_DISCRETE_CM
-    assert rep.residuals["tv_distance"] <= 1e-9
+    assert tv_distance(rep.recovered, mu) <= 1e-9
 
 
 def test_criterion_5_degenerate_kernel_honesty():

@@ -14,13 +14,14 @@ from whlab import (
     LatticeDist,
     geometric_mixture,
     lattice,
+    make_distribution,
     power_tail_pair,
     save_data_dir,
     truncated_data,
     tv_distance,
     two_point,
 )
-from whlab.cli import main
+from whlab.cli import _json_17g, main
 
 
 class CliResult(NamedTuple):
@@ -127,6 +128,31 @@ def test_roundtrip_exit_1_when_tolerance_unreachable(tmp_path):
     report = json.loads((tmp_path / "out" / "roundtrip_report.json").read_text())
     assert report["detected_class"] == "discrete_cm"
     assert report["passed"] is False
+
+
+ROUNDTRIP_LAWS = {
+    "skip_free": ("two_point", {"down": -1, "up": 1, "p_up": 0.5}),
+    "exponential": ("two_point", {"down": -2, "up": 1, "p_up": 0.85}),
+    "triangular": ("power_tail_pair", {}),
+    "discrete_cm": (
+        "geometric_mixture",
+        {"atoms": [0.3, 0.7], "atom_weights": [0.45, 0.55], "shift": -2},
+    ),
+}
+
+
+@pytest.mark.parametrize("expected", sorted(ROUNDTRIP_LAWS))
+def test_roundtrip_tv_is_the_distance_of_the_written_law(tmp_path, expected):
+    family, parameters = ROUNDTRIP_LAWS[expected]
+    doc = {"distribution": {"family": family, "parameters": parameters}, "horizon": 60}
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    result = run_cli("roundtrip", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "out" / "roundtrip_report.json").read_text())
+    assert report["detected_class"] == expected
+    recovered = LatticeDist.from_dict(report["recovered"])
+    truth = make_distribution(family, parameters).dist
+    assert report["residuals"]["tv_distance"] == tv_distance(recovered, truth)
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +385,25 @@ def test_reconstruct_two_powers_do_not_reach_the_exponential_class(tmp_path):
     assert report["detected_class"] == "none"
     verdict = report["diagnostics"]["detector_verdicts"]["exponential"]
     assert verdict.startswith("not_detected")
+
+
+def test_reconstruct_none_report_holds_only_the_verdicts(tmp_path):
+    # atoms at -2 and -1, nothing at 0 and an n^-3 tail on 1..100, as in the
+    # reconstruct benchmark: no detector's class
+    tail = np.arange(1, 101, dtype=float) ** -3
+    mu = lattice(-2, np.concatenate([[0.3, 0.2, 0.0], 0.5 * tail / tail.sum()]))
+    result, report = _reconstruct_saved(tmp_path, mu, 40)
+    assert result.returncode == 3, result.stderr
+    assert report["detected_class"] == "none"
+    assert report["residuals"] == {}
+    assert set(report["diagnostics"]) == {"detector_verdicts"}
+
+
+@pytest.mark.parametrize("value", [object(), 1j])
+def test_report_serializer_refuses_a_type_no_report_holds(value):
+    # a repr (with an address) would make bodies differ between runs
+    with pytest.raises(TypeError):
+        _json_17g(value)
 
 
 def test_reconstruct_all_zero_data_is_none(tmp_path):

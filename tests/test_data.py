@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from whlab import (
     TruncatedData,
-    convolution_power,
     lattice,
     load_data_dir,
     restrict_nonneg,
@@ -21,6 +20,8 @@ from whlab import (
 )
 from whlab.data import packed_restricted
 from whlab.errors import DataInconsistencyError, DomainError
+
+from reference import convolution_power
 
 
 def test_restricted_powers_match_direct_powers():

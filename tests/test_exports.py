@@ -1,7 +1,9 @@
 """Every exported name resolves, so a stale ``__all__`` entry cannot linger;
-importing the package pulls in no scipy submodule it does not use."""
+importing the package pulls in no scipy submodule it does not use; recovery
+takes no true law."""
 
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -29,3 +31,11 @@ def test_import_does_not_load_scipy_signal():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_recovery_takes_no_true_law():
+    # recovery reads half-line data only; a caller that knows the law scores it
+    module = importlib.import_module("whlab.reconstruct")
+    functions = [getattr(module, n) for n in module.__all__]
+    for fn in filter(inspect.isfunction, functions):
+        assert "truth" not in inspect.signature(fn).parameters, fn.__name__

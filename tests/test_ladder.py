@@ -45,7 +45,7 @@ def _catalan(n):
 def test_ladder_law_delta0_all_mass_at_first_epoch():
     law = ladder_law(delta(0), UPWARD, 5)
     assert law.mass(1, 0) == 1.0
-    assert law.total() == 1.0
+    assert law.masses.sum() == 1.0
 
 
 def test_ladder_law_symmetric_two_point_first_epochs():
@@ -56,7 +56,7 @@ def test_ladder_law_symmetric_two_point_first_epochs():
 
 def test_ladder_law_delta1_downward_is_zero():
     law = ladder_law(delta(1), DOWNWARD, 10)
-    assert law.total() == 0.0
+    assert law.masses.sum() == 0.0
 
 
 def test_downward_epochs_follow_catalan_counts():
@@ -144,6 +144,67 @@ def test_grids_on_empty_s_are_empty(route):
     values = got.chi_plus if route == "verify_factorization" else got.values
     assert values.shape == (0, len(T_GRID))
     assert got.bounds.shape == (0,)
+
+
+@pytest.mark.parametrize("route", sorted(GRID_ROUTES))
+@pytest.mark.parametrize(
+    "horizon", [2.5, 3.0, True, np.float64(3), 0], ids=["2.5", "3.0", "True", "f64", "0"]
+)
+def test_grids_reject_a_horizon_that_is_not_a_positive_integer(route, horizon):
+    with pytest.raises(DomainError, match="horizon must be an integer"):
+        GRID_ROUTES[route](lattice(-1, [0.3, 0.3, 0.4]), horizon, [0.5], [0.0])
+
+
+@pytest.mark.parametrize("route", sorted(GRID_ROUTES))
+def test_grids_accept_a_numpy_integer_horizon(route):
+    mu = lattice(-1, [0.3, 0.3, 0.4])
+    got = GRID_ROUTES[route](mu, np.int64(3), S_GRID, T_GRID)
+    want = GRID_ROUTES[route](mu, 3, S_GRID, T_GRID)
+    key = "chi_plus" if route == "verify_factorization" else "values"
+    assert np.array_equal(getattr(got, key), getattr(want, key))
+    assert np.array_equal(got.bounds, want.bounds)
+
+
+# proper laws on windows inside [-6, 6], about 30% of the atoms zero
+_window_laws = (
+    st.integers(-6, 6)
+    .flatmap(
+        lambda lo: st.tuples(
+            st.just(lo),
+            st.lists(
+                st.tuples(st.integers(0, 9), st.floats(0.01, 1.0)).map(
+                    lambda p: 0.0 if p[0] < 3 else p[1]
+                ),
+                min_size=1,
+                max_size=7 - lo,
+            ),
+        )
+    )
+    .filter(lambda t: sum(t[1]) > 0.0)
+    .map(lambda t: lattice(t[0], np.asarray(t[1]) / sum(t[1])))
+)
+_disk_points = st.tuples(st.floats(0.0, 0.97), st.floats(0.0, 2.0 * np.pi)).map(
+    lambda p: p[0] * np.exp(1j * p[1])
+)
+# both routes build each phase e^{ikt} from the rounded product k t, whose
+# error grows with |t|: past |t| ~ 1e6 it outgrows the 1e-10 slack (at
+# t = 4.7e14 the routes part by 1.1e-7 on delta(1)), and up to 1e3 a 3,000-law
+# sweep stayed 1.1e-13 inside it
+_real_t = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _window_laws,
+    st.integers(1, 60),
+    st.lists(_disk_points, min_size=1, max_size=3),
+    st.lists(_real_t, min_size=1, max_size=3),
+)
+def test_transform_routes_agree_within_their_bounds(mu, horizon, s, t):
+    dp = chi_eval_grid(ladder_law(mu, UPWARD, horizon), s, t)
+    series = spitzer_chi_grid(truncated_data(mu, horizon), s, t)
+    allowed = (dp.bounds + series.bounds)[:, None] + 1e-10
+    assert np.all(np.abs(dp.values - series.values) <= allowed)
 
 
 def _survival_corpus():

@@ -2,7 +2,6 @@
 
 import importlib
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from whlab import (
     LatticeDist,
-    convolution_power,
     convolve,
     delta,
     eval_transform,
@@ -23,7 +21,9 @@ from whlab import (
     zero_measure,
 )
 from whlab.errors import DomainError, SizeLimitError
-from whlab.lattice import _trim, convolve_exact
+from whlab.lattice import _trim
+
+from reference import convolution_power, convolve_exact
 
 
 def test_canonical_window_trims_exact_zero_edges():

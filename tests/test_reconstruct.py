@@ -36,32 +36,33 @@ from whlab.errors import (
 )
 from whlab.generators import geometric_mixture, power_tail_pair, two_point, uniform_window
 from whlab.ladder import Drift
-from whlab.lattice import MASS_TOL, cross_correlation_direct, sup_distance
+from whlab.lattice import MASS_TOL, sup_distance
 from whlab.reconstruct import CONSISTENCY_TOL
 
 from conftest import cm_shallow_window_law, random_corpus
+from reference import cross_correlation_direct
 
 
 def test_recover_exponential_delta1():
-    rep = recover_exponential(truncated_data(delta(1), 60), truth=delta(1))
+    rep = recover_exponential(truncated_data(delta(1), 60))
     assert rep.detected_class == CLASS_EXPONENTIAL
-    assert rep.residuals["tv_distance"] <= 1e-12
+    assert tv_distance(rep.recovered, delta(1)) <= 1e-12
 
 
 def test_recover_exponential_two_point_drift():
     mu = lattice(-1, [0.2, 0.0, 0.8])
-    rep = recover_exponential(truncated_data(mu, 200), truth=mu)
+    rep = recover_exponential(truncated_data(mu, 200))
     assert rep.detected_class == CLASS_EXPONENTIAL
-    assert rep.residuals["tv_distance"] <= 1e-6
+    assert tv_distance(rep.recovered, mu) <= 1e-6
 
 
 def test_recover_exponential_bounded_support_zero_mean(ssrw, ssrw_data):
     # bounded support away from delta_0 always carries a finite moment
     # generating value above one, so the moment route applies even with
     # zero drift
-    rep = recover_exponential(ssrw_data, truth=ssrw)
+    rep = recover_exponential(ssrw_data)
     assert rep.detected_class == CLASS_EXPONENTIAL
-    assert rep.residuals["tv_distance"] <= 1e-10
+    assert tv_distance(rep.recovered, ssrw) <= 1e-10
 
 
 def test_recover_exponential_heavy_tail_refuses(p5_data):
@@ -73,9 +74,9 @@ def test_recover_exponential_deep_negative_support():
     # ratio-statistic noise once drove the search past the true window
     # into an overfitted wide one; the nonnegative fit must stop at W=3
     mu = lattice(-3, [0.15, 0.0, 0.0, 0.0, 0.85])
-    rep = recover_exponential(truncated_data(mu, 200), truth=mu)
+    rep = recover_exponential(truncated_data(mu, 200))
     assert rep.diagnostics["negative_window"] == 3
-    assert rep.residuals["tv_distance"] <= 1e-6
+    assert tv_distance(rep.recovered, mu) <= 1e-6
 
 
 def test_recover_exponential_never_returns_bad_fit():
@@ -83,7 +84,7 @@ def test_recover_exponential_never_returns_bad_fit():
     # can explain the transform data and the fit must refuse
     mu = lattice(-40, np.concatenate([[0.03], np.zeros(40), [0.97]]))
     with pytest.raises(ConditioningError):
-        recover_exponential(truncated_data(mu, 200), truth=mu)
+        recover_exponential(truncated_data(mu, 200))
 
 
 @pytest.mark.parametrize("horizon", [40, 120])
@@ -91,8 +92,8 @@ def test_recover_exponential_uniform_window(horizon):
     # P(S_n < 0) decays geometrically here, but the law is recovered
     # through its moment certificate like any other exponential member
     mu = uniform_window(-2, 3).dist
-    rep = recover_exponential(truncated_data(mu, horizon), truth=mu)
-    assert rep.residuals["tv_distance"] <= 1e-6
+    rep = recover_exponential(truncated_data(mu, horizon))
+    assert tv_distance(rep.recovered, mu) <= 1e-6
 
 
 @pytest.mark.parametrize("index", [7, 36, 57, 95])
@@ -100,9 +101,9 @@ def test_exponential_corpus_laws_recovered_within_class_tolerance(corpus100, ind
     # laws whose P(S_n < 0) has a geometric decay fit are recovered
     # through their moment certificate like the rest
     mu = corpus100[index]
-    rep = auto_reconstruct(truncated_data(mu, 200), truth=mu)
+    rep = auto_reconstruct(truncated_data(mu, 200))
     assert rep.detected_class == CLASS_EXPONENTIAL
-    assert rep.residuals["tv_distance"] <= 1e-6
+    assert tv_distance(rep.recovered, mu) <= 1e-6
 
 
 @pytest.mark.parametrize("down", [-45, -46])
@@ -114,7 +115,7 @@ def test_exponential_refuses_a_fit_that_drops_the_deficit(down):
     data = truncated_data(mu, 40)
     with pytest.raises(ConditioningError):
         recover_exponential(data)
-    rep = auto_reconstruct(data, truth=mu)
+    rep = auto_reconstruct(data)
     assert rep.detected_class == CLASS_NONE
     assert rep.recovered is None
 
@@ -128,33 +129,33 @@ def test_auto_reconstruct_narrow_positive_part():
     # the CM detector must bow out, not blow up, when the positive part
     # is too short for an atom fit
     mu = lattice(-1, [0.6, 0.4])
-    rep = auto_reconstruct(truncated_data(mu, 200), truth=mu)
+    rep = auto_reconstruct(truncated_data(mu, 200))
     assert rep.detected_class == CLASS_SKIP_FREE
-    assert rep.residuals["tv_distance"] == 0.0
+    assert tv_distance(rep.recovered, mu) == 0.0
 
 
 def test_recover_skipfree_symmetric():
     mu = lattice(-1, [0.5, 0.0, 0.5])
-    rep = recover_skipfree(truncated_data(mu, 120), truth=mu)
+    rep = recover_skipfree(truncated_data(mu, 120))
     assert rep.detected_class == CLASS_SKIP_FREE
     assert rep.recovered.mass(-1) == 0.5
-    assert rep.residuals["tv_distance"] == 0.0
+    assert tv_distance(rep.recovered, mu) == 0.0
 
 
 def test_recover_skipfree_rejects_two_step_down():
     mu = lattice(-2, [0.5, 0.0, 0.0, 0.5])
     with pytest.raises(ClassNotDetected, match="forward powers"):
-        recover_skipfree(truncated_data(mu, 120), truth=mu)
+        recover_skipfree(truncated_data(mu, 120))
 
 
 def test_recover_skipfree_accepts_drifting_walk():
     # the mass-deficit candidate is exact whatever the drift
     mu = lattice(-1, [0.2, 0.1, 0.3, 0.4])
     data = truncated_data(mu, 40)
-    rep = recover_skipfree(data, truth=mu)
+    rep = recover_skipfree(data)
     assert rep.detected_class == CLASS_SKIP_FREE
     assert rep.diagnostics["drift"] is Drift.PLUS
-    assert rep.residuals["tv_distance"] <= 1e-10
+    assert tv_distance(rep.recovered, mu) <= 1e-10
     rep = auto_reconstruct(data, detectors=["skip_free"])
     assert rep.detected_class == CLASS_SKIP_FREE
 
@@ -237,9 +238,9 @@ def test_recover_skipfree_needs_two_powers_to_refute():
         recover_skipfree(data)
     # with no deficit there is nothing to refute: the law is r1 itself
     mu = lattice(0, [0.5, 0.5])
-    rep = recover_skipfree(truncated_data(mu, 1), truth=mu)
+    rep = recover_skipfree(truncated_data(mu, 1))
     assert rep.detected_class == CLASS_SKIP_FREE
-    assert rep.residuals["tv_distance"] == 0.0
+    assert tv_distance(rep.recovered, mu) == 0.0
 
 
 def test_correlation_lhs_positive_support_vanishes():
@@ -349,18 +350,18 @@ def test_cm_single_geometric_tail():
     # positive part 0.4 * 0.5**k, all remaining mass at -1
     mu = lattice(-1, np.concatenate([[0.2], 0.4 * 0.5 ** np.arange(140)]))
     data = truncated_data(mu, 40)
-    rep = recover_cm_discrete(data, truth=mu)
+    rep = recover_cm_discrete(data)
     assert rep.detected_class == CLASS_DISCRETE_CM
-    assert rep.residuals["tv_distance"] <= 1e-6
+    assert tv_distance(rep.recovered, mu) <= 1e-6
     assert rep.recovered.mass(-1) == pytest.approx(0.2, abs=1e-6)
 
 
 def test_cm_two_atom_mixture():
     gen = geometric_mixture((0.3, 0.7), (0.45, 0.55))
     data = truncated_data(gen.dist, 60)
-    rep = recover_cm_discrete(data, truth=gen.dist)
+    rep = recover_cm_discrete(data)
     assert rep.detected_class == CLASS_DISCRETE_CM
-    assert rep.residuals["tv_distance"] <= 1e-4
+    assert tv_distance(rep.recovered, gen.dist) <= 1e-4
 
 
 @pytest.mark.parametrize("horizon", [2, 40])
@@ -368,8 +369,8 @@ def test_cm_refuses_a_fit_with_a_residual_above_tolerance(horizon):
     mu = cm_shallow_window_law()
     data = truncated_data(mu, horizon)
     with pytest.raises(ClassNotDetected, match="leaves a residual"):
-        recover_cm_discrete(data, truth=mu)
-    rep = auto_reconstruct(data, truth=mu)
+        recover_cm_discrete(data)
+    rep = auto_reconstruct(data)
     assert rep.detected_class == CLASS_NONE
     assert rep.diagnostics["detector_verdicts"]["discrete_cm"].startswith("not_detected")
 
@@ -391,11 +392,11 @@ def test_cm_seeded_sweep_hits_are_recoveries():
         mu = lattice(-depth, np.concatenate([neg, pos_mass * p / p.sum()]))
         data = truncated_data(mu, int(rng.choice([2, 5, 40, 120])))
         try:
-            rep = recover_cm_discrete(data, truth=mu)
+            rep = recover_cm_discrete(data)
         except (ClassNotDetected, ConditioningError):
             continue
         hits += 1
-        assert rep.residuals["tv_distance"] <= 1e-4
+        assert tv_distance(rep.recovered, mu) <= 1e-4
         assert rep.residuals["system_residual"] <= CONSISTENCY_TOL
     assert hits >= 100
 
@@ -407,7 +408,7 @@ def test_cm_gate_rejects_sign_changing_differences():
 
 
 def test_triangular_heavy_tail_pair(p5_dist, p5_data):
-    rep = recover_triangular(p5_data, truth=p5_dist)
+    rep = recover_triangular(p5_data)
     assert rep.detected_class == CLASS_TRIANGULAR
     assert rep.diagnostics["a"] == 1 and rep.diagnostics["b"] == 3
     assert abs(rep.recovered.mass(-2) - p5_dist.mass(-2)) <= 1e-8
@@ -423,10 +424,10 @@ def test_triangular_rejects_delta1_with_declared_a():
 
 def test_triangular_synthetic_exact():
     mu = lattice(-1, [0.1, 0, 0, 0, 0, 0.9])
-    rep = recover_triangular(truncated_data(mu, 30), truth=mu)
+    rep = recover_triangular(truncated_data(mu, 30))
     assert rep.detected_class == CLASS_TRIANGULAR
     assert rep.diagnostics["a"] == 2 and rep.diagnostics["b"] == 2
-    assert rep.residuals["tv_distance"] <= 1e-14
+    assert tv_distance(rep.recovered, mu) <= 1e-14
 
 
 def test_triangular_inconsistent_data_rejected():
@@ -543,13 +544,13 @@ def test_deconvolution_at_horizon_one_keeps_the_frontier():
 
 
 def test_auto_reconstruct_delta1():
-    rep = auto_reconstruct(truncated_data(delta(1), 60), truth=delta(1))
+    rep = auto_reconstruct(truncated_data(delta(1), 60))
     assert rep.detected_class == CLASS_SKIP_FREE
-    assert rep.residuals["tv_distance"] <= 1e-12
+    assert tv_distance(rep.recovered, delta(1)) <= 1e-12
 
 
 def test_auto_reconstruct_heavy_tail_is_triangular(p5_dist, p5_data):
-    rep = auto_reconstruct(p5_data, truth=p5_dist)
+    rep = auto_reconstruct(p5_data)
     assert rep.detected_class == CLASS_TRIANGULAR
     verdicts = rep.diagnostics["detector_verdicts"]
     assert set(verdicts) == {"exponential", "skip_free", "triangular", "discrete_cm"}
@@ -559,9 +560,9 @@ def test_auto_reconstruct_heavy_tail_is_triangular(p5_dist, p5_data):
 def test_auto_reconstruct_cm_mixture():
     # shift -1 would make the mixture skip-free
     gen = geometric_mixture((0.3, 0.7), (0.45, 0.55), shift=-2)
-    rep = auto_reconstruct(truncated_data(gen.dist, 60), truth=gen.dist)
+    rep = auto_reconstruct(truncated_data(gen.dist, 60))
     assert rep.detected_class == CLASS_DISCRETE_CM
-    assert rep.residuals["tv_distance"] <= 1e-4
+    assert tv_distance(rep.recovered, gen.dist) <= 1e-4
 
 
 @pytest.mark.parametrize(
@@ -573,16 +574,16 @@ def test_cm_rank_deficient_direct_route_is_not_a_recovery(atoms, atom_weights, s
     mu = geometric_mixture(atoms, atom_weights, shift=shift).dist
     data = truncated_data(mu, 40)
     with pytest.raises(ConditioningError, match="rank-deficient"):
-        recover_cm_discrete(data, truth=mu)
-    rep = auto_reconstruct(data, truth=mu)
+        recover_cm_discrete(data)
+    rep = auto_reconstruct(data)
     assert rep.detected_class == CLASS_NONE
     assert rep.diagnostics["detector_verdicts"]["discrete_cm"].startswith("failed")
 
 
 def test_auto_reconstruct_exact_class_outranks_exponential(ssrw, ssrw_data):
-    rep = auto_reconstruct(ssrw_data, truth=ssrw)
+    rep = auto_reconstruct(ssrw_data)
     assert rep.detected_class == CLASS_SKIP_FREE
-    assert rep.residuals["tv_distance"] == 0.0
+    assert tv_distance(rep.recovered, ssrw) == 0.0
 
 
 def test_auto_reconstruct_runs_exponential_once_on_drifting_data(monkeypatch):
