@@ -35,7 +35,6 @@ from .generators import (
 from .ladder import (
     DOWNWARD,
     UPWARD,
-    Drift,
     ExpMomentReport,
     FactorizationReport,
     LadderLaw,
@@ -76,6 +75,7 @@ from .reconstruct import (
     DETECTOR_ORDER,
     CorrelationSolution,
     DeconvolvedData,
+    Drift,
     ReconstructionReport,
     auto_reconstruct,
     correlation_inverse,
@@ -127,7 +127,6 @@ __all__ = [
     "spitzer_chi_grid",
     "FactorizationReport",
     "verify_factorization",
-    "Drift",
     "ExpMomentReport",
     "exp_moment_conditions",
     # expfit
@@ -144,6 +143,7 @@ __all__ = [
     "CorrelationSolution",
     "DeconvolvedData",
     "recover_exponential",
+    "Drift",
     "recover_skipfree",
     "correlation_lhs_from_data",
     "correlation_inverse",

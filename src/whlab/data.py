@@ -2,12 +2,13 @@
 
 A :class:`TruncatedData` object is what every reconstruction routine sees,
 and nothing else: the first ``horizon`` convolution powers of an unknown
-distribution, each restricted to the nonnegative lattice.
+distribution, each restricted to the nonnegative lattice. It holds them as
+one dense (horizon, W) float64 table, row n-1 holding r_n on 0..W-1, and
+builds a power's :class:`~whlab.lattice.LatticeDist` only when asked.
 
-On disk a data directory holds two files. ``restricted.f64`` is the dense
-(horizon, W) table of :func:`packed_restricted` as raw little-endian
-float64, row n-1 holding r_n on 0..W-1. ``manifest.json`` names the format,
-the horizon and the sha256 of the table. Directories of the older
+On disk a data directory holds two files. ``restricted.f64`` is that table
+as raw little-endian float64. ``manifest.json`` names the format, the
+horizon and the sha256 of the table. Directories of the older
 one-file-per-power format are refused.
 """
 
@@ -15,72 +16,99 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataInconsistencyError, DomainError
-from .lattice import MASS_TOL, LatticeDist, _check_int, _half_line_walk, lattice
+from .lattice import (
+    MASS_TOL,
+    LatticeDist,
+    _check_int,
+    _clamp_negatives,
+    _half_line_walk,
+    _trim,
+)
 
 __all__ = [
     "TruncatedData",
     "truncated_data",
-    "packed_restricted",
     "save_data_dir",
     "load_data_dir",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedData:
-    """Restricted convolution powers r_n = mu^{*n} on k >= 0, n = 1..horizon."""
+    """Restricted convolution powers r_n = mu^{*n} on k >= 0, n = 1..horizon.
+
+    ``table[n-1, k]`` is r_n(k); the table is read-only, at least one column
+    wide, finite and nonnegative, and no row totals more than one.
+    """
 
     horizon: int
-    restricted: tuple[LatticeDist, ...]
+    table: np.ndarray
+    _powers: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.horizon != len(self.restricted):
-            raise DataInconsistencyError("horizon does not match table length")
-        if self.horizon < 1:
-            raise DataInconsistencyError("horizon must be at least 1")
-        for n, r in enumerate(self.restricted, start=1):
-            if not r.is_zero and r.min_index < 0:
-                raise DataInconsistencyError(
-                    "restricted power %d carries mass below the origin" % n
-                )
-            if r.total > 1.0 + MASS_TOL:
-                raise DataInconsistencyError(
-                    "restricted power %d has total %r above one" % (n, r.total)
-                )
+        horizon = _check_int("horizon", self.horizon, 1)
+        table = np.asarray(self.table, dtype=float)
+        if table.ndim != 2 or table.shape[0] != horizon or not table.shape[1]:
+            raise DataInconsistencyError(
+                "table of shape %r does not hold %d nonempty rows"
+                % (table.shape, horizon)
+            )
+        # a NaN or infinite weight leaves its row total non-finite
+        totals = table.sum(axis=1)
+        finite = np.isfinite(totals)
+        if not finite.all():
+            raise DataInconsistencyError(
+                "restricted power %d has a non-finite weight or total"
+                % (int(finite.argmin()) + 1)
+            )
+        lows = table.min(axis=1)
+        if lows.min() < 0.0:
+            n = int((lows < 0.0).argmax())
+            raise DataInconsistencyError(
+                "restricted power %d has a negative weight %r" % (n + 1, float(lows[n]))
+            )
+        if totals.max() > 1.0 + MASS_TOL:
+            n = int(totals.argmax())
+            raise DataInconsistencyError(
+                "restricted power %d has total %r above one" % (n + 1, float(totals[n]))
+            )
+        table.setflags(write=False)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_powers", [None] * horizon)
 
     def restricted_power(self, n: int) -> LatticeDist:
-        """r_n for 1 <= n <= horizon."""
+        """r_n for 1 <= n <= horizon, built from its table row on first use."""
         if not 1 <= n <= self.horizon:
             raise DataInconsistencyError(
                 "power %d outside horizon %d" % (n, self.horizon)
             )
-        return self.restricted[n - 1]
+        power = self._powers[n - 1]
+        if power is None:
+            power = LatticeDist(*_trim(0, self.table[n - 1]))
+            self._powers[n - 1] = power
+        return power
+
+    @property
+    def restricted(self) -> tuple[LatticeDist, ...]:
+        """r_1, ..., r_N as LatticeDists."""
+        return tuple(self.restricted_power(n) for n in range(1, self.horizon + 1))
 
 
 def truncated_data(mu: LatticeDist, horizon: int) -> TruncatedData:
     """Forward-generate TruncatedData from a fully known distribution."""
     horizon = _check_int("horizon", horizon, 1)
     walk = _half_line_walk(mu, None, horizon)
-    return TruncatedData(horizon, tuple(LatticeDist(k, w) for k, w in walk.crossings))
+    return TruncatedData(horizon, walk.table[:, : max(walk.hi, 1)])
 
 
 # -- disk format ----------------------------------------------------------
-
-
-def packed_restricted(data: TruncatedData) -> np.ndarray:
-    """Dense (horizon, width) matrix with row n-1 holding restricted(n)."""
-    width = max((r.max_index + 1 if not r.is_zero else 1) for r in data.restricted)
-    out = np.zeros((data.horizon, width))
-    for i, r in enumerate(data.restricted):
-        if not r.is_zero:
-            out[i, r.min_index : r.max_index + 1] = r.weights
-    return out
 
 
 DATA_FORMAT = "whlab-truncated-data/2"
@@ -88,11 +116,10 @@ TABLE = "restricted.f64"
 
 
 def save_data_dir(data: TruncatedData, directory: str | Path) -> Path:
-    """Write the packed restricted powers as one float64 table plus a hashed
-    manifest."""
+    """Write the restricted-power table as raw float64 plus a hashed manifest."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    payload = packed_restricted(data).astype("<f8", copy=False).tobytes()
+    payload = data.table.astype("<f8", copy=False).tobytes()
     (root / TABLE).write_bytes(payload)
     sha256 = hashlib.sha256(payload).hexdigest()
     manifest = {"format": DATA_FORMAT, "horizon": data.horizon, "sha256": sha256}
@@ -135,9 +162,15 @@ def load_data_dir(directory: str | Path) -> TruncatedData:
             % (TABLE, len(payload), horizon)
         )
     # no np.load: it would open zip archives and trust a header's shape
-    rows = np.frombuffer(payload, dtype="<f8").reshape(horizon, -1)
-    try:
-        restricted = tuple(lattice(0, row) for row in rows)
-    except DomainError as exc:
-        raise DataInconsistencyError("invalid weight in %s: %s" % (TABLE, exc)) from exc
-    return TruncatedData(horizon, restricted)
+    table = np.frombuffer(payload, dtype="<f8").reshape(horizon, -1)
+    # float noise may leave weights in [-1e-10, 0): zero them, as lattice() does;
+    # a non-finite table goes through unchanged and is refused below
+    if table.min() < 0.0 and np.isfinite(table).all():
+        table = table.copy()
+        try:
+            _clamp_negatives(table)
+        except DomainError as exc:
+            raise DataInconsistencyError(
+                "invalid weight in %s: %s" % (TABLE, exc)
+            ) from exc
+    return TruncatedData(horizon, table)

@@ -18,12 +18,11 @@ which cross-checks the DP; no detector in `reconstruct` reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import TruncatedData, packed_restricted
+from .data import TruncatedData
 from .errors import DomainError
 from .lattice import LatticeDist, _check_int, _half_line_walk, eval_transform
 
@@ -39,7 +38,6 @@ __all__ = [
     "spitzer_chi_grid",
     "FactorizationReport",
     "verify_factorization",
-    "Drift",
     "ExpMomentReport",
     "LambdaProbe",
     "exp_moment_conditions",
@@ -99,16 +97,11 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
         raise DomainError("step distribution must be nonzero")
     horizon = _check_int("horizon", horizon, 1)
     walk = _half_line_walk(mu, "nonneg" if side == UPWARD else "neg", horizon)
-    rows = [(n, offset, w) for n, (offset, w) in enumerate(walk.crossings) if w.size]
-    if not rows:
+    if walk.lo == walk.hi:
         base = 0 if side == UPWARD else -1
         return LadderLaw(side, horizon, base, np.zeros((horizon, 0)), walk.survival)
-    lo = min(offset for _, offset, _ in rows)
-    hi = max(offset + w.size for _, offset, w in rows)
-    table = np.zeros((horizon, hi - lo))
-    for n, offset, w in rows:
-        table[n, offset - lo : offset - lo + w.size] = w
-    return LadderLaw(side, horizon, lo, table, walk.survival)
+    masses = walk.table[:, walk.lo - walk.base : walk.hi - walk.base]
+    return LadderLaw(side, horizon, walk.lo, np.ascontiguousarray(masses), walk.survival)
 
 
 # -- transform evaluation with certified truncation bounds -----------------
@@ -167,11 +160,11 @@ def spitzer_chi_grid(data: TruncatedData, s_values, t_values) -> TransformGrid:
     """
     s_arr, t_arr, mods = _grid_args(s_values, t_values)
     horizon = data.horizon
-    packed = packed_restricted(data)
-    phases = np.exp(1j * np.outer(np.arange(packed.shape[1]), t_arr))  # (W, T)
+    table = data.table
+    phases = np.exp(1j * np.outer(np.arange(table.shape[1]), t_arr))  # (W, T)
     n_idx = np.arange(1, horizon + 1)
     s_pow = (s_arr[:, None] ** n_idx[None, :]) / n_idx[None, :]  # (S, N)
-    parts = np.concatenate([s_pow.real, s_pow.imag]) @ packed  # (2S, W)
+    parts = np.concatenate([s_pow.real, s_pow.imag]) @ table  # (2S, W)
     by_k = parts[: len(s_arr)] + 1j * parts[len(s_arr) :]
     vals = 1.0 - np.exp(-(by_k @ phases))
     tail = mods ** (horizon + 1) / ((horizon + 1) * (1.0 - mods))
@@ -230,18 +223,6 @@ def verify_factorization(
     return FactorizationReport(horizon, s_arr, t_arr, plus, minus, residuals, bounds)
 
 
-# -- drift -------------------------------------------------------------------
-
-
-class Drift(Enum):
-    """Long-run behaviour of S_n: to +infinity, to -infinity, or oscillating
-    (limsup +infinity, liminf -infinity)."""
-
-    PLUS = "drifts_plus"
-    MINUS = "drifts_minus"
-    OSCILLATES = "oscillates"
-
-
 # -- exponential-moment probes ----------------------------------------------
 
 
@@ -296,7 +277,7 @@ def exp_moment_conditions(data: TruncatedData) -> ExpMomentReport:
     grid = default_lambda_grid(data)
     cap = float(grid.max())
     # a nonzero power has a finite log-MGF at every lambda
-    nonzero = [n for n, r in enumerate(data.restricted, start=1) if not r.is_zero]
+    nonzero = (np.flatnonzero(data.table.max(axis=1) > 0.0) + 1).tolist()
     if len(nonzero) < 6:
         probes = tuple(LambdaProbe(float(lam), None, False, False) for lam in grid)
         return ExpMomentReport(probes, None, None, cap)

@@ -272,9 +272,16 @@ def restrict_nonneg(mu: LatticeDist) -> LatticeDist:
 
 
 class _Walk(NamedTuple):
-    """Output of ``_half_line_walk``; windows are (offset, weights) pairs."""
+    """Output of ``_half_line_walk``.
 
-    crossings: list[tuple[int, np.ndarray]]  # step n at index n-1, own arrays
+    ``table[n-1, j]`` is the crossing mass of step n at height ``base + j``;
+    ``lo`` and ``hi`` bound the heights that carry any (``lo == hi`` if none).
+    """
+
+    table: np.ndarray
+    base: int
+    lo: int
+    hi: int
     survival: np.ndarray | None  # alive total after 0..horizon steps, if killed
     alive: tuple[int, np.ndarray]  # alive window after the last step
 
@@ -288,32 +295,82 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     strict descent), and the removed part is the step's crossing. With
     ``kill=None`` nothing is removed and the crossing is the part on k >= 0,
     the restricted power r_n. Windows are trimmed exactly as ``convolve``
-    and ``split_nonneg`` trim them, so each array holds the same bytes as
+    and ``split_nonneg`` trim them, so each crossing row holds the bytes of
     the LatticeDist that loop of public calls would build.
+
+    Crossings go straight into a table sized by the heights they can reach,
+    and the direct path makes ``np.convolve``'s own call (a correlation with
+    the shorter factor reversed), with ``_trim`` run only where an edge
+    weight is not positive: for small step laws the per-step calls, not the
+    arithmetic, set the cost.
     """
     mu_offset, mu_w = mu.offset, mu.weights
+    mu_size = mu_w.size
+    top = max(mu.max_index, 0)
+    # Crossing heights: a weak ascent lands on 0..top, a strict descent on
+    # min_index..-1, and r_n on 0..n*top. The r_n table starts with at most
+    # MAX_WINDOW entries and widens on demand: underflow can keep r_n far
+    # below n*top, and a walk past MAX_WINDOW must stop with SizeLimitError
+    # at that step, not with a huge allocation up front.
+    if kill is None:
+        base, width = 0, min(horizon * top, MAX_WINDOW // horizon) + 1
+    elif kill == "nonneg":
+        base, width = 0, top + 1
+    else:
+        base = min(mu.offset, 0)
+        width = -base
+    table = np.zeros((horizon, width))
+    lo, hi = base + width, base
+    mu_rev = mu_w[::-1].copy()
+    # alive windows longer than this leave the direct path (see _convolve_raw)
+    direct_max = FFT_THRESHOLD - mu_size
+    # the loop runs once per step: look these up once
+    correlate, add_reduce = np.correlate, np.add.reduce
     offset, alive = 0, np.ones(1)
     survival = np.concatenate(([1.0], np.zeros(horizon))) if kill else None
-    crossings: list[tuple[int, np.ndarray]] = []
     for n in range(horizon):
-        if not (alive.size and mu_w.size):
+        size = alive.size
+        if not (size and mu_size):
             offset, alive = 0, np.empty(0)
-            crossings.extend([(0, alive)] * (horizon - n))
             break
-        offset, stepped = _trim(offset + mu_offset, _convolve_raw(alive, mu_w))
-        cut = min(max(-offset, 0), stepped.size)  # index of lattice point 0
-        neg = _trim(offset, stepped[:cut])
-        nonneg = _trim(offset + cut, stepped[cut:])
-        if kill == "nonneg":
-            cross, (offset, alive) = nonneg, neg
-        elif kill == "neg":
-            cross, (offset, alive) = neg, nonneg
+        if size == 1 or mu_size == 1 or size > direct_max:
+            stepped = _convolve_raw(alive, mu_w)
+        elif size >= mu_size:
+            stepped = correlate(alive, mu_rev, "full")
         else:
-            cross, alive = nonneg, stepped
-        crossings.append((cross[0], cross[1].copy()))
-        if kill:
-            survival[n + 1] = alive.sum()
-    return _Walk(crossings, survival, (offset, alive))
+            stepped = correlate(mu_w, alive[::-1], "full")
+        offset += mu_offset
+        if not (stepped[0] > 0.0 and stepped[-1] > 0.0):
+            offset, stepped = _trim(offset, stepped)
+        size = stepped.size
+        # index of lattice point 0, clipped to the window
+        cut = 0 if offset >= 0 else min(-offset, size)
+        # stepped's own edges are positive: only the edges at the cut can be 0
+        if cut < size and stepped[cut] > 0.0:
+            nonneg = offset + cut, stepped[cut:]
+        else:
+            nonneg = _trim(offset + cut, stepped[cut:])
+        if kill is None:
+            (k, w), alive = nonneg, stepped
+        else:
+            if cut and stepped[cut - 1] > 0.0:
+                neg = offset, stepped[:cut]
+            else:
+                neg = _trim(offset, stepped[:cut])
+            if kill == "nonneg":
+                (k, w), (offset, alive) = nonneg, neg
+            else:
+                (k, w), (offset, alive) = neg, nonneg
+            survival[n + 1] = add_reduce(alive)
+        if w.size:
+            j = k - base
+            if j + w.size > table.shape[1]:
+                wider = np.zeros((horizon, max(j + w.size, 2 * table.shape[1])))
+                wider[:n, : table.shape[1]] = table[:n]
+                table = wider
+            table[n, j : j + w.size] = w
+            lo, hi = min(lo, k), max(hi, k + w.size)
+    return _Walk(table, base, min(lo, hi), hi, survival, (offset, alive))
 
 
 # -- transforms ----------------------------------------------------------

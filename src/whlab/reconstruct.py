@@ -30,6 +30,7 @@ layer: a rank-deficient kernel yields a flag, never a fabricated answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 from scipy.linalg import null_space
@@ -42,14 +43,13 @@ from .errors import (
     DataInconsistencyError,
     DomainError,
 )
-from .ladder import Drift, exp_moment_conditions, log_restricted_mgf
+from .ladder import exp_moment_conditions, log_restricted_mgf
 from .lattice import (
     MASS_TOL,
     LatticeDist,
     convolve,
     lattice,
     restrict_nonneg,
-    sup_distance,
     zero_measure,
 )
 
@@ -92,6 +92,7 @@ __all__ = [
     "ReconstructionReport",
     "CorrelationSolution",
     "recover_exponential",
+    "Drift",
     "recover_skipfree",
     "correlation_lhs_from_data",
     "correlation_inverse",
@@ -288,6 +289,15 @@ def recover_exponential(data: TruncatedData) -> ReconstructionReport:
 # -- skip-free detection -----------------------------------------------------
 
 
+class Drift(Enum):
+    """Long-run behaviour of S_n: to +infinity, to -infinity, or oscillating
+    (limsup +infinity, liminf -infinity)."""
+
+    PLUS = "drifts_plus"
+    MINUS = "drifts_minus"
+    OSCILLATES = "oscillates"
+
+
 def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
     """Detect and invert the class with negative support exactly {-1}.
 
@@ -312,11 +322,7 @@ def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
             "one restricted power cannot refute the mass-deficit candidate"
         )
     candidate = _assemble(r1, np.array([deficit]) if deficit > 0.0 else np.zeros(0))
-    forward = truncated_data(candidate, data.horizon)
-    consistency = max(
-        sup_distance(forward.restricted_power(n), data.restricted_power(n))
-        for n in range(1, data.horizon + 1)
-    )
+    consistency = _table_gap(truncated_data(candidate, data.horizon).table, data.table)
     if consistency > CONSISTENCY_TOL:
         raise ClassNotDetected(
             "forward powers of the mass-deficit candidate do not match the data"
@@ -329,6 +335,17 @@ def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
     diagnostics = {"drift": drift}
     residuals = {"consistency_sup": consistency, "deficit": deficit}
     return ReconstructionReport(CLASS_SKIP_FREE, candidate, residuals, diagnostics)
+
+
+def _table_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """sup |a - b| over two nonnegative tables with equal row counts, the
+    narrower one zero-padded: the largest ``sup_distance`` of their rows."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    width = b.shape[1]
+    # row by row: a whole-table difference would allocate two tables
+    gap = max(float(np.abs(ra[:width] - rb).max()) for ra, rb in zip(a, b))
+    return max(gap, float(a[:, width:].max())) if a.shape[1] > width else gap
 
 
 # -- one-sided correlation ---------------------------------------------------
@@ -619,12 +636,17 @@ def extend_by_negative(data: TruncatedData, nu: LatticeDist) -> TruncatedData:
         raise DomainError("nu must be supported on the nonpositive lattice")
     if not nu.is_proper():
         raise DomainError("nu must be proper")
-    out = []
+    # nu moves mass down only, so each row fits in the data's own width
+    table = np.zeros(data.table.shape)
+    width = 1
     power = None
     for n in range(1, data.horizon + 1):
         power = nu if power is None else convolve(power, nu)
-        out.append(restrict_nonneg(convolve(data.restricted_power(n), power)))
-    return TruncatedData(data.horizon, tuple(out))
+        row = restrict_nonneg(convolve(data.restricted_power(n), power))
+        if not row.is_zero:
+            table[n - 1, row.offset : row.max_index + 1] = row.weights
+            width = max(width, row.max_index + 1)
+    return TruncatedData(data.horizon, table[:, :width])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from whlab import LatticeDist, convolve, delta
+from whlab import LatticeDist, TruncatedData, convolve, delta
 from whlab.errors import DomainError
 
 
@@ -59,3 +59,14 @@ def cross_correlation_direct(mu: LatticeDist, n: int) -> float:
         return 0.0
     k = np.arange(lo, hi + 1)
     return float(np.dot(mu.weights[k - mu.offset], mu.weights[(n - k) - mu.offset]))
+
+
+def data_from_powers(powers) -> TruncatedData:
+    """Half-line data whose table row n-1 holds powers[n-1] on 0..W-1, W one
+    past the highest index of any power (at least 1)."""
+    width = max([1] + [r.max_index + 1 for r in powers if not r.is_zero])
+    table = np.zeros((len(powers), width))
+    for row, r in zip(table, powers):
+        if not r.is_zero:
+            row[r.min_index : r.max_index + 1] = r.weights
+    return TruncatedData(len(powers), table)

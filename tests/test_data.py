@@ -18,10 +18,9 @@ from whlab import (
     sup_distance,
     truncated_data,
 )
-from whlab.data import packed_restricted
 from whlab.errors import DataInconsistencyError, DomainError
 
-from reference import convolution_power
+from reference import convolution_power, data_from_powers
 
 
 def test_restricted_powers_match_direct_powers():
@@ -41,16 +40,34 @@ def test_restricted_supports_and_totals():
     assert data.restricted[0].total == pytest.approx(0.6, abs=1e-15)
 
 
-def test_negative_index_mass_rejected():
-    bad = lattice(-1, [0.3, 0.7])
-    with pytest.raises(DataInconsistencyError):
-        TruncatedData(1, (bad,))
+def test_negative_table_weight_rejected():
+    with pytest.raises(DataInconsistencyError, match="restricted power 1 has a negative"):
+        TruncatedData(1, np.array([[0.3, -1e-300, 0.7]]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_table_weight_rejected(bad):
+    table = np.full((3, 2), 0.25)
+    table[1, 0] = bad
+    with pytest.raises(DataInconsistencyError, match="restricted power 2 has a non-finite"):
+        TruncatedData(3, table)
 
 
 def test_overweight_power_rejected():
-    heavy = lattice(0, [0.8, 0.5])
-    with pytest.raises(DataInconsistencyError):
-        TruncatedData(1, (heavy,))
+    with pytest.raises(DataInconsistencyError, match="total 1.3 above one"):
+        TruncatedData(1, np.array([[0.8, 0.5]]))
+
+
+@pytest.mark.parametrize("horizon", [2.0, True], ids=["float", "bool"])
+def test_horizon_must_be_an_integer(horizon):
+    with pytest.raises(DomainError, match="horizon must be an integer"):
+        TruncatedData(horizon, np.full((2, 1), 0.5))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1), (3, 0)])
+def test_table_shape_must_match_horizon(shape):
+    with pytest.raises(DataInconsistencyError, match="does not hold 3 nonempty rows"):
+        TruncatedData(3, np.zeros(shape))
 
 
 def test_power_outside_horizon_rejected():
@@ -59,15 +76,22 @@ def test_power_outside_horizon_rejected():
         data.restricted_power(4)
 
 
-def test_packed_restricted_layout():
+def test_table_layout():
     mu = lattice(-1, [0.5, 0.0, 0.5])
     data = truncated_data(mu, 4)
-    packed = packed_restricted(data)
-    assert packed.shape[0] == 4
+    table = data.table
+    assert table.shape == (4, 5)
+    assert not table.flags.writeable
     for n in range(1, 5):
         r = data.restricted_power(n)
-        for k in range(packed.shape[1]):
-            assert packed[n - 1, k] == r.mass(k)
+        for k in range(table.shape[1]):
+            assert table[n - 1, k] == r.mass(k)
+
+
+def test_restricted_power_is_built_once():
+    data = truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 4)
+    assert data.restricted_power(3) is data.restricted_power(3)
+    assert data.restricted[2] is data.restricted_power(3)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -99,7 +123,7 @@ def test_saved_directory_holds_one_table_and_a_manifest(tmp_path):
     root = save_data_dir(data, tmp_path / "d")
     assert sorted(p.name for p in root.iterdir()) == ["manifest.json", "restricted.f64"]
     table = (root / "restricted.f64").read_bytes()
-    assert table == packed_restricted(data).astype("<f8").tobytes()
+    assert table == data_from_powers(data.restricted).table.astype("<f8").tobytes()
     manifest = json.loads((root / "manifest.json").read_text())
     assert manifest == {
         "format": "whlab-truncated-data/2",
@@ -128,13 +152,14 @@ restricted_rows = st.builds(
 @given(st.lists(restricted_rows, min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_save_load_round_trip_keeps_every_bit(rows):
-    data = TruncatedData(len(rows), tuple(rows))
+    data = data_from_powers(rows)
     with tempfile.TemporaryDirectory() as tmp:
         back = load_data_dir(save_data_dir(data, tmp))
     assert back.horizon == data.horizon
-    for a, b in zip(data.restricted, back.restricted):
+    assert back.table.tobytes() == data.table.tobytes()
+    for a, b in zip(rows, back.restricted, strict=True):
         assert a.offset == b.offset
-        assert np.array_equal(a.weights, b.weights)
+        assert a.weights.tobytes() == b.weights.tobytes()
 
 
 def test_tampered_file_detected(tmp_path):
@@ -215,7 +240,7 @@ def test_table_size_must_be_a_nonzero_multiple_of_8_horizon(tmp_path, nbytes):
         load_data_dir(root)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_weight_in_power_file_rejected(tmp_path, bad):
     root = save_data_dir(truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 3), tmp_path / "d")
     rewrite_table(root, 0, 1, bad)
@@ -228,6 +253,22 @@ def test_negative_weight_in_table_rejected(tmp_path):
     rewrite_table(root, 1, 1, -1e-9)
     with pytest.raises(DataInconsistencyError, match="negative weight"):
         load_data_dir(root)
+
+
+@pytest.mark.parametrize("tiny", [-1e-10, -1e-300])
+def test_tiny_negative_weight_in_table_clamped_to_zero(tmp_path, tiny):
+    # r_2 of this law is 0.5 at 0 and 0.25 at 2: zeroing (1, 0) moves its
+    # window to start at 2
+    data = truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 3)
+    root = save_data_dir(data, tmp_path / "d")
+    rewrite_table(root, 1, 0, tiny)
+    back = load_data_dir(root)
+    want = data.table.copy()
+    want[1, 0] = 0.0
+    assert back.table.tobytes() == want.tobytes()
+    r2 = back.restricted_power(2)
+    assert r2.offset == 2
+    assert r2.weights.tobytes() == data.restricted_power(2).weights[2:].tobytes()
 
 
 def test_overweight_row_in_table_rejected(tmp_path):

@@ -11,8 +11,8 @@ from scipy.special import logsumexp
 
 import whlab.ladder
 from conftest import random_corpus
+from reference import data_from_powers
 from whlab import (
-    TruncatedData,
     chi_eval_grid,
     delta,
     eval_transform,
@@ -26,7 +26,6 @@ from whlab import (
     two_point,
     verify_factorization,
 )
-from whlab.data import packed_restricted
 from whlab.errors import DomainError
 from whlab.ladder import DOWNWARD, UPWARD, default_lambda_grid
 from whlab.lattice import _half_line_walk, zero_measure
@@ -307,9 +306,8 @@ def _phase_first_spitzer(data, s_values, t_values):
     """Phase-first reference for spitzer_chi_grid: every row of the
     restricted-power table meets the phases before the sum over n."""
     s_arr = np.asarray(s_values, dtype=complex)
-    packed = packed_restricted(data)
-    phases = np.exp(1j * np.outer(np.arange(packed.shape[1]), t_values))
-    a_vals = packed.astype(complex) @ phases
+    phases = np.exp(1j * np.outer(np.arange(data.table.shape[1]), t_values))
+    a_vals = data.table.astype(complex) @ phases
     n_idx = np.arange(1, data.horizon + 1)
     s_pow = (s_arr[:, None] ** n_idx[None, :]) / n_idx[None, :]
     return 1.0 - np.exp(-(s_pow @ a_vals))
@@ -432,9 +430,7 @@ def _reference_walk(mu, side, horizon):
     return crossings, survival, restricted
 
 
-@settings(max_examples=60, deadline=None)
-@given(step_laws, st.sampled_from([UPWARD, DOWNWARD]), st.integers(1, 60))
-def test_walk_kernel_matches_public_loop(mu, side, horizon):
+def _assert_walk_matches_public_loop(mu, side, horizon):
     crossings, survival, restricted = _reference_walk(mu, side, horizon)
     law = ladder_law(mu, side, horizon)
     hit = [c for c in crossings if not c.is_zero]
@@ -445,15 +441,57 @@ def test_walk_kernel_matches_public_loop(mu, side, horizon):
         if not c.is_zero:
             want[n, c.min_index - lo : c.max_index - lo + 1] = c.weights
     assert law.height_offset == lo
-    assert np.array_equal(law.masses, want)
-    assert np.array_equal(law.survival, survival)
+    assert law.masses.tobytes() == want.tobytes()
+    assert law.survival.tobytes() == np.array(survival).tobytes()
     epochs = law.masses.sum(axis=1)
     for n in range(1, horizon + 1):
         assert abs(law.survival[n - 1] - law.survival[n] - epochs[n - 1]) <= 1e-14
     data = truncated_data(mu, horizon)
+    assert data.table.tobytes() == data_from_powers(restricted).table.tobytes()
     for got, ref in zip(data.restricted, restricted, strict=True):
         assert got.offset == ref.offset
-        assert np.array_equal(got.weights, ref.weights)
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert np.float64(got.total).tobytes() == np.float64(ref.total).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_laws, st.sampled_from([UPWARD, DOWNWARD]), st.integers(1, 60))
+def test_walk_kernel_matches_public_loop(mu, side, horizon):
+    _assert_walk_matches_public_loop(mu, side, horizon)
+
+
+def _wide_law(width):
+    w = np.random.default_rng(width).random(width)
+    return lattice(-(width // 2), w / w.sum())
+
+
+@pytest.mark.parametrize("side", [UPWARD, DOWNWARD])
+@pytest.mark.parametrize(
+    "mu, horizon",
+    [
+        # edge atoms underflow from the second power on: the trim branch runs
+        (lattice(-1, [1e-200, 0.5, 0.5, 1e-200]), 12),
+        (lattice(-2, [1e-200, 0.0, 0.6, 0.4]), 12),
+        # point masses take the singleton path
+        (lattice(3, [1.0]), 5),
+        (lattice(-3, [1.0]), 5),
+        # the unkilled walk's fourteenth step has 13 * 1199 + 1200 = 16787
+        # outputs, past FFT_THRESHOLD (16384)
+        (_wide_law(1200), 14),
+        # r_n reaches 1100, past the 954 columns the table starts with
+        (lattice(-1, [0.5, 0.0, 0.5]), 1100),
+    ],
+    ids=[
+        "underflow_both_edges",
+        "underflow_low_edge",
+        "point_up",
+        "point_down",
+        "fft",
+        "table_widens",
+    ],
+)
+def test_walk_kernel_matches_public_loop_on_edge_cases(mu, side, horizon):
+    _assert_walk_matches_public_loop(mu, side, horizon)
 
 
 # -- half-line probes against the every-row, one-lambda-at-a-time form ------
@@ -546,19 +584,19 @@ def test_probes_match_every_row_form_on_walk_data(mu, horizon):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_half_line_powers, min_size=1, max_size=8))
 def test_probes_match_every_row_form_on_ragged_data(powers):
-    _assert_probes_match(TruncatedData(len(powers), tuple(powers)))
+    _assert_probes_match(data_from_powers(powers))
 
 
 @pytest.mark.parametrize("horizon", [1, 3, 8])
 def test_probes_match_every_row_form_on_all_zero_data(horizon):
-    _assert_probes_match(TruncatedData(horizon, (zero_measure(),) * horizon))
+    _assert_probes_match(data_from_powers([zero_measure()] * horizon))
 
 
 def test_probes_match_every_row_form_with_zero_power_in_the_middle():
     powers = [lattice(0, [0.2, 0.3, 0.1]) for _ in range(8)]
     powers[3] = zero_measure()
     powers[6] = lattice(2, [0.4])
-    _assert_probes_match(TruncatedData(8, tuple(powers)))
+    _assert_probes_match(data_from_powers(powers))
 
 
 def test_probes_evaluate_only_the_powers_they_read(monkeypatch):

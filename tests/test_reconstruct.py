@@ -11,7 +11,6 @@ from whlab import (
     CLASS_NONE,
     CLASS_SKIP_FREE,
     CLASS_TRIANGULAR,
-    TruncatedData,
     auto_reconstruct,
     convolve,
     correlation_inverse,
@@ -35,12 +34,11 @@ from whlab.errors import (
     DomainError,
 )
 from whlab.generators import geometric_mixture, power_tail_pair, two_point, uniform_window
-from whlab.ladder import Drift
 from whlab.lattice import MASS_TOL, sup_distance
-from whlab.reconstruct import CONSISTENCY_TOL
+from whlab.reconstruct import CONSISTENCY_TOL, Drift
 
 from conftest import cm_shallow_window_law, random_corpus
-from reference import cross_correlation_direct
+from reference import cross_correlation_direct, data_from_powers
 
 
 def test_recover_exponential_delta1():
@@ -293,7 +291,7 @@ def test_correlation_lhs_matches_loop_form(mu, horizon):
     ],
 )
 def test_correlation_lhs_matches_loop_form_on_short_powers(r1, r2):
-    data = TruncatedData(2, (r1, r2))
+    data = data_from_powers([r1, r2])
     assert np.array_equal(correlation_lhs_from_data(data), _loop_correlation_lhs(data))
 
 
@@ -440,7 +438,7 @@ def test_triangular_inconsistent_data_rejected():
     w[3 - r2.min_index] = 0.02
     tampered = list(data.restricted)
     tampered[1] = lattice(r2.min_index, w)
-    bad = TruncatedData(data.horizon, tuple(tampered))
+    bad = data_from_powers(tampered)
     with pytest.raises(DataInconsistencyError):
         recover_triangular(bad)
 
