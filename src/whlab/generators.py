@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import ConfigError, DomainError
 from .lattice import LatticeDist, delta, lattice
@@ -94,6 +93,9 @@ def power_tail_pair(cutoff: int = 200) -> GeneratedDist:
     tail mass sum_{n > cutoff} n^-3 out of the weights, so the total falls
     short of one by that much.
     """
+    # deferred: the one generator that needs scipy, kept out of `import whlab`
+    from scipy.special import zeta
+
     a, b = 1, 3
     if cutoff < a + b:
         raise DomainError("cutoff must reach the tail start")

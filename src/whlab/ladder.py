@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import TruncatedData
 from .errors import DomainError
@@ -257,6 +256,9 @@ _MGF_ARG_CAP = 1e3
 
 def log_restricted_mgf(data: TruncatedData, lambdas, n: int) -> np.ndarray:
     """log E[e^{lam S_n}; S_n >= 0] for each lam, -inf when r_n is zero."""
+    # deferred: only recovery probes call this, so `import whlab` skips scipy
+    from scipy.special import logsumexp
+
     lambdas = np.asarray(lambdas, dtype=float)
     r = data.restricted_power(n)
     if r.is_zero:

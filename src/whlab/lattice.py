@@ -190,22 +190,32 @@ def _clamp_negatives(w: np.ndarray) -> None:
         w[neg] = 0.0
 
 
+_PEEL = 4
+
+
 def _trim(offset: int, w: np.ndarray) -> tuple[int, np.ndarray]:
     """Canonical (offset, view) of a nonnegative window, (0, empty) if all zero.
 
     Only exact zeros are trimmed: deep-tail atoms such as 2**-200 are real
     data for exponential-tilt probes and must survive canonicalization.
     """
-    if not w.size:
-        return 0, w
-    if w[0] > 0.0 and w[-1] > 0.0:
-        return offset, w
-    # argmax finds each end's first nonzero; flatnonzero would list them all
-    nonzero = w != 0.0
-    lo = int(nonzero.argmax())
-    if not nonzero[lo]:
+    # walk windows carry a few edge zeros at most: peel up to _PEEL of them
+    # per end as scalars, and make a full pass only when more may follow
+    size = w.size
+    lo, hi = 0, size
+    while lo < min(size, _PEEL) and w[lo] == 0.0:
+        lo += 1
+    if lo == size:
         return 0, w[:0]
-    hi = w.size - int(nonzero[::-1].argmax())
+    while hi > max(lo, size - _PEEL) and w[hi - 1] == 0.0:
+        hi -= 1
+    if lo == _PEEL or hi == size - _PEEL:
+        # argmax finds each end's first nonzero; flatnonzero would list them all
+        nonzero = w != 0.0
+        lo = int(nonzero.argmax())
+        if not nonzero[lo]:
+            return 0, w[:0]
+        hi = size - int(nonzero[::-1].argmax())
     return offset + lo, w[lo:hi]
 
 

@@ -33,8 +33,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import nnls
 
 from .data import TruncatedData, truncated_data
 from .errors import (
@@ -178,6 +176,10 @@ def _mass_constrained_fit(design: np.ndarray, rhs: np.ndarray, total: float):
     of the design restricted to the constraint surface, which is what the
     unconstrained directions actually see.
     """
+    # deferred: scipy loads on the first recovery, not on `import whlab`
+    from scipy.linalg import null_space
+    from scipy.optimize import nnls
+
     m = design.shape[1]
     if m == 0:
         return np.zeros(0), float(np.abs(rhs).max()), 1.0
@@ -391,6 +393,9 @@ def _correlation_solve(design, b, deficit: float):
 
     An ill-conditioned design starts at the smallest nonzero reg.
     """
+    # deferred: scipy loads on the first recovery, not on `import whlab`
+    from scipy.optimize import nnls
+
     n_lags = design.shape[1]
     sv = np.linalg.svd(design, compute_uv=False)
     top = float(sv[0]) if sv.size else 0.0

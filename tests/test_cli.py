@@ -239,7 +239,7 @@ MALFORMED_DATA_DIRS = {
 
 
 def test_module_entry_point_rejects_malformed_data_dir_with_exit_2(tmp_path):
-    # the one run through a real interpreter: ``python -m whlab.cli``
+    # a run through a real interpreter: ``python -m whlab.cli``
     root = tmp_path / "d"
     save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 3), root)
     (root / "restricted.f64").write_bytes(bytes(8))
@@ -253,6 +253,29 @@ def test_module_entry_point_rejects_malformed_data_dir_with_exit_2(tmp_path):
     assert result.returncode == 2, result.stderr
     assert "hash mismatch" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_module_entry_point_reconstructs_skip_free_data(tmp_path):
+    # a fresh interpreter loads scipy on the first recovery, not at import:
+    # the deferred imports must resolve and write an in-process run's body
+    mu = lattice(-1, [0.5, 0.2, 0.1, 0.2])
+    root = tmp_path / "d"
+    save_data_dir(truncated_data(mu, 40), root)
+    cfg = write_config(tmp_path / "cfg.json", {"data_dir": str(root)})
+    result = subprocess.run(
+        [sys.executable, "-m", "whlab.cli", "reconstruct", "--config", str(cfg),
+         "--out", str(tmp_path / "fresh")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    body = (tmp_path / "fresh" / "reconstruct_report.json").read_text()
+    report = json.loads(body)
+    assert report["detected_class"] == "skip_free"
+    assert tv_distance(LatticeDist.from_dict(report["recovered"]), mu) <= 1e-10
+    here = run_cli("reconstruct", "--config", str(cfg), "--out", str(tmp_path / "here"))
+    assert here == (0, "")
+    assert (tmp_path / "here" / "reconstruct_report.json").read_text() == body
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DATA_DIRS))

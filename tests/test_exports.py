@@ -1,9 +1,10 @@
 """Every exported name resolves, so a stale ``__all__`` entry cannot linger;
-importing the package pulls in no scipy submodule it does not use; recovery
-takes no true law."""
+importing the package and running the commands that never recover load no
+scipy; recovery takes no true law."""
 
 import importlib
 import inspect
+import json
 import pkgutil
 import subprocess
 import sys
@@ -31,6 +32,39 @@ def test_import_does_not_load_scipy_signal():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def _scipy_modules_after(script):
+    """scipy module names loaded once ``script`` ran in a fresh interpreter."""
+    probe = script + (
+        "\nimport sys"
+        "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_import_does_not_load_scipy():
+    # only recovery and power_tail_pair call scipy, and they import it on use
+    assert _scipy_modules_after("import whlab") == "[]"
+
+
+def test_verify_factorize_simulate_do_not_load_scipy(tmp_path):
+    law = {"family": "two_point", "parameters": {"down": -1, "up": 1, "p_up": 0.6}}
+    docs = {
+        "verify": {"distribution": law, "horizon": 40},
+        "factorize": {"distribution": law, "horizon": 40},
+        "simulate": {"distribution": law, "n_samples": 2000, "max_steps": 200},
+    }
+    lines = ["from whlab.cli import main"]
+    for command, doc in docs.items():
+        cfg = tmp_path / (command + ".json")
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        lines.append("assert main(%r) == 0" % argv)
+    assert _scipy_modules_after("\n".join(lines)) == "[]"
 
 
 def test_recovery_takes_no_true_law():

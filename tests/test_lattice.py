@@ -241,6 +241,32 @@ def test_convolve_commutes(a, b):
     assert sup_distance(convolve(a, b), convolve(b, a)) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "weights, lo, hi",
+    [
+        ([0.0, 0.5], 1, 2),
+        ([0.5, 0.0], 0, 1),
+        ([0.0, 0.0, 0.0, 0.5, 0.0, 0.0], 3, 4),
+        # more edge zeros than are peeled one by one
+        ([0.0] * 7 + [0.5, 0.0, 0.25] + [0.0] * 9, 7, 10),
+        ([0.5, 0.0, 0.0, 0.25], 0, 4),
+        ([5e-324, 0.0, 0.5, 5e-324], 0, 4),
+        ([0.0, 0.0, 5e-324, 0.0], 2, 3),
+    ],
+)
+def test_trim_cuts_exact_edge_zeros_only(weights, lo, hi):
+    w = np.array(weights)
+    offset, got = _trim(-3, w)
+    assert offset == -3 + lo
+    assert got.tobytes() == w[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 1, 4, 5, 9])
+def test_trim_of_all_zeros_is_empty_at_zero(size):
+    offset, got = _trim(-3, np.zeros(size))
+    assert (offset, got.size) == (0, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(-5, 5),

@@ -198,6 +198,26 @@ def test_recover_skipfree_drift_is_sign_of_mean(law, horizon):
         assert rep.diagnostics["drift"] is Drift.OSCILLATES
 
 
+# an atom on 0..6 that is zero about 30% of the time
+_maybe_zero_atom = st.tuples(st.integers(0, 9), st.floats(0.01, 1.0)).map(
+    lambda t: 0.0 if t[0] < 3 else t[1]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_maybe_zero_atom, min_size=7, max_size=7).filter(any),
+    st.floats(0.02, 0.98),
+    st.integers(2, 40),
+)
+def test_skipfree_law_round_trips_through_auto_reconstruct(weights, down, horizon):
+    # criterion 4a's tolerance, on laws drawn rather than listed
+    mu = _skipfree_law(weights, down, zero_mean=False)
+    rep = auto_reconstruct(truncated_data(mu, horizon))
+    assert rep.detected_class == CLASS_SKIP_FREE
+    assert tv_distance(rep.recovered, mu) <= 1e-10
+
+
 @pytest.mark.parametrize("detectors", ["skip_free", [], ()])
 def test_auto_reconstruct_refuses_string_or_empty_detectors(detectors):
     with pytest.raises(DomainError, match="detectors must"):
