@@ -255,17 +255,37 @@ _MGF_ARG_CAP = 1e3
 
 
 def log_restricted_mgf(data: TruncatedData, lambdas, n: int) -> np.ndarray:
-    """log E[e^{lam S_n}; S_n >= 0] for each lam, -inf when r_n is zero."""
-    # deferred: only recovery probes call this, so `import whlab` skips scipy
-    from scipy.special import logsumexp
+    """log E[e^{lam S_n}; S_n >= 0] for each lam, -inf when r_n is zero.
 
+    A log-sum-exp over each (lam, k) row that keeps its tied maxima out of
+    the sum: log1p(s/m) + log(m) + max, with m the number of tied maxima
+    and s the sum of the other terms shifted by the max (Blanchard, Higham
+    & Higham, IMA J. Numer. Anal. 41(4), 2021). These are the operations
+    of scipy.special.logsumexp, in its order, so the values are its values
+    bit for bit; the exponents are formed once, in one array. A row whose
+    result is not finite takes log(sum(exp)) instead, as scipy's does.
+    """
     lambdas = np.asarray(lambdas, dtype=float)
     r = data.restricted_power(n)
     if r.is_zero:
         return np.full(lambdas.shape, -np.inf)
     with np.errstate(divide="ignore"):
         logw = np.log(r.weights)
-    return logsumexp(np.multiply.outer(lambdas, r.indices()) + logw, axis=1)
+    k = r.indices()
+    x = np.multiply.outer(lambdas, k)
+    x += logw
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = x.max(axis=1, keepdims=True)
+        ties = x == top
+        m = np.count_nonzero(ties, axis=1)
+        np.copyto(x, -np.inf, where=ties)
+        x -= top
+        np.exp(x, out=x)
+        s = x.sum(axis=1)
+        out = np.log1p(s / m) + np.log(m) + top[:, 0]
+        for i in np.flatnonzero(~np.isfinite(out)):
+            out[i] = np.log(np.exp(lambdas[i] * k + logw).sum())
+    return out
 
 
 def default_lambda_grid(data: TruncatedData) -> np.ndarray:

@@ -306,14 +306,16 @@ def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
     The mass deficit of restricted(1) pins the only admissible candidate,
     whatever the drift, which is accepted iff its forward powers reproduce
     every observed restricted power within CONSISTENCY_TOL; otherwise the
-    class is not detected. At horizon 1 the candidate reproduces r1 by
-    construction, so nothing could refute it: with a positive deficit the
-    class is not detected there. A zero r1 is not detected either: every
-    law on the negative half-line gives the same all-zero data, so the data
-    do not single out delta(-1). The reported drift is the sign of the
-    accepted law's mean (a finite-mean walk drifts that way, and oscillates
-    at mean zero), with |mean| <= MASS_TOL, the tolerance of a proper law,
-    read as zero.
+    class is not detected. The candidate reproduces r1 by construction, so
+    r2 is the first power that can refute it: r1 and r2 are checked first,
+    and a refuted candidate costs a two-step walk, not an N-step one;
+    acceptance still reads every power. At horizon 1 nothing could refute
+    the candidate: with a positive deficit the class is not detected
+    there. A zero r1 is not detected either: every law on the negative
+    half-line gives the same all-zero data, so the data do not single out
+    delta(-1). The reported drift is the sign of the accepted law's mean
+    (a finite-mean walk drifts that way, and oscillates at mean zero),
+    with |mean| <= MASS_TOL, the tolerance of a proper law, read as zero.
     """
     r1 = data.restricted_power(1)
     if r1.is_zero:
@@ -324,11 +326,14 @@ def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
             "one restricted power cannot refute the mass-deficit candidate"
         )
     candidate = _assemble(r1, np.array([deficit]) if deficit > 0.0 else np.zeros(0))
-    consistency = _table_gap(truncated_data(candidate, data.horizon).table, data.table)
-    if consistency > CONSISTENCY_TOL:
-        raise ClassNotDetected(
-            "forward powers of the mass-deficit candidate do not match the data"
-        )
+    # the first n steps of the N-step walk are the n-step walk, bit for bit,
+    # so a gap seen at r2 is a gap of the full check
+    for n in sorted({min(2, data.horizon), data.horizon}):
+        consistency = _table_gap(truncated_data(candidate, n).table, data.table[:n])
+        if consistency > CONSISTENCY_TOL:
+            raise ClassNotDetected(
+                "forward powers of the mass-deficit candidate do not match the data"
+            )
     mean = float(candidate.indices() @ candidate.weights)
     if abs(mean) <= MASS_TOL:
         drift = Drift.OSCILLATES

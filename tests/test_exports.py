@@ -1,6 +1,6 @@
 """Every exported name resolves, so a stale ``__all__`` entry cannot linger;
-importing the package and running the commands that never recover load no
-scipy; recovery takes no true law."""
+importing the package, running the commands that never recover and the
+moment probes load no scipy; recovery takes no true law."""
 
 import importlib
 import inspect
@@ -65,6 +65,16 @@ def test_verify_factorize_simulate_do_not_load_scipy(tmp_path):
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
         lines.append("assert main(%r) == 0" % argv)
     assert _scipy_modules_after("\n".join(lines)) == "[]"
+
+
+def test_moment_probes_do_not_load_scipy():
+    # the probes compute their log-sum-exp on numpy alone
+    script = (
+        "from whlab import truncated_data, two_point"
+        "\nfrom whlab.ladder import exp_moment_conditions"
+        "\nexp_moment_conditions(truncated_data(two_point(-2, 1, 0.85).dist, 40))"
+    )
+    assert _scipy_modules_after(script) == "[]"
 
 
 def test_recovery_takes_no_true_law():

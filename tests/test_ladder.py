@@ -27,7 +27,7 @@ from whlab import (
     verify_factorization,
 )
 from whlab.errors import DomainError
-from whlab.ladder import DOWNWARD, UPWARD, default_lambda_grid
+from whlab.ladder import DOWNWARD, UPWARD, default_lambda_grid, log_restricted_mgf
 from whlab.lattice import _half_line_walk, zero_measure
 from whlab.reconstruct import _STAB_TOL, _mgf_ratio_points
 
@@ -618,3 +618,71 @@ def test_probes_evaluate_only_the_powers_they_read(monkeypatch):
     lambdas = np.geomspace(1e-3, 1.0, 41)
     _mgf_ratio_points(data, lambdas)
     assert calls == [(n, 41) for n in (1, 38, 39, 40)]
+
+
+# -- the log-sum-exp kernel against scipy's, the oracle it reproduces --------
+
+
+def _scipy_log_restricted_mgf(data, lambdas, n):
+    r = data.restricted_power(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logw = np.log(r.weights)
+        return logsumexp(np.multiply.outer(lambdas, r.indices()) + logw, axis=1)
+
+
+def _assert_mgf_is_scipy_logsumexp(data, lambdas):
+    lambdas = np.asarray(lambdas, dtype=float)
+    for n in range(1, data.horizon + 1):
+        if data.restricted_power(n).is_zero:
+            continue
+        # inf * 0 and inf - inf in the exponents warn on both sides
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = log_restricted_mgf(data, lambdas, n)
+        want = _scipy_log_restricted_mgf(data, lambdas, n)
+        # bit for bit, the sign of a zero and NaN positions included
+        assert got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize(
+    "power, lambdas",
+    [
+        # at lam = 0 every equal weight is a tied maximum
+        (lattice(0, [0.25, 0.25, 0.25, 0.25]), [0.0, 1e-3, -1e-3]),
+        (lattice(2, [0.2, 0.2, 0.2]), [0.0, 0.5]),
+        # two tied maxima beside smaller terms: counting one tie is off by an ulp
+        (lattice(0, [0.35, 0.05, 0.35, 0.15]), [0.0]),
+        # interior zero weights enter the rows as -inf exponents
+        (lattice(1, [0.3, 0.0, 0.0, 0.2, 0.0, 0.1]), [0.0, 0.5, 2.0, -3.0]),
+        # one atom: the row is its own maximum and nothing else
+        (lattice(3, [0.4]), [0.0, 0.7, 5.0]),
+        (lattice(0, [0.6]), [0.0, 2.0]),
+        # the maximum at k = 0: a heavy atom at the origin, small lambdas
+        (lattice(0, [0.9, 0.05, 0.05]), [1e-4, 0.01, 0.1, -1.0]),
+        # rows that are not finite take scipy's log(sum(exp)) fallback
+        (lattice(0, [0.5, 0.0, 0.25]), [np.inf, -np.inf, np.nan, 1e308]),
+        (lattice(1, [0.5, 0.25]), [np.inf, -np.inf, 1e308, -1e308]),
+    ],
+    ids=[
+        "ties_at_zero",
+        "ties_off_zero",
+        "ties_among_others",
+        "interior_zeros",
+        "single_atom",
+        "single_atom_at_zero",
+        "max_at_zero",
+        "nonfinite_rows_with_zero",
+        "nonfinite_rows",
+    ],
+)
+def test_log_restricted_mgf_is_scipy_logsumexp_on_edge_cases(power, lambdas):
+    _assert_mgf_is_scipy_logsumexp(data_from_powers([power, power]), lambdas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    step_laws,
+    st.integers(1, 8),
+    st.lists(st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-50.0, 50.0), min_size=1),
+)
+def test_log_restricted_mgf_is_scipy_logsumexp_on_walk_data(mu, horizon, lambdas):
+    _assert_mgf_is_scipy_logsumexp(truncated_data(mu, horizon), lambdas)

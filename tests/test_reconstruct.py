@@ -261,6 +261,36 @@ def test_recover_skipfree_needs_two_powers_to_refute():
     assert tv_distance(rep.recovered, mu) == 0.0
 
 
+@pytest.mark.parametrize(
+    "mu, walked",
+    [
+        (two_point(-2, 1, 0.85).dist, [2]),
+        (power_tail_pair().dist, [2]),
+        (lattice(-1, [0.5, 0.2, 0.1, 0.2]), [2, 40]),
+    ],
+    ids=["two_point", "power_tail_pair", "skip_free"],
+)
+def test_recover_skipfree_refutes_at_second_power_first(monkeypatch, mu, walked):
+    # r2 refutes every refused candidate here: the N-step walk is for acceptance
+    import whlab.reconstruct
+
+    inner = whlab.reconstruct.truncated_data
+    horizons = []
+
+    def spy(law, horizon):
+        horizons.append(horizon)
+        return inner(law, horizon)
+
+    data = truncated_data(mu, 40)
+    monkeypatch.setattr(whlab.reconstruct, "truncated_data", spy)
+    if walked == [2]:
+        with pytest.raises(ClassNotDetected, match="forward powers"):
+            recover_skipfree(data)
+    else:
+        assert recover_skipfree(data).detected_class == CLASS_SKIP_FREE
+    assert horizons == walked
+
+
 def test_correlation_lhs_positive_support_vanishes():
     data = truncated_data(lattice(1, [0.6, 0.4]), 6)
     assert np.max(np.abs(correlation_lhs_from_data(data))) <= 1e-15
