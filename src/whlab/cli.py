@@ -12,6 +12,7 @@ the config document it came from.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -494,7 +495,9 @@ RUNNERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="whlab",
         description="Random-walk factorization and recovery experiments",
@@ -505,7 +508,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = parse_config(
             args.config,

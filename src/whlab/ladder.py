@@ -9,10 +9,11 @@ first passages are tracked, with deliberately asymmetric boundaries:
 Both are realized by one killed-walk dynamic program: convolve the
 surviving sub-law with mu, move the crossing part into the ladder table,
 keep the remainder alive. The joint transform of (tau, S_tau) truncated at
-a horizon carries a certified tail bound read off the DP's survival
-P(tau > N). The upward transform is also reproducible from half-line data
-alone through the log-series of the restricted powers (`spitzer_chi_grid`),
-which cross-checks the DP; no detector in `reconstruct` reads it.
+a horizon N carries a certified tail bound read off the DP's ``tail``, the
+alive total P(tau > N) after the last step. The upward transform is also
+reproducible from half-line data alone through the log-series of the
+restricted powers (`spitzer_chi_grid`), which cross-checks the DP; no
+detector in `reconstruct` reads it.
 """
 
 from __future__ import annotations
@@ -56,21 +57,21 @@ class LadderLaw:
     """Joint law of (first passage epoch, overshoot height) up to a horizon.
 
     ``masses[n-1, j]`` is P(tau = n, S_tau = height_offset + j). Upward laws
-    live on heights >= 0, downward laws on heights <= -1. ``survival[n]`` is
-    the alive total P(tau > n) for n = 0..horizon.
+    live on heights >= 0, downward laws on heights <= -1. ``tail`` is the
+    alive total P(tau > horizon). The n-step law is the first n rows of the
+    N-step law, so ``ladder_law(mu, side, n).tail`` is P(tau > n).
     """
 
     side: str
     horizon: int
     height_offset: int
     masses: np.ndarray
-    survival: np.ndarray
+    tail: float
 
     def __post_init__(self):
-        for name in ("masses", "survival"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        masses = np.asarray(self.masses, dtype=float)
+        masses.setflags(write=False)
+        object.__setattr__(self, "masses", masses)
 
     @property
     def heights(self) -> np.ndarray:
@@ -98,9 +99,9 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
     walk = _half_line_walk(mu, "nonneg" if side == UPWARD else "neg", horizon)
     if walk.lo == walk.hi:
         base = 0 if side == UPWARD else -1
-        return LadderLaw(side, horizon, base, np.zeros((horizon, 0)), walk.survival)
+        return LadderLaw(side, horizon, base, np.zeros((horizon, 0)), walk.tail)
     masses = walk.table[:, walk.lo - walk.base : walk.hi - walk.base]
-    return LadderLaw(side, horizon, walk.lo, np.ascontiguousarray(masses), walk.survival)
+    return LadderLaw(side, horizon, walk.lo, np.ascontiguousarray(masses), walk.tail)
 
 
 # -- transform evaluation with certified truncation bounds -----------------
@@ -123,6 +124,21 @@ def _grid_args(s_values, t_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s_arr, t_arr, mods
 
 
+def _phases(heights: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
+    """e^{i k t} for each height k (rows) and t (columns).
+
+    cos and sin are written into the real and imaginary views of one
+    complex array: the values of np.exp(1j * k t), signed zeros included,
+    without its complex multiply and complex exp.
+    """
+    x = np.multiply.outer(heights, t_arr)
+    x += 0.0  # 1j * x has imaginary part +0.0 where x is -0.0
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 @dataclass(frozen=True)
 class TransformGrid:
     values: np.ndarray  # (len(s_values), len(t_values)) complex
@@ -132,18 +148,19 @@ class TransformGrid:
 def chi_eval_grid(law: LadderLaw, s_values, t_values) -> TransformGrid:
     """E[s^tau e^{i t S_tau}; tau <= horizon] with tail bound |s|^{N+1} P(tau > N).
 
-    The epoch masses are summed over s before the height phases are
-    applied, one s row at a time: a batched matmul picks shape-dependent
-    kernels, and a value must not depend on how an s sweep is chunked.
+    P(tau > N) is ``law.tail``. The epoch masses are summed over s before
+    the height phases are applied, one s row at a time: a batched matmul
+    picks shape-dependent kernels, and a value must not depend on how an s
+    sweep is chunked.
     """
     s_arr, t_arr, mods = _grid_args(s_values, t_values)
     vals = np.zeros((len(s_arr), len(t_arr)), dtype=complex)
     if law.masses.size:
-        phases = np.exp(1j * np.outer(law.heights, t_arr))  # (W, T)
+        phases = _phases(law.heights, t_arr)  # (W, T)
         n_idx = np.arange(1, law.horizon + 1)
         for i, row in enumerate(s_arr[:, None] ** n_idx[None, :]):
             vals[i] = (row @ law.masses) @ phases
-    bounds = mods ** (law.horizon + 1) * law.survival[law.horizon]
+    bounds = mods ** (law.horizon + 1) * law.tail
     return TransformGrid(vals, bounds)
 
 
@@ -160,7 +177,7 @@ def spitzer_chi_grid(data: TruncatedData, s_values, t_values) -> TransformGrid:
     s_arr, t_arr, mods = _grid_args(s_values, t_values)
     horizon = data.horizon
     table = data.table
-    phases = np.exp(1j * np.outer(np.arange(table.shape[1]), t_arr))  # (W, T)
+    phases = _phases(np.arange(table.shape[1]), t_arr)  # (W, T)
     n_idx = np.arange(1, horizon + 1)
     s_pow = (s_arr[:, None] ** n_idx[None, :]) / n_idx[None, :]  # (S, N)
     parts = np.concatenate([s_pow.real, s_pow.imag]) @ table  # (2S, W)
@@ -204,7 +221,7 @@ def verify_factorization(
     the height phases). Truncating chi+ and chi- at N moves the product
     (1 - chi-)(1 - chi+) by at most
     (1 + |s|) |s|^{N+1} (P(tau+ > N) + P(tau- > N)), read from the two
-    ladder laws' survival, since each factor is at most 1 + |s| in modulus
+    ladder laws' ``tail``, since each factor is at most 1 + |s| in modulus
     and each dropped tail at most |s|^{N+1} P(tau > N). Residuals above
     that bound plus float noise indicate a real defect.
     """
@@ -217,7 +234,7 @@ def verify_factorization(
     lhs = 1.0 - s_arr[:, None] * phi[None, :]
     rhs = (1.0 - minus) * (1.0 - plus)
     residuals = np.abs(lhs - rhs)
-    alive = up.survival[horizon] + down.survival[horizon]
+    alive = up.tail + down.tail
     bounds = (1.0 + mods) * mods ** (horizon + 1) * alive
     return FactorizationReport(horizon, s_arr, t_arr, plus, minus, residuals, bounds)
 

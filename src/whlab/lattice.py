@@ -286,13 +286,15 @@ class _Walk(NamedTuple):
 
     ``table[n-1, j]`` is the crossing mass of step n at height ``base + j``;
     ``lo`` and ``hi`` bound the heights that carry any (``lo == hi`` if none).
+    ``tail`` is the killed walk's P(tau > horizon), the total of its final
+    alive window, and None for the unkilled walk.
     """
 
     table: np.ndarray
     base: int
     lo: int
     hi: int
-    survival: np.ndarray | None  # alive total after 0..horizon steps, if killed
+    tail: float | None
     alive: tuple[int, np.ndarray]  # alive window after the last step
 
 
@@ -335,9 +337,8 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     # alive windows longer than this leave the direct path (see _convolve_raw)
     direct_max = FFT_THRESHOLD - mu_size
     # the loop runs once per step: look these up once
-    correlate, add_reduce = np.correlate, np.add.reduce
+    correlate = np.correlate
     offset, alive = 0, np.ones(1)
-    survival = np.concatenate(([1.0], np.zeros(horizon))) if kill else None
     for n in range(horizon):
         size = alive.size
         if not (size and mu_size):
@@ -371,7 +372,6 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
                 (k, w), (offset, alive) = nonneg, neg
             else:
                 (k, w), (offset, alive) = neg, nonneg
-            survival[n + 1] = add_reduce(alive)
         if w.size:
             j = k - base
             if j + w.size > table.shape[1]:
@@ -380,7 +380,9 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
                 table = wider
             table[n, j : j + w.size] = w
             lo, hi = min(lo, k), max(hi, k + w.size)
-    return _Walk(table, base, min(lo, hi), hi, survival, (offset, alive))
+    # the alive total is read at the horizon only, so it is taken once, here
+    tail = float(np.add.reduce(alive)) if kill else None
+    return _Walk(table, base, min(lo, hi), hi, tail, (offset, alive))
 
 
 # -- transforms ----------------------------------------------------------

@@ -328,4 +328,4 @@ def censored_z(exact: LadderLaw, emp: EmpiricalLadder) -> float:
             "exact law horizon %d differs from the sampler's max_steps %d"
             % (exact.horizon, emp.max_steps)
         )
-    return _cell_z(emp.censored_count, emp.n_samples, float(exact.survival[-1]))
+    return _cell_z(emp.censored_count, emp.n_samples, exact.tail)

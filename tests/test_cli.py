@@ -573,6 +573,26 @@ def test_simulate_seed_override_lands_in_report(tmp_path):
     assert report["seed"] == 5
 
 
+def test_parser_reused_across_calls_keeps_errors_and_defaults(tmp_path):
+    # main builds its parser once per process: a parse must leave nothing
+    # behind for the next call, neither an error nor an override
+    save_data_dir(truncated_data(lattice(-1, [0.5, 0.2, 0.1, 0.2]), 10), tmp_path / "d")
+    rcfg = str(write_config(tmp_path / "r.json", {"data_dir": str(tmp_path / "d")}))
+    assert run_cli("reconstruct", "--config", rcfg, "--out", str(tmp_path / "r")) == (0, "")
+    bad = run_cli("reconstruct", "--config", rcfg, "--bogus")
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --bogus" in bad.stderr
+    scfg = str(write_config(tmp_path / "s.json", SIMULATE_DOC))
+    seeded = run_cli("simulate", "--config", scfg, "--out", str(tmp_path / "a"), "--seed", "5")
+    assert seeded == (0, "")
+    assert run_cli("simulate", "--config", scfg, "--out", str(tmp_path / "b")) == (0, "")
+    seeds = [
+        json.loads((tmp_path / out / "simulate_report.json").read_text())["seed"]
+        for out in "ab"
+    ]
+    assert seeds == [5, 41]
+
+
 def test_bad_document_seed_rejected_under_override(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", dict(SIMULATE_DOC, seed=-1))
     result = run_cli("simulate", "--config", str(cfg), "--seed", "5")

@@ -70,11 +70,11 @@ def test_downward_epochs_follow_catalan_counts():
 def test_epoch_mass_equals_alive_drop():
     mu = lattice(-2, [0.2, 0.1, 0.3, 0.15, 0.25])
     law = ladder_law(mu, UPWARD, 40)
-    marginals = law.masses.sum(axis=1)
-    assert law.survival.shape == (41,) and law.survival[0] == 1.0
-    for n, mass in enumerate(marginals, start=1):
-        drop = law.survival[n - 1] - law.survival[n]
-        assert abs(drop - mass) <= 1e-14
+    assert isinstance(law.tail, float)
+    tails = [1.0] + [ladder_law(mu, UPWARD, n).tail for n in range(1, 41)]
+    assert tails[40] == law.tail
+    for n, mass in enumerate(law.masses.sum(axis=1), start=1):
+        assert abs(tails[n - 1] - tails[n] - mass) <= 1e-14
 
 
 def test_killed_walk_alive_stays_strictly_negative():
@@ -328,6 +328,29 @@ def test_grids_match_phase_first_reference(corpus100, corpus100_data):
     assert worst <= 1e-13
 
 
+def _ulps(a, b):
+    """Distance in units in the last place; the two zeros are 0 apart."""
+
+    def ordered(x):
+        i = x.view(np.int64)
+        return np.where(i < 0, np.int64(-(2**63)) - i, i)
+
+    return np.abs(ordered(a) - ordered(b))
+
+
+def test_phases_match_complex_exp():
+    rng = np.random.default_rng(19)
+    heights = np.arange(-40, 4001)
+    # |t| <= 1e3, at scales from 1e-6 up, with both zeros
+    scales = 10.0 ** rng.integers(-6, 4, 60)
+    t = np.concatenate([[0.0, -0.0, np.pi, -np.pi], rng.uniform(-1.0, 1.0, 60) * scales])
+    got = whlab.ladder._phases(heights, t)
+    want = np.exp(1j * np.outer(heights, t))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert _ulps(got.real, want.real).max() <= 2
+    assert _ulps(got.imag, want.imag).max() <= 2
+
+
 def test_factorization_delta0_residual_zero():
     report = verify_factorization(delta(0), S_GRID, T_GRID, horizon=20)
     assert report.max_residual <= 1e-15
@@ -402,7 +425,7 @@ def test_ladder_law_on_fft_path_matches_direct(monkeypatch):
     # whlab.lattice is the re-exported function, so patch the module itself
     monkeypatch.setattr(importlib.import_module("whlab.lattice"), "FFT_THRESHOLD", 8)
     fft = ladder_law(mu, UPWARD, 60)
-    assert np.abs(fft.survival - direct.survival).max() <= 1e-14
+    assert abs(fft.tail - direct.tail) <= 1e-14
 
 
 # -- the raw-array walk against the loop of public calls it replaced ---------
@@ -430,6 +453,15 @@ def _reference_walk(mu, side, horizon):
     return crossings, survival, restricted
 
 
+def _masses_on(law, other):
+    """law's masses on other's heights: law's rows, zero-padded to other's columns."""
+    out = np.zeros((law.horizon, other.masses.shape[1]))
+    j = law.height_offset - other.height_offset
+    assert 0 <= j and j + law.masses.shape[1] <= out.shape[1]
+    out[:, j : j + law.masses.shape[1]] = law.masses
+    return out
+
+
 def _assert_walk_matches_public_loop(mu, side, horizon):
     crossings, survival, restricted = _reference_walk(mu, side, horizon)
     law = ladder_law(mu, side, horizon)
@@ -442,10 +474,17 @@ def _assert_walk_matches_public_loop(mu, side, horizon):
             want[n, c.min_index - lo : c.max_index - lo + 1] = c.weights
     assert law.height_offset == lo
     assert law.masses.tobytes() == want.tobytes()
-    assert law.survival.tobytes() == np.array(survival).tobytes()
+    # the reference loop's alive total after step n is the tail of the
+    # n-step law, whose masses are the N-step law's first n rows
+    tails = {0: 1.0}
+    for n in sorted({*range(1, min(horizon, 60) + 1), horizon}):
+        short = law if n == horizon else ladder_law(mu, side, n)
+        assert np.float64(short.tail).tobytes() == np.float64(survival[n]).tobytes()
+        assert _masses_on(short, law).tobytes() == law.masses[:n].tobytes()
+        tails[n] = short.tail
     epochs = law.masses.sum(axis=1)
-    for n in range(1, horizon + 1):
-        assert abs(law.survival[n - 1] - law.survival[n] - epochs[n - 1]) <= 1e-14
+    for n in range(1, min(horizon, 60) + 1):
+        assert abs(tails[n - 1] - tails[n] - epochs[n - 1]) <= 1e-14
     data = truncated_data(mu, horizon)
     assert data.table.tobytes() == data_from_powers(restricted).table.tobytes()
     for got, ref in zip(data.restricted, restricted, strict=True):
