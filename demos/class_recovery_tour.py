@@ -42,5 +42,5 @@ b = np.array(
     [sum(w * kernel.mass(n + j) for j, w in planted.items()) for n in range(1, 16)]
 )
 sol = correlation_inverse(kernel, b, deficit=0.5)
-print("degenerate kernel: rank", sol.rank, "of", len(sol.lags), "lags,")
+print("degenerate kernel: rank", sol.rank, "of", len(sol.masses), "lags,")
 print("rank_deficient flag:", sol.rank_deficient)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .lattice import LatticeDist, delta, lattice
+from .lattice import LatticeDist, _check_int, delta, lattice
 
 __all__ = [
     "GeneratedDist",
@@ -66,14 +66,18 @@ def geometric_mixture(
 ) -> GeneratedDist:
     """Mixture of geometrics on {0, 1, ...} shifted left: mu(shift + k) =
     sum_i w_i (1 - c_i) c_i^k, truncated at index cutoff."""
-    atoms = tuple(float(c) for c in atoms)
-    atom_weights = tuple(float(w) for w in atom_weights)
+    try:
+        atoms = tuple(float(c) for c in atoms)
+        atom_weights = tuple(float(w) for w in atom_weights)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("geometric atoms and atom_weights must be numbers: %s" % exc)
     if len(atoms) != len(atom_weights) or not atoms:
         raise DomainError("atoms and atom_weights must match and be nonempty")
     if any(not 0.0 < c < 1.0 for c in atoms):
         raise DomainError("geometric atoms must lie in (0, 1)")
     if any(w <= 0 for w in atom_weights) or abs(sum(atom_weights) - 1.0) > 1e-12:
         raise DomainError("atom_weights must be positive and sum to one")
+    cutoff = _check_int("cutoff", cutoff, shift)
     n_terms = cutoff - shift + 1
     k = np.arange(n_terms)
     weights = np.zeros(n_terms)

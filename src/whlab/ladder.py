@@ -14,6 +14,11 @@ alive total P(tau > N) after the last step. The upward transform is also
 reproducible from half-line data alone through the log-series of the
 restricted powers (`spitzer_chi_grid`), which cross-checks the DP; no
 detector in `reconstruct` reads it.
+
+The exponential-moment probes (`log_restricted_mgf`,
+`exp_moment_conditions`) read half-line data only and return the one
+certificate `recover_exponential` needs: a witness lambda, or None, and
+the probe cap.
 """
 
 from __future__ import annotations
@@ -39,10 +44,8 @@ __all__ = [
     "FactorizationReport",
     "verify_factorization",
     "ExpMomentReport",
-    "LambdaProbe",
     "exp_moment_conditions",
     "log_restricted_mgf",
-    "default_lambda_grid",
 ]
 
 
@@ -243,25 +246,16 @@ def verify_factorization(
 
 
 @dataclass(frozen=True)
-class LambdaProbe:
-    lam: float
-    growth: float | None  # stabilized limit of a_{n+1}/a_n, None if unstable
-    stabilized: bool
-    certified: bool  # growth > 1 certifies an exponential moment above one
-
-
-@dataclass(frozen=True)
 class ExpMomentReport:
-    """Evidence for the two transform-side recovery conditions.
+    """Evidence for the transform-side recovery condition (the paper's case 1).
 
-    condition_b is True when some probed lambda certifies a finite moment
-    generating value above one (the growth of E[e^{lambda S_n}; S_n >= 0]
-    is a lower bound for it), False when every probe stabilized without
-    certifying, None when some probe did not stabilize.
+    ``b_witness`` is the smallest probed lambda whose growth rate of
+    E[e^{lambda S_n}; S_n >= 0] stabilized above one, which certifies a
+    finite moment generating value above one there (the growth is a lower
+    bound for it); None if no probe certifies. ``lambda_cap`` is the
+    largest probed lambda.
     """
 
-    probes: tuple[LambdaProbe, ...]
-    condition_b: bool | None
     b_witness: float | None
     lambda_cap: float
 
@@ -305,7 +299,7 @@ def log_restricted_mgf(data: TruncatedData, lambdas, n: int) -> np.ndarray:
     return out
 
 
-def default_lambda_grid(data: TruncatedData) -> np.ndarray:
+def _lambda_grid(data: TruncatedData) -> np.ndarray:
     r1 = data.restricted_power(1)
     top = max(1, r1.max_index if not r1.is_zero else 1)
     lam_max = np.log(_MGF_ARG_CAP) / top
@@ -313,34 +307,23 @@ def default_lambda_grid(data: TruncatedData) -> np.ndarray:
 
 
 def exp_moment_conditions(data: TruncatedData) -> ExpMomentReport:
-    grid = default_lambda_grid(data)
+    """Probe 12 lambdas, geometric up to log(1e3) over the top of r_1.
+
+    At each lambda the ratios of successive restricted moment generating
+    values are taken over the last five nonzero powers. A probe has
+    stabilized when its four ratios spread by at most 1e-8 relative to the
+    last, its growth; it certifies when it has stabilized with growth above
+    one. Fewer than six nonzero powers certify nothing.
+    """
+    grid = _lambda_grid(data)
     cap = float(grid.max())
     # a nonzero power has a finite log-MGF at every lambda
     nonzero = (np.flatnonzero(data.table.max(axis=1) > 0.0) + 1).tolist()
     if len(nonzero) < 6:
-        probes = tuple(LambdaProbe(float(lam), None, False, False) for lam in grid)
-        return ExpMomentReport(probes, None, None, cap)
+        return ExpMomentReport(None, cap)
     logs = np.array([log_restricted_mgf(data, grid, n) for n in nonzero[-5:]])
     ratios = np.exp(np.diff(logs, axis=0))  # (4, len(grid))
-    probes = []
-    witness = None
-    any_unstable = False
-    for lam, last in zip(grid, ratios.T):
-        spread = float(last.max() - last.min())
-        growth = float(last[-1])
-        stabilized = spread <= 1e-8 * max(1.0, abs(growth))
-        certified = stabilized and growth > 1.0 + 1e-9
-        if certified and witness is None:
-            witness = float(lam)
-        if not stabilized:
-            any_unstable = True
-        probes.append(
-            LambdaProbe(float(lam), growth if stabilized else None, stabilized, certified)
-        )
-    if witness is not None:
-        condition_b = True
-    elif any_unstable:
-        condition_b = None
-    else:
-        condition_b = False
-    return ExpMomentReport(tuple(probes), condition_b, witness, cap)
+    growth = ratios[-1]
+    stabilized = np.ptp(ratios, axis=0) <= 1e-8 * np.maximum(1.0, np.abs(growth))
+    certified = np.flatnonzero(stabilized & (growth > 1.0 + 1e-9))
+    return ExpMomentReport(float(grid[certified[0]]) if certified.size else None, cap)

@@ -295,7 +295,6 @@ class _Walk(NamedTuple):
     lo: int
     hi: int
     tail: float | None
-    alive: tuple[int, np.ndarray]  # alive window after the last step
 
 
 def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
@@ -342,7 +341,7 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     for n in range(horizon):
         size = alive.size
         if not (size and mu_size):
-            offset, alive = 0, np.empty(0)
+            alive = np.empty(0)
             break
         if size == 1 or mu_size == 1 or size > direct_max:
             stepped = _convolve_raw(alive, mu_w)
@@ -382,7 +381,7 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
             lo, hi = min(lo, k), max(hi, k + w.size)
     # the alive total is read at the horizon only, so it is taken once, here
     tail = float(np.add.reduce(alive)) if kill else None
-    return _Walk(table, base, min(lo, hi), hi, tail, (offset, alive))
+    return _Walk(table, base, min(lo, hi), hi, tail)
 
 
 # -- transforms ----------------------------------------------------------

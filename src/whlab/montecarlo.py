@@ -139,8 +139,6 @@ class _StepLookup:
 class WalkSample:
     """One simulated walk up to its first crossing or censoring."""
 
-    seed: int
-    steps_taken: int
     ladder_epoch: int | None
     ladder_height: int | None
     censored: bool
@@ -169,8 +167,8 @@ def walk_sample(
         u = float(x) * 2.0**-_X_BITS
         position += int(values[np.searchsorted(cdf, u, side="right")])
         if _crossed(side, position):
-            return WalkSample(seed, step, step, position, False)
-    return WalkSample(seed, max_steps, None, None, True)
+            return WalkSample(step, position, False)
+    return WalkSample(None, None, True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +180,6 @@ class EmpiricalLadder:
     n_samples: int
     censored_count: int
     max_steps: int
-    seed: int
 
     def __post_init__(self):
         recorded = sum(self.counts.values()) + self.censored_count
@@ -257,7 +254,7 @@ def sample_ladder(
     counts = {
         (int(n) + 1, int(k) + low): int(c) for n, k, c in zip(epochs, heights, freq)
     }
-    return EmpiricalLadder(side, counts, n_samples, censored, max_steps, seed)
+    return EmpiricalLadder(side, counts, n_samples, censored, max_steps)
 
 
 @dataclass(frozen=True, eq=False)

@@ -257,7 +257,7 @@ def recover_exponential(data: TruncatedData) -> ReconstructionReport:
     r1 = data.restricted_power(1)
     deficit = _deficit(data)
     conditions = exp_moment_conditions(data)
-    if not conditions.condition_b:
+    if conditions.b_witness is None:
         raise ClassNotDetected(
             "no super-unit moment generating value is certified by the data"
         )
@@ -384,7 +384,6 @@ def correlation_lhs_from_data(data: TruncatedData) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationSolution:
-    lags: np.ndarray
     masses: np.ndarray
     residual_sup: float
     rank: int
@@ -433,7 +432,6 @@ def _correlation_solve(design, b, deficit: float):
         x = x * (deficit / total)
     fit = design @ x - b
     return CorrelationSolution(
-        lags=np.arange(1, n_lags + 1),
         masses=x,
         residual_sup=float(np.abs(fit).max()),
         rank=rank,

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from typing import NamedTuple
@@ -334,6 +335,23 @@ def test_bad_custom_distribution_rejected_with_exit_2(tmp_path, case):
     result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert result.returncode == 2, result.stderr
     assert "config error" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+BAD_GEOMETRIC_MIXTURES = {
+    "cutoff_below_shift": {"atoms": [0.5], "atom_weights": [1.0], "cutoff": -5},
+    "cutoff_infinite": {"atoms": [0.5], "atom_weights": [1.0], "cutoff": float("inf")},
+    "non_numeric_atom": {"atoms": ["x"], "atom_weights": [1.0]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GEOMETRIC_MIXTURES))
+def test_bad_geometric_mixture_rejected_with_exit_2(tmp_path, case):
+    spec = {"family": "geometric_mixture", "parameters": BAD_GEOMETRIC_MIXTURES[case]}
+    cfg = write_config(tmp_path / "cfg.json", {"distribution": spec, "horizon": 20})
+    result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2, result.stderr
+    assert re.search(r"^whlab: (.* error|invalid input): ", result.stderr, re.M)
     assert "Traceback" not in result.stderr
 
 

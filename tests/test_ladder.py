@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -20,6 +20,7 @@ from whlab import (
     exp_moment_conditions,
     ladder_law,
     lattice,
+    power_tail_pair,
     spitzer_chi_grid,
     split_nonneg,
     truncated_data,
@@ -27,8 +28,8 @@ from whlab import (
     verify_factorization,
 )
 from whlab.errors import DomainError
-from whlab.ladder import DOWNWARD, UPWARD, default_lambda_grid, log_restricted_mgf
-from whlab.lattice import _half_line_walk, zero_measure
+from whlab.ladder import DOWNWARD, UPWARD, _lambda_grid, log_restricted_mgf
+from whlab.lattice import zero_measure
 from whlab.reconstruct import _STAB_TOL, _mgf_ratio_points
 
 S_GRID = np.arange(0.1, 0.95, 0.1)
@@ -75,12 +76,6 @@ def test_epoch_mass_equals_alive_drop():
     assert tails[40] == law.tail
     for n, mass in enumerate(law.masses.sum(axis=1), start=1):
         assert abs(tails[n - 1] - tails[n] - mass) <= 1e-14
-
-
-def test_killed_walk_alive_stays_strictly_negative():
-    for horizon in range(1, 21):
-        offset, alive = _half_line_walk(lattice(-1, [0.5, 0.0, 0.5]), "nonneg", horizon).alive
-        assert alive.size == 0 or offset + alive.size - 1 < 0
 
 
 def test_chi_eval_delta1():
@@ -383,40 +378,44 @@ def test_factorization_at_t_zero_matches_one_minus_s():
         assert abs(prod - (1 - s)) <= 3 * bound + 1e-10
 
 
+def _probe_rows(data):
+    """The per-lambda (lam, growth or nan, stabilized, certified) rows, after
+    checking that they give the library's witness and cap."""
+    rows, witness = _old_exp_moment_probes(data)
+    rep = exp_moment_conditions(data)
+    assert (rep.b_witness, rep.lambda_cap) == (witness, rows[-1, 0])
+    return rows
+
+
 def test_exp_moment_delta1_exact_ratio():
     data = truncated_data(delta(1), 40)
-    rep = exp_moment_conditions(data)
-    assert len(rep.probes) == 12
-    for probe in rep.probes:
-        assert probe.stabilized
-        assert probe.growth == pytest.approx(np.exp(probe.lam), rel=1e-12)
-    assert rep.condition_b is True
+    lam, growth, stabilized, _ = _probe_rows(data).T
+    assert len(lam) == 12
+    assert stabilized.all()
+    assert growth == pytest.approx(np.exp(lam), rel=1e-12)
+    assert exp_moment_conditions(data).b_witness == lam[0]
 
 
 def test_exp_moment_ratio_matches_mgf():
     mu = lattice(-1, [0.2, 0.0, 0.8])
-    data = truncated_data(mu, 80)
-    rep = exp_moment_conditions(data)
-    for probe in rep.probes:
-        want = eval_transform(mu, np.exp(probe.lam)).real
-        assert probe.growth == pytest.approx(want, rel=1e-9)
+    lam, growth, _, _ = _probe_rows(truncated_data(mu, 80)).T
+    want = [eval_transform(mu, np.exp(x)).real for x in lam]
+    assert growth == pytest.approx(want, rel=1e-9)
 
 
 def test_exp_moment_bounded_support_certifies_condition_b(ssrw_data):
-    rep = exp_moment_conditions(ssrw_data)
-    assert rep.condition_b is True
-    certified = [p for p in rep.probes if p.certified]
-    assert certified and certified[0].lam == rep.b_witness
+    lam, growth, _, certified = _probe_rows(ssrw_data).T
+    certified = certified.astype(bool)
+    assert certified.any()
     # each stabilized ratio estimates phi(lambda) = cosh(lambda); the
     # first witness converges slowest, within its 1e-8 spread contract
-    for probe in certified:
-        assert probe.growth == pytest.approx(np.cosh(probe.lam), rel=1e-7)
-    assert certified[-1].growth == pytest.approx(np.cosh(certified[-1].lam), rel=1e-9)
+    lam, growth = lam[certified], growth[certified]
+    assert growth == pytest.approx(np.cosh(lam), rel=1e-7)
+    assert growth[-1] == pytest.approx(np.cosh(lam[-1]), rel=1e-9)
 
 
 def test_exp_moment_heavy_tail_stays_undecided(p5_data):
-    rep = exp_moment_conditions(p5_data)
-    assert rep.condition_b is not True
+    assert exp_moment_conditions(p5_data).b_witness is None
 
 
 def test_ladder_law_on_fft_path_matches_direct(monkeypatch):
@@ -533,6 +532,14 @@ def test_walk_kernel_matches_public_loop_on_edge_cases(mu, side, horizon):
     _assert_walk_matches_public_loop(mu, side, horizon)
 
 
+def test_walk_kernel_matches_public_loop_on_simple_walk():
+    # every crossing row and the tail's bytes: mass the killed walk left
+    # alive on the wrong side of the origin would show in both
+    for side in (UPWARD, DOWNWARD):
+        for horizon in range(1, 21):
+            _assert_walk_matches_public_loop(lattice(-1, [0.5, 0.0, 0.5]), side, horizon)
+
+
 # -- half-line probes against the every-row, one-lambda-at-a-time form ------
 
 
@@ -548,14 +555,13 @@ def _old_log_restricted_mgf(data, lam):
 
 
 def _old_exp_moment_probes(data):
-    """(lam, growth or nan, stabilized, certified) rows, condition_b, witness."""
-    rows, witness, any_unstable = [], None, False
-    for lam in default_lambda_grid(data):
+    """(lam, growth or nan, stabilized, certified) rows and the witness."""
+    rows, witness = [], None
+    for lam in _lambda_grid(data):
         logs = _old_log_restricted_mgf(data, lam)
         finite = np.isfinite(logs)
         if finite.sum() < 6:
             rows.append((lam, np.nan, False, False))
-            any_unstable = True
             continue
         ratios = np.exp(np.diff(logs[finite]))
         last = ratios[-4:]
@@ -564,10 +570,8 @@ def _old_exp_moment_probes(data):
         certified = stabilized and growth > 1.0 + 1e-9
         if certified and witness is None:
             witness = float(lam)
-        any_unstable = any_unstable or not stabilized
         rows.append((lam, growth if stabilized else np.nan, stabilized, certified))
-    condition_b = True if witness is not None else (None if any_unstable else False)
-    return np.array(rows, dtype=float), condition_b, witness
+    return np.array(rows, dtype=float), witness
 
 
 def _old_mgf_ratio_points(data, lambdas):
@@ -587,17 +591,16 @@ def _old_mgf_ratio_points(data, lambdas):
 
 def _assert_probes_match(data):
     """The probes equal their every-row forms bit for bit."""
+    grid = _lambda_grid(data)
+    # the log-MGF rows that the growth rates are taken from
+    got = [log_restricted_mgf(data, grid, n) for n in range(1, data.horizon + 1)]
+    want = np.array([_old_log_restricted_mgf(data, lam) for lam in grid]).T
+    assert np.array(got).tobytes() == want.tobytes()
     rep = exp_moment_conditions(data)
-    rows = [
-        (p.lam, np.nan if p.growth is None else p.growth, p.stabilized, p.certified)
-        for p in rep.probes
-    ]
-    want, condition_b, witness = _old_exp_moment_probes(data)
-    assert np.array_equal(np.array(rows, dtype=float), want, equal_nan=True)
-    assert (rep.condition_b, rep.b_witness) == (condition_b, witness)
+    assert rep.b_witness == _old_exp_moment_probes(data)[1]
+    assert rep.lambda_cap == grid[-1]
     if data.horizon < 3:
         return  # the ratio points need three powers
-    grid = default_lambda_grid(data)
     lambdas = np.unique(np.concatenate([grid, np.geomspace(grid[0] / 20.0, grid[-1], 40)]))
     got = _mgf_ratio_points(data, lambdas)
     ref = _old_mgf_ratio_points(data, lambdas)
@@ -616,6 +619,10 @@ _half_line_powers = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(step_laws, st.integers(1, 8))
+# the bench's exponential members and a law without a witness
+@example(two_point(-2, 1, 0.85).dist, 40)
+@example(two_point(-3, 1, 0.9).dist, 40)
+@example(power_tail_pair().dist, 40)
 def test_probes_match_every_row_form_on_walk_data(mu, horizon):
     _assert_probes_match(truncated_data(mu, horizon))
 

@@ -203,7 +203,7 @@ def test_insufficient_samples_raises():
 
 def test_empirical_ladder_validates_totals():
     with pytest.raises(DomainError):
-        EmpiricalLadder(UPWARD, {(1, 0): 3}, 5, 1, 10, 0)
+        EmpiricalLadder(UPWARD, {(1, 0): 3}, 5, 1, 10)
 
 
 def test_censoring_requires_matching_horizon():
