@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .lattice import LatticeDist, _check_int, delta, lattice
+from .lattice import LatticeDist, _check_int, _check_window, delta, lattice
 
 __all__ = [
     "GeneratedDist",
@@ -45,6 +45,7 @@ def two_point(down: int, up: int, p_up: float) -> GeneratedDist:
     if not 0.0 < p_up < 1.0:
         raise DomainError("p_up must lie in (0, 1)")
     width = up - down
+    _check_window(width + 1)
     weights = np.zeros(width + 1)
     weights[0] = 1.0 - p_up
     weights[-1] = p_up
@@ -55,6 +56,7 @@ def uniform_window(low: int, high: int) -> GeneratedDist:
     if low > high:
         raise DomainError("uniform_window needs low <= high")
     n = high - low + 1
+    _check_window(n)
     return GeneratedDist("uniform_window", lattice(low, np.full(n, 1.0 / n)))
 
 
@@ -79,6 +81,7 @@ def geometric_mixture(
         raise DomainError("atom_weights must be positive and sum to one")
     cutoff = _check_int("cutoff", cutoff, shift)
     n_terms = cutoff - shift + 1
+    _check_window(n_terms)
     k = np.arange(n_terms)
     weights = np.zeros(n_terms)
     for c, w in zip(atoms, atom_weights):
@@ -103,6 +106,7 @@ def power_tail_pair(cutoff: int = 200) -> GeneratedDist:
     a, b = 1, 3
     if cutoff < a + b:
         raise DomainError("cutoff must reach the tail start")
+    _check_window(cutoff + b)
     c = float(zeta(3, a + b))
     weights = np.zeros(cutoff + b)
     weights[0] = weights[1] = (1.0 - c) / 2.0

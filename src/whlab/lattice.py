@@ -166,6 +166,15 @@ def _integer_offset(k) -> int:
     raise DomainError("lattice offset must be an integer, got %r" % (k,))
 
 
+def _check_window(length: int) -> None:
+    """DomainError for a generator window of more than MAX_WINDOW entries,
+    raised before it is allocated: no convolution with it would fit."""
+    if length > MAX_WINDOW:
+        raise DomainError(
+            "window of %d entries exceeds maximum %d" % (length, MAX_WINDOW)
+        )
+
+
 def _check_int(name: str, value, low: int, high: int | None = None) -> int:
     """value as a Python int in [low, high), else DomainError."""
     if not isinstance(value, bool):

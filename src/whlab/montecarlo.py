@@ -40,8 +40,9 @@ _X_BITS = 53
 # The guide table splits x by its top 12 bits (Chen & Asau's guide table).
 _GUIDE_BITS = 12
 # Walks times steps drawn in one block of sample_ladder, and the most walks
-# run at once. Each element holds about 40 bytes of temporaries (hash,
-# bucket, position, flags), so a block's temporaries stay near 1.3 MB.
+# run at once. Each element holds 21 bytes of temporaries (hash and shift
+# scratch at 8 each, step or position at 4 as int32, crossing flag at 1),
+# 25 with int64 positions, so a block's temporaries stay near 0.7 MB.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -55,28 +56,60 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix64_top(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``_mix64`` without its last round, in place, shifting into scratch.
+
+    The last round, z ^= z >> 31, leaves the top 31 bits as they are, so
+    these bits (the guide index among them) are already final; the round is
+    finished only where the lower bits are read.
+    """
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _MIX2
+    return z
+
+
+def _mix64_finish(z: np.ndarray) -> np.ndarray:
+    """The last round of ``_mix64``, which ``_mix64_top`` leaves out, in place."""
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _sample_keys(seed: int, samples: np.ndarray) -> np.ndarray:
     """Stream key of each uint64 sample index, mixed once per sample."""
     return _mix64(np.uint64(seed) + _GOLD * (samples + np.uint64(1)))
 
 
-def _step_bits(keys: np.ndarray, first: int, count: int) -> np.ndarray:
-    """Hash of steps first .. first + count - 1 for each key, steps x keys.
+def _step_keys(
+    keys: np.ndarray, first: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unmixed key of steps first .. first + count - 1 for each key, steps x keys.
 
     The step key is GOLD * step modulo 2**64; array products wrap silently.
     """
     steps = np.arange(first, first + count, dtype=np.uint64)
-    return _mix64((_GOLD * steps)[:, None] + keys)
+    return np.add((_GOLD * steps)[:, None], keys, out=out)
 
 
 def _prefix_sum(a: np.ndarray) -> None:
-    """Cumulative sum down axis 0, in place, in log2(rows) whole-row passes.
+    """Cumulative sum down axis 0, in place.
 
-    Each pass relies on numpy computing an out= that overlaps its input as
-    if the input had been copied first.
+    A block at least 32 times wider than tall adds row after row; any other
+    takes log2(rows) whole-row passes, relying on numpy computing an out=
+    that overlaps its input as if the input had been copied first. The loop
+    pays a call per row, each pass a copy of the block: at 8 x 3,678 int32
+    the loop takes half the passes' time, at 1,024 x 32 ten times it.
     """
+    rows, cols = a.shape
+    if cols >= 32 * rows:
+        for j in range(1, rows):
+            np.add(a[j], a[j - 1], out=a[j])
+        return
     shift = 1
-    while shift < a.shape[0]:
+    while shift < rows:
         np.add(a[shift:], a[:-shift], out=a[shift:])
         shift *= 2
 
@@ -100,23 +133,23 @@ class _StepLookup:
     within MASS_TOL) then still gives a sorted table with the same counts.
     Each bucket of the guide table holds the index at its lowest x; only
     buckets with a threshold inside them need compares, at most ``gap`` each.
-    ``moves`` reads step values from the guide table directly, and those
-    loose buckets hold ``loose_mark``, a value no step takes: the window is
-    far narrower than int64, so it cannot hold values[0] - 1 even wrapped.
+    ``moves`` reads step values, as ``dtype``, from the guide table
+    directly, and those loose buckets hold ``loose_mark``, values[0] - 1,
+    which no step takes; the caller picks a dtype that holds it.
     """
 
-    def __init__(self, values: np.ndarray, cdf: np.ndarray):
+    def __init__(self, values: np.ndarray, cdf: np.ndarray, dtype):
         top = float(1 << _X_BITS)
-        self.values = values
+        self.values = values.astype(dtype)
         self.thresholds = np.minimum(np.ceil(cdf * top), top).astype(np.int64)
         width = 1 << (_X_BITS - _GUIDE_BITS)
         starts = np.arange(1 << _GUIDE_BITS, dtype=np.int64) * width
         self.guide = np.searchsorted(self.thresholds, starts, side="right")
         last = np.searchsorted(self.thresholds, starts + (width - 1), side="right")
         self.gap = int((last - self.guide).max())
-        self.loose_mark = (values[:1] - 1)[0]
+        self.loose_mark = self.values[0] - 1
         loose = last > self.guide
-        self.guide_moves = np.where(loose, self.loose_mark, values[self.guide])
+        self.guide_moves = np.where(loose, self.loose_mark, self.values[self.guide])
 
     def index(self, x: np.ndarray) -> np.ndarray:
         """Step index of each 53-bit integer x (int64)."""
@@ -125,12 +158,20 @@ class _StepLookup:
             idx += x >= self.thresholds[idx]
         return idx
 
-    def moves(self, bits: np.ndarray) -> np.ndarray:
-        """Step value of each 64-bit hash (x is its top 53 bits), same shape."""
-        moves = self.guide_moves[(bits >> np.uint64(64 - _GUIDE_BITS)).view(np.intp)]
+    def moves(
+        self, top: np.ndarray, scratch: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Step value of each hash that ``_mix64_top`` left in top (x is the
+        top 53 bits of the full hash), written to out of the same shape and
+        returned; overwrites scratch."""
+        np.right_shift(top, np.uint64(64 - _GUIDE_BITS), out=scratch)
+        # every index is in range: "wrap" skips the bounds check, and with
+        # it the buffered copy that take makes of out under "raise"
+        moves = self.guide_moves.take(scratch.view(np.intp), out=out, mode="wrap")
         loose = np.flatnonzero(moves == self.loose_mark)
         if loose.size:
-            x = (bits.reshape(-1)[loose] >> np.uint64(64 - _X_BITS)).view(np.int64)
+            z = _mix64_finish(top.reshape(-1)[loose])
+            x = (z >> np.uint64(64 - _X_BITS)).view(np.int64)
             moves.reshape(-1)[loose] = self.values[self.index(x)]
         return moves
 
@@ -163,7 +204,7 @@ def walk_sample(
     key = _sample_keys(seed, np.array([sample_index], dtype=np.uint64))
     position = 0
     for step in range(1, max_steps + 1):
-        x = _step_bits(key, step, 1)[0, 0] >> np.uint64(64 - _X_BITS)
+        x = _mix64(_step_keys(key, step, 1))[0, 0] >> np.uint64(64 - _X_BITS)
         u = float(x) * 2.0**-_X_BITS
         position += int(values[np.searchsorted(cdf, u, side="right")])
         if _crossed(side, position):
@@ -206,47 +247,82 @@ def sample_ladder(
     b x A array. b is 1 for the first step and then the number of steps
     drawn so far (blocks end after steps 1, 3, 7, 15, ...), so a walk that
     crosses early wastes at most about as many draws as it used; b is also
-    capped so that A * b <= ``_BLOCK_ELEMENTS``, which bounds a block's
-    temporaries near 1.3 MB. Within a block the positions are prefix sums
-    of the steps, and each walk's first crossing is its lowest crossing
-    row. The (epoch, height) cells of all crossings are tallied once at the
-    end.
+    capped so that A * b <= ``_BLOCK_ELEMENTS``. Every block of a group
+    reuses the group's buffers (hashes, shift scratch and steps), so its
+    temporaries stay near 0.7 MB. The hash stops one round short
+    (``_mix64_top``): the guide table reads only bits that round leaves
+    alone, and only draws in a loose bucket finish it. Steps and positions
+    are int32 unless max_steps times the widest step could pass it. Within
+    a block the positions are prefix sums of the steps, and each walk's
+    first crossing is its lowest crossing row, looked up only in the
+    columns that crossed. The (epoch, height) cells of all crossings are
+    tallied once at the end.
     """
     _check_side(side)
     n_samples = _check_int("n_samples", n_samples, 1)
     max_steps = _check_int("max_steps", max_steps, 1)
     seed = _check_int("seed", seed, 0, 1 << 64)
     values, cdf = _step_tables(mu)
-    lookup = _StepLookup(values, cdf)
+    # |position| <= max_steps * reach, and a crossing's height - low and its
+    # cell code (epoch - 1) * span + (height - low) stay below bound: int32
+    # holds them all when bound fits in it, and int64 must.
+    reach = max(-int(values[0]), int(values[-1]), 1)
+    bound = (max_steps + 1) * (reach + 1)
+    if bound >= 1 << 63:
+        raise DomainError(
+            "steps as wide as %d over max_steps %d would overflow int64 positions"
+            % (reach, max_steps)
+        )
+    dtype = np.int32 if bound < 1 << 31 else np.int64
+    lookup = _StepLookup(values, cdf, dtype)
     up = side == UPWARD
     # crossing heights: 0 .. top step upward (the first step starts at 0),
     # bottom step .. -1 downward
     low = 0 if up else min(int(values[0]), -1)
     span = (max(int(values[-1]), 0) + 1) if up else -low
-    cells = []  # (epoch - 1) * span + (height - low) of each crossing
+    # (epoch - 1) * span + (height - low) of each crossing
+    cells = [np.zeros(0, dtype=np.int64)]
     censored = 0
     for start in range(0, n_samples, _BLOCK_ELEMENTS):
         stop = min(start + _BLOCK_ELEMENTS, n_samples)
         keys = _sample_keys(seed, np.arange(start, stop, dtype=np.uint64))
-        positions = np.zeros(keys.size, dtype=np.int64)
+        positions = np.zeros(keys.size, dtype=dtype)
+        # One set of buffers serves all blocks of the group: arrays made
+        # afresh each block let glibc's malloc return their pages and fault
+        # them in again, some 40,000 faults in one 4,000-step run of 25,000
+        # walks.
+        size = min(_BLOCK_ELEMENTS, keys.size * max_steps)
+        hashes = np.empty((2, size), dtype=np.uint64)  # step hashes, scratch
+        moves = np.empty(size, dtype=dtype)
         step = 1
         while keys.size and step <= max_steps:
             width = min(step, max_steps - step + 1, _BLOCK_ELEMENTS // keys.size)
-            path = lookup.moves(_step_bits(keys, step, width))
+            shape = (width, keys.size)
+            bits, scratch = hashes[:, : width * keys.size].reshape(2, *shape)
+            _mix64_top(_step_keys(keys, step, width, out=bits), scratch)
+            path = lookup.moves(bits, scratch, moves[: bits.size].reshape(shape))
             path[0] += positions
             _prefix_sum(path)
             hit = path >= 0 if up else path < 0
-            # row j ranks width - j, so the highest rank hit is the first crossing
-            ranks = np.arange(width, 0, -1, dtype=np.int32)[:, None]
-            first = (hit * ranks).max(axis=0)
-            done = np.flatnonzero(first)
-            rows = width - first[done].astype(np.int64)
-            cells.append((step - 1 + rows) * span + (path[rows, done] - low))
-            alive = first == 0
-            keys = keys[alive]
-            positions = path[-1, alive]
+            crossed = hit.any(axis=0)
+            done = np.flatnonzero(crossed)
+            if done.size:
+                rows = hit[:, done].argmax(axis=0)
+                # each crossing's cell code, built in place in rows
+                height = path[rows, done]
+                rows += step - 1
+                rows *= span
+                rows += height
+                rows -= low
+                cells.append(rows)
+                alive = ~crossed
+                keys = keys[alive]
+                positions = path[-1, alive]
+            else:
+                positions = path[-1].copy()  # the next block overwrites path
             step += width
         censored += keys.size
+    del hashes, moves  # the tally needs no block buffer
     # unique, not bincount: the codes reach max_steps * span, which for a
     # wide law is far more cells than walks
     found, freq = np.unique(np.concatenate(cells), return_counts=True)

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import re
@@ -589,6 +590,26 @@ def test_simulate_seed_override_lands_in_report(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "out" / "simulate_report.json").read_text())
     assert report["seed"] == 5
+
+
+# each family's window one entry past lattice.MAX_WINDOW
+_PAST = importlib.import_module("whlab.lattice").MAX_WINDOW + 1
+WINDOWS_PAST_LIMIT = {
+    "two_point": {"down": -1, "up": _PAST - 2, "p_up": 0.5},
+    "uniform_window": {"low": 0, "high": _PAST - 1},
+    "geometric_mixture": {"atoms": [0.5], "atom_weights": [1.0], "cutoff": _PAST - 2},
+    "power_tail_pair": {"cutoff": _PAST - 3},
+}
+
+
+@pytest.mark.parametrize("family", sorted(WINDOWS_PAST_LIMIT))
+def test_generator_window_past_limit_rejected_with_exit_2(tmp_path, family):
+    spec = {"family": family, "parameters": WINDOWS_PAST_LIMIT[family]}
+    cfg = write_config(tmp_path / "cfg.json", dict(SIMULATE_DOC, distribution=spec))
+    result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2, result.stderr
+    assert re.search(r"^whlab: (.* error|invalid input): ", result.stderr, re.M)
+    assert "Traceback" not in result.stderr
 
 
 def test_parser_reused_across_calls_keeps_errors_and_defaults(tmp_path):

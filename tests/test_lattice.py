@@ -13,11 +13,15 @@ from whlab import (
     convolve,
     delta,
     eval_transform,
+    geometric_mixture,
     lattice,
+    power_tail_pair,
     restrict_nonneg,
     split_nonneg,
     sup_distance,
     tv_distance,
+    two_point,
+    uniform_window,
     zero_measure,
 )
 from whlab.errors import DomainError, SizeLimitError
@@ -137,6 +141,29 @@ def test_window_limit_enforced(monkeypatch):
     wide = lattice(0, np.full(1 << 11, 2.0**-11))
     with pytest.raises(SizeLimitError):
         convolve(wide, wide)
+
+
+# each generator family at a window of `length` entries, before trimming
+_WINDOWED_GENERATORS = {
+    "two_point": lambda length: two_point(-1, length - 2, 0.5),
+    "uniform_window": lambda length: uniform_window(0, length - 1),
+    "geometric_mixture": lambda length: geometric_mixture(
+        (0.5,), (1.0,), cutoff=length - 2
+    ),
+    "power_tail_pair": lambda length: power_tail_pair(cutoff=length - 3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_WINDOWED_GENERATORS))
+def test_generator_window_checked_before_allocation(monkeypatch, family):
+    make = _WINDOWED_GENERATORS[family]
+    with pytest.raises(DomainError, match="exceeds maximum"):
+        make(1 << 50)  # 8 PiB of weights, a MemoryError if allocated
+    # the limit is read at call time
+    monkeypatch.setattr(importlib.import_module("whlab.lattice"), "MAX_WINDOW", 1 << 10)
+    make(1 << 10)
+    with pytest.raises(DomainError, match="1025 entries exceeds maximum 1024"):
+        make((1 << 10) + 1)
 
 
 def test_fft_path_matches_exact_oracle(monkeypatch):

@@ -243,7 +243,6 @@ _LOOKUP_LAWS = [
 @pytest.mark.parametrize("mu", _LOOKUP_LAWS)
 def test_integer_step_lookup_matches_float_searchsorted(mu):
     values, cdf = montecarlo._step_tables(mu)
-    lookup = montecarlo._StepLookup(values, cdf)
     top = 1 << 53
     xs = {0, top - 1}
     for c in cdf:
@@ -251,9 +250,56 @@ def test_integer_step_lookup_matches_float_searchsorted(mu):
         xs.update(x for x in (threshold - 1, threshold) if 0 <= x < top)
     x = np.array(sorted(xs), dtype=np.int64)
     expected = np.searchsorted(cdf, x.astype(np.float64) * 2.0**-53, side="right")
-    np.testing.assert_array_equal(lookup.index(x), expected)
     bits = (x.astype(np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
-    np.testing.assert_array_equal(lookup.moves(bits), values[expected])
+    # moves reads hashes before _mix64's last round, z ^= z >> 31, which
+    # z ^ (z >> 31) ^ (z >> 62) undoes
+    unfinished = bits ^ (bits >> np.uint64(31)) ^ (bits >> np.uint64(62))
+    for dtype in (np.int32, np.int64):
+        lookup = montecarlo._StepLookup(values, cdf, dtype)
+        np.testing.assert_array_equal(lookup.index(x), expected)
+        out = np.empty(x.size, dtype)
+        moves = lookup.moves(unfinished, np.empty_like(unfinished), out)
+        assert moves.dtype == dtype
+        np.testing.assert_array_equal(moves, values[expected])
+
+
+def test_partial_mix_keeps_top_bits_and_finishes_to_mix64():
+    rng = np.random.default_rng(CORPUS_SEED)
+    keys = rng.integers(0, 1 << 64, size=100_000, dtype=np.uint64)
+    full = montecarlo._mix64(keys.copy())
+    top = montecarlo._mix64_top(keys.copy(), np.empty_like(keys))
+    # the guide index, and every bit the last round leaves as it is
+    np.testing.assert_array_equal(top >> np.uint64(52), full >> np.uint64(52))
+    np.testing.assert_array_equal(top >> np.uint64(33), full >> np.uint64(33))
+    np.testing.assert_array_equal(montecarlo._mix64_finish(top.copy()), full)
+    # a law with 200 atoms sends about one hash in twenty down the loose path
+    mu = lattice(-100, np.full(200, 1.0 / 200))
+    values, cdf = montecarlo._step_tables(mu)
+    u = (full >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    expected = values[np.searchsorted(cdf, u, side="right")]
+    lookup = montecarlo._StepLookup(values, cdf, np.int32)
+    assert (lookup.guide_moves[top >> np.uint64(52)] == lookup.loose_mark).sum() > 2000
+    moves = lookup.moves(top, np.empty_like(top), np.empty(top.size, np.int32))
+    np.testing.assert_array_equal(moves, expected)
+
+
+def test_narrow_positions_cannot_overflow():
+    # a walk down to -1 crosses at step 1; one up to 2**16 would need 2**16 + 1
+    # more steps down, so it never crosses, and (max_steps + 1) * 2**16
+    # passes int32
+    mu = two_point(-1, 1 << 16, 0.5).dist
+    long = sample_ladder(mu, DOWNWARD, 64, max_steps=(1 << 16) + 1, seed=5)
+    short = sample_ladder(mu, DOWNWARD, 64, max_steps=1, seed=5)
+    assert (long.counts, long.censored_count) == (short.counts, short.censored_count)
+
+
+def test_positions_past_int64_rejected():
+    # upward from 0 by -2**50 a step never crosses, but 2**13 steps reach
+    # -2**63 and one more would wrap positive
+    with pytest.raises(DomainError, match="overflow int64"):
+        sample_ladder(delta(-(1 << 50)), UPWARD, 3, max_steps=1 << 14)
+    emp = sample_ladder(delta(-(1 << 50)), UPWARD, 3, max_steps=(1 << 12) - 2)
+    assert (emp.counts, emp.censored_count) == ({}, 3)
 
 
 @pytest.mark.parametrize(
