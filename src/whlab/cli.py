@@ -126,7 +126,6 @@ def _write_csv(path: Path, config_hash: str, columns, rows) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    command: str
     config_path: Path
     sha256: str
     raw_text: str
@@ -261,7 +260,6 @@ def parse_config(
 
     # output_dir and seed are settled below, once the document has passed
     cfg = ExperimentConfig(
-        command=command,
         config_path=config_path,
         sha256=hashlib.sha256(raw_bytes).hexdigest(),
         raw_text=raw_text,

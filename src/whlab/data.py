@@ -127,13 +127,6 @@ def save_data_dir(data: TruncatedData, directory: str | Path) -> Path:
     return root
 
 
-def _manifest_int(value, what: str) -> int:
-    # int() would truncate 3.7 and parse "3"; bool is an int subclass
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError("%s must be an integer >= 1, got %r" % (what, value))
-    return value
-
-
 def load_data_dir(directory: str | Path) -> TruncatedData:
     """Load a data directory, verifying its format, horizon and table hash."""
     root = Path(directory)
@@ -144,7 +137,7 @@ def load_data_dir(directory: str | Path) -> TruncatedData:
         manifest = json.loads(manifest_path.read_bytes())
         if not isinstance(manifest, dict) or manifest.get("format") != DATA_FORMAT:
             raise ValueError("format is not %r" % DATA_FORMAT)
-        horizon = _manifest_int(manifest["horizon"], "horizon")
+        horizon = _check_int("horizon", manifest["horizon"], 1)
         sha256 = str(manifest["sha256"])
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise DataInconsistencyError(

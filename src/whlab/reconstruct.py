@@ -130,6 +130,20 @@ def _dense_r1(r1: LatticeDist) -> np.ndarray:
     return out
 
 
+def _back_substitute(rhs: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """x with rhs[i] = sum_{d>=0} coef[d] x[i + d], x zero past the end of rhs.
+
+    The module's one exact triangular solve: from the last row up, each row
+    subtracts its known terms in increasing d as a left fold (the scalar
+    loop's bits; a dot product's differ), then divides by the pivot coef[0].
+    """
+    x = np.zeros(len(rhs))
+    for i in range(len(rhs) - 1, -1, -1):
+        known = coef[1 : len(rhs) - i] * x[i + 1 : i + len(coef)]
+        x[i] = np.subtract.reduce(np.concatenate(([rhs[i]], known))) / coef[0]
+    return x
+
+
 def _kernel_design(kernel: LatticeDist, n_rows: int, lags) -> np.ndarray:
     """Matrix of kernel(n + j): row n - 1 for n = 1..n_rows, one column per lag j.
 
@@ -566,7 +580,9 @@ def recover_triangular(data: TruncatedData) -> ReconstructionReport:
     and the positive support starts at a+b with no interior zeros. Under
     that pattern any mass at or below -b would force visible second-power
     mass in the gap, so the negative support is confined to -1..-(b-1) and
-    the correlation equations solve one mass at a time, deepest first.
+    the correlation equations solve one mass at a time, deepest first
+    (:func:`_back_substitute`, pivot r1(a+b)). A mass at or below 1e-12 is
+    refused before a correlation sequence too short for the pattern.
     """
     if data.horizon < 2:
         raise ClassNotDetected("triangular pattern needs horizon >= 2")
@@ -588,25 +604,21 @@ def recover_triangular(data: TruncatedData) -> ReconstructionReport:
 
     deficit = _deficit(data)
     b_corr = correlation_lhs_from_data(data)
-    denom = r1.mass(a + b)
-    design = _kernel_design(r1, len(b_corr), range(1, b))
-    solved = np.zeros(b - 1)  # solved[j-1] = mass at -j
-    for m in range(1, b):
-        n = a + m
-        if n - 1 >= len(b_corr):
-            raise ClassNotDetected("correlation sequence too short for the pattern")
-        acc = b_corr[n - 1]
-        for j in range(b - m + 1, b):
-            acc -= solved[j - 1] * design[n - 1, j - 1]
-        value = acc / denom
-        if value <= 1e-12:
+    # rows n = a+b-1 down to a+1 read mass -j through r1(n + j), so
+    # solved[j-1] = mass at -j, all b - 1 of them when the data has the rows
+    coef = np.append(_dense_r1(r1), np.zeros(b))[a + b : a + 2 * b - 1]
+    solved = _back_substitute(b_corr[a : a + b - 1][::-1], coef)
+    for i in range(len(solved) - 1, -1, -1):
+        if solved[i] <= 1e-12:
             raise DataInconsistencyError(
                 "triangular solve produced nonpositive mass %g at -%d"
-                % (value, b - m)
+                % (solved[i], b - len(solved) + i)
             )
-        solved[b - m - 1] = value
+    if len(solved) < b - 1:
+        raise ClassNotDetected("correlation sequence too short for the pattern")
 
     # column by column, not design @ solved: a matmul changes the last bits
+    design = _kernel_design(r1, len(b_corr), range(1, b))
     pred = np.zeros(len(b_corr))
     for j in range(1, b):
         pred += solved[j - 1] * design[:, j - 1]
@@ -622,7 +634,7 @@ def recover_triangular(data: TruncatedData) -> ReconstructionReport:
     diagnostics: dict[str, object] = {
         "a": int(a),
         "b": int(b),
-        "pivot": denom,
+        "pivot": float(coef[0]),
         # the gap pattern itself rules out mass at or below -b
         "zero_tail_forced": True,
     }
@@ -683,59 +695,54 @@ def _refine_head(r1: LatticeDist, r2: LatticeDist, gap: int):
 
     For j >= 2*gap every product pair in r2(j) has at most one factor
     below the frontier, so rows j = top..top+gap-1 are triangular in the
-    missing head. Needs the exact support top, hence untruncated data
-    with top >= 2*gap, and a nonvanishing top mass as divisor. Returns
-    None when any of that fails; masses outside [0, 1] mean the data was
-    not a bounded-support first power and also return None.
+    missing head, with pivot 2 r1(top) (:func:`_back_substitute`). Needs
+    the exact support top, hence untruncated data with top >= 2*gap, and
+    a top mass of at least 1e-12 as divisor. Returns None when any of
+    that fails; masses outside [0, 1] mean the data was not a
+    bounded-support first power and also return None.
     """
     if r1.is_zero or r2.is_zero:
         return None
     top = r1.max_index
-    if top < 2 * gap or r1.mass(top) < 1e-12:
+    p1 = _dense_r1(r1)
+    if top < 2 * gap or p1[top] < 1e-12:
         return None
     if r2.max_index < top + gap - 1:
         return None
-    head = np.zeros(gap)
-    for i in range(gap - 1, -1, -1):
-        j = top + i
-        acc = r2.mass(j)
-        for m in range(gap, j - gap + 1):
-            acc -= r1.mass(m) * r1.mass(j - m)
-        for m in range(i + 1, gap):
-            acc -= 2.0 * head[m] * r1.mass(j - m)
-        head[i] = acc / (2.0 * r1.mass(top))
+    p2 = _dense_r1(r2)
+    # r2(j) less its products r1(m) r1(j - m) with both factors at or
+    # above the frontier, m increasing
+    rhs = []
+    for j in range(top, top + gap):
+        both = p1[gap : j - gap + 1] * p1[j - gap : gap - 1 : -1]
+        rhs.append(np.subtract.reduce(np.concatenate(([p2[j]], both))))
+    head = _back_substitute(rhs, 2.0 * p1[top : top - gap : -1])
     if head.min() < -1e-8 or head.max() > 1.0 + 1e-8:
         return None
     head = np.clip(head, 0.0, None)
-    full = np.concatenate([head, [r1.mass(k) for k in range(gap, top + 1)]])
-    return lattice(0, full)
+    return lattice(0, np.concatenate([head, p1[gap:]]))
 
 
 def _divide(ext: LatticeDist, power: LatticeDist, lift: int) -> LatticeDist | None:
     """r on lift, lift + 1, ... with ext(k) = sum_{j>=0} r(lift + k + j) w(j),
     where w(j) = power(-lift - j) and power's top sits at -lift.
 
-    Back-substitutes from the top of ext down. Returns None when the pivot
-    w(0) is so small against the largest w that roundoff alone could push
-    a mass past the range slack, or when roundoff did push a mass out of
-    [0, 1].
+    Back-substitutes from the top of ext down (:func:`_back_substitute`).
+    Returns None when the pivot w(0) is so small against the largest w
+    that roundoff alone could push a mass past the range slack, or when
+    roundoff did push a mass out of [0, 1] (NaN fails that check too).
     """
     if ext.is_zero:
         return zero_measure()
     top = ext.max_index
-    depth = -power.min_index - lift
-    w = [power.mass(-lift - j) for j in range(min(depth, top) + 1)]
+    # w(0..min(depth, top)); zero where power's top fell below -lift
+    w = np.concatenate([np.zeros(-lift - power.max_index), power.weights[::-1]])[: top + 1]
     slack = 1e-8  # how far roundoff may carry a mass outside [0, 1]
-    if w[0] <= 0.0 or np.finfo(float).eps * max(w) > slack * w[0]:
+    if w[0] <= 0.0 or np.finfo(float).eps * w.max() > slack * w[0]:
         return None
-    rec = np.zeros(top + 1)
-    for k in range(top, -1, -1):
-        acc = ext.mass(k)
-        for j in range(1, min(depth, top - k) + 1):
-            acc -= rec[k + j] * w[j]
-        rec[k] = acc / w[0]
+    rec = _back_substitute(_dense_r1(ext), w)
     rec[np.abs(rec) < 1e-15] = 0.0
-    if not (np.all(np.isfinite(rec)) and rec.min() >= -slack and rec.max() <= 1.0 + slack):
+    if not (rec.min() >= -slack and rec.max() <= 1.0 + slack):
         return None
     return lattice(lift, np.clip(rec, 0.0, None))
 

@@ -70,3 +70,19 @@ def data_from_powers(powers) -> TruncatedData:
         if not r.is_zero:
             row[r.min_index : r.max_index + 1] = r.weights
     return TruncatedData(len(powers), table)
+
+
+def back_substitute(rhs, coef) -> np.ndarray:
+    """x with rhs[i] = sum_{d>=0} coef[d] x[i + d], x zero past the end of rhs.
+
+    The scalar loop that ``reconstruct._back_substitute`` must match bit
+    for bit: one row at a time from the last, each subtracting its known
+    terms in increasing d, then dividing by coef[0].
+    """
+    x = np.zeros(len(rhs))
+    for i in range(len(rhs) - 1, -1, -1):
+        acc = rhs[i]
+        for d in range(1, min(len(coef), len(rhs) - i)):
+            acc -= x[i + d] * coef[d]
+        x[i] = acc / coef[0]
+    return x

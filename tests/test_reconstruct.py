@@ -11,6 +11,7 @@ from whlab import (
     CLASS_NONE,
     CLASS_SKIP_FREE,
     CLASS_TRIANGULAR,
+    TruncatedData,
     auto_reconstruct,
     convolve,
     correlation_inverse,
@@ -35,10 +36,10 @@ from whlab.errors import (
 )
 from whlab.generators import geometric_mixture, power_tail_pair, two_point, uniform_window
 from whlab.lattice import MASS_TOL, sup_distance
-from whlab.reconstruct import CONSISTENCY_TOL, Drift
+from whlab.reconstruct import CONSISTENCY_TOL, Drift, _back_substitute
 
 from conftest import cm_shallow_window_law, random_corpus
-from reference import cross_correlation_direct, data_from_powers
+from reference import back_substitute, cross_correlation_direct, data_from_powers
 
 
 def test_recover_exponential_delta1():
@@ -493,6 +494,30 @@ def test_triangular_inconsistent_data_rejected():
         recover_triangular(bad)
 
 
+def test_triangular_short_correlation_sequence_not_detected():
+    # a = 0, b = 3 needs rows b(1) and b(2); r2 on 0..1 gives only b(1)
+    data = TruncatedData(2, [[0, 0, 0, 0.9], [0, 0.3, 0, 0]])
+    with pytest.raises(ClassNotDetected, match="correlation sequence too short"):
+        recover_triangular(data)
+
+
+def test_triangular_refuses_a_tiny_mass_before_a_short_sequence():
+    # the one row it has solves mass -2 to 8.3e-13, refused first
+    data = TruncatedData(2, [[0, 0, 0, 0.9], [0, 1.5e-12, 0, 0]])
+    with pytest.raises(DataInconsistencyError, match="nonpositive mass 8.33333e-13 at -2"):
+        recover_triangular(data)
+
+
+@pytest.mark.parametrize("n_rhs, n_coef", [(1, 1), (1, 4), (7, 3), (12, 12), (5, 20), (40, 9)])
+def test_back_substitution_keeps_the_scalar_loops_bits(n_rhs, n_coef):
+    rng = np.random.default_rng(n_rhs * 100 + n_coef)
+    for _ in range(50):
+        rhs = rng.uniform(-1.0, 1.0, n_rhs) * 10.0 ** rng.integers(-8, 1, n_rhs)
+        coef = rng.uniform(0.0, 1.0, n_coef) * 10.0 ** rng.integers(-6, 1, n_coef)
+        coef[0] = rng.uniform(0.05, 1.0)
+        np.testing.assert_array_equal(_back_substitute(rhs, coef), back_substitute(rhs, coef))
+
+
 def test_extend_by_delta0_is_identity():
     data = truncated_data(lattice(-1, [0.4, 0.1, 0.5]), 10)
     out = extend_by_negative(data, delta(0))
@@ -537,6 +562,20 @@ def test_deconvolution_recovers_first_power(nu_weights, nu_offset):
     assert dec.stable
     assert dec.determined_from == 0
     assert sup_distance(dec.r1, data.restricted_power(1)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "nu", [delta(-2), delta(-3), lattice(-4, [0.2, 0.0, 0.8])], ids=["d-2", "d-3", "gapped-2"]
+)
+def test_deconvolution_fills_a_head_of_several_masses(nu):
+    # a top gap g leaves r1(0..g-1) to be read from r2, which needs top >= 2g
+    mu = lattice(-2, [0.1, 0.05, 0.1, 0.15, 0.2, 0.05, 0.1, 0.15, 0.1])
+    for horizon in (2, 4):
+        data = truncated_data(mu, horizon)
+        dec = deconvolve_extension(extend_by_negative(data, nu), nu)
+        assert dec.stable
+        assert dec.determined_from == 0
+        assert sup_distance(dec.r1, data.restricted_power(1)) <= 1e-15
 
 
 def test_deconvolution_honest_about_undetermined_head():
