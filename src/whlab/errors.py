@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "WhlabError",
+    "DomainError",
+    "SizeLimitError",
+    "DataInconsistencyError",
+    "ClassNotDetected",
+    "ConditioningError",
+    "InsufficientSamplesError",
+    "ConfigError",
+]
+
 
 class WhlabError(Exception):
     """Base class for all package-specific errors."""

@@ -28,6 +28,10 @@ __all__ = [
     "FAMILIES",
 ]
 
+# Hurwitz zeta(3, 4) = sum_{n >= 4} n^-3, power_tail_pair's tail mass; the
+# literal is float(scipy.special.zeta(3, 4)), so building the law loads no scipy
+_ZETA_3_4 = 0.04001986612255725
+
 
 @dataclass(frozen=True)
 class GeneratedDist:
@@ -40,8 +44,8 @@ def point_mass(location: int) -> GeneratedDist:
 
 
 def two_point(down: int, up: int, p_up: float) -> GeneratedDist:
-    if down >= up:
-        raise DomainError("two_point needs down < up")
+    down = _check_int("down", down, None)
+    up = _check_int("up", up, down + 1)
     if not 0.0 < p_up < 1.0:
         raise DomainError("p_up must lie in (0, 1)")
     width = up - down
@@ -53,8 +57,8 @@ def two_point(down: int, up: int, p_up: float) -> GeneratedDist:
 
 
 def uniform_window(low: int, high: int) -> GeneratedDist:
-    if low > high:
-        raise DomainError("uniform_window needs low <= high")
+    low = _check_int("low", low, None)
+    high = _check_int("high", high, low)
     n = high - low + 1
     _check_window(n)
     return GeneratedDist("uniform_window", lattice(low, np.full(n, 1.0 / n)))
@@ -79,6 +83,7 @@ def geometric_mixture(
         raise DomainError("geometric atoms must lie in (0, 1)")
     if any(w <= 0 for w in atom_weights) or abs(sum(atom_weights) - 1.0) > 1e-12:
         raise DomainError("atom_weights must be positive and sum to one")
+    shift = _check_int("shift", shift, None)
     cutoff = _check_int("cutoff", cutoff, shift)
     n_terms = cutoff - shift + 1
     _check_window(n_terms)
@@ -100,14 +105,10 @@ def power_tail_pair(cutoff: int = 200) -> GeneratedDist:
     tail mass sum_{n > cutoff} n^-3 out of the weights, so the total falls
     short of one by that much.
     """
-    # deferred: the one generator that needs scipy, kept out of `import whlab`
-    from scipy.special import zeta
-
     a, b = 1, 3
-    if cutoff < a + b:
-        raise DomainError("cutoff must reach the tail start")
+    cutoff = _check_int("cutoff", cutoff, a + b)
     _check_window(cutoff + b)
-    c = float(zeta(3, a + b))
+    c = _ZETA_3_4
     weights = np.zeros(cutoff + b)
     weights[0] = weights[1] = (1.0 - c) / 2.0
     n = np.arange(a + b, cutoff + 1)

@@ -39,6 +39,7 @@ __all__ = [
     "DOWNWARD",
     "LadderLaw",
     "ladder_law",
+    "TransformGrid",
     "chi_eval_grid",
     "spitzer_chi_grid",
     "FactorizationReport",
@@ -176,6 +177,9 @@ def spitzer_chi_grid(data: TruncatedData, s_values, t_values) -> TransformGrid:
     and only the (S, W) result meets the height phases. The real and the
     imaginary parts of the weights s^n/n are stacked into one real matrix,
     so that the table is read once and as it is, never copied to complex.
+    Unlike ``chi_eval_grid``'s, a value here depends on how an s sweep is
+    chunked: the stacked matmul picks shape-dependent kernels, and one call
+    per s moves most values by an ulp or so (at most about 2e-15).
     """
     s_arr, t_arr, mods = _grid_args(s_values, t_values)
     horizon = data.horizon

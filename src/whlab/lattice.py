@@ -175,17 +175,21 @@ def _check_window(length: int) -> None:
         )
 
 
-def _check_int(name: str, value, low: int, high: int | None = None) -> int:
-    """value as a Python int in [low, high), else DomainError."""
+def _check_int(name: str, value, low: int | None, high: int | None = None) -> int:
+    """value as a Python int in [low, high), else DomainError; a None bound
+    is no bound."""
     if not isinstance(value, bool):
         try:
             k = operator.index(value)
         except TypeError:
             pass
         else:
-            if k >= low and (high is None or k < high):
+            if (low is None or k >= low) and (high is None or k < high):
                 return k
-    bounds = "[%d, %s)" % (low, "inf" if high is None else "%d" % high)
+    bounds = "%s, %s)" % (
+        "(-inf" if low is None else "[%d" % low,
+        "inf" if high is None else "%d" % high,
+    )
     raise DomainError("%s must be an integer in %s, got %r" % (name, bounds, value))
 
 

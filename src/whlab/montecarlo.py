@@ -48,12 +48,7 @@ _BLOCK_ELEMENTS = 1 << 15
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, applied in place to a uint64 array it returns."""
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
-    return z
+    return _mix64_finish(_mix64_top(z, np.empty_like(z)))
 
 
 def _mix64_top(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -86,3 +86,12 @@ def back_substitute(rhs, coef) -> np.ndarray:
             acc -= x[i + d] * coef[d]
         x[i] = acc / coef[0]
     return x
+
+
+def splitmix64_finalizer(z: int) -> int:
+    """splitmix64's output mix of a 64-bit integer, on Python ints: the
+    three rounds that ``montecarlo._mix64`` runs on uint64 arrays."""
+    mask = (1 << 64) - 1
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)

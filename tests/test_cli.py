@@ -293,18 +293,35 @@ def test_reconstruct_rejects_malformed_data_dir_with_exit_2(tmp_path, case):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("family", ["point_mass", "custom_file"])
-def test_non_integer_offset_in_distribution_rejected_with_exit_2(tmp_path, family):
+def _family(family, **parameters):
+    return {"family": family, "parameters": parameters}
+
+
+# each spec with the parameter its error names
+NON_INTEGER_PARAMETERS = {
+    "point_mass": (_family("point_mass", location=1.5), "offset"),
+    "custom_file": ({"file": "custom.json"}, "offset"),
+    "two_point_up_true": (_family("two_point", down=-1, up=True, p_up=0.5), "up"),
+    "two_point_down_fractional": (_family("two_point", down=-1.5, up=1, p_up=0.5), "down"),
+    "uniform_window_high_true": (_family("uniform_window", low=0, high=True), "high"),
+    "uniform_window_low_fractional": (_family("uniform_window", low=1.5, high=3), "low"),
+    "geometric_mixture_shift_true": (
+        _family("geometric_mixture", atoms=[0.5], atom_weights=[1.0], shift=True),
+        "shift",
+    ),
+    "power_tail_pair_cutoff_fractional": (_family("power_tail_pair", cutoff=40.5), "cutoff"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_PARAMETERS))
+def test_non_integer_offset_in_distribution_rejected_with_exit_2(tmp_path, case):
     custom = tmp_path / "custom.json"
     custom.write_text(json.dumps({"min_index": -1.7, "weights": [0.5, 0.0, 0.5]}))
-    specs = {
-        "point_mass": {"family": "point_mass", "parameters": {"location": 1.5}},
-        "custom_file": {"file": "custom.json"},
-    }
-    cfg = write_config(tmp_path / "cfg.json", {"distribution": specs[family], "horizon": 20})
+    spec, name = NON_INTEGER_PARAMETERS[case]
+    cfg = write_config(tmp_path / "cfg.json", {"distribution": spec, "horizon": 20})
     result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert result.returncode == 2, result.stderr
-    assert "offset must be an integer" in result.stderr
+    assert "%s must be an integer" % name in result.stderr
     assert "Traceback" not in result.stderr
 
 

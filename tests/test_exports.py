@@ -1,5 +1,5 @@
-"""Every exported name resolves, so a stale ``__all__`` entry cannot linger;
-importing the package, running the commands that never recover and the
+"""Every exported name resolves, so a stale ``__all__`` entry cannot linger,
+and the package re-exports each public module's ``__all__``; importing the package, running the commands that never recover and the
 moment probes load no scipy; recovery takes no true law."""
 
 import importlib
@@ -25,6 +25,22 @@ def test_all_names_exist(name):
     assert not missing
 
 
+def test_package_reexports_each_public_module():
+    # cli stays out; each other module's __all__ is its public surface
+    public = [n for n in MODULES if n not in ("whlab", "whlab.cli")]
+    for name in public:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            assert getattr(whlab, attr) is getattr(module, attr), (name, attr)
+    assert sorted(whlab.__all__) == sorted(
+        ["__version__"]
+        + [n for name in public for n in importlib.import_module(name).__all__]
+    )
+    assert len(set(whlab.__all__)) == len(whlab.__all__)
+    # the function, not the submodule of the same name
+    assert inspect.isfunction(whlab.lattice)
+
+
 def test_import_does_not_load_scipy_signal():
     # scipy.signal alone would roughly double the package's import time
     probe = "import sys, whlab; print('scipy.signal' in sys.modules)"
@@ -47,22 +63,26 @@ def _scipy_modules_after(script):
 
 
 def test_import_does_not_load_scipy():
-    # only recovery and power_tail_pair call scipy, and they import it on use
+    # only recovery calls scipy, and it imports it on use
     assert _scipy_modules_after("import whlab") == "[]"
 
 
 def test_verify_factorize_simulate_do_not_load_scipy(tmp_path):
     law = {"family": "two_point", "parameters": {"down": -1, "up": 1, "p_up": 0.6}}
-    docs = {
-        "verify": {"distribution": law, "horizon": 40},
-        "factorize": {"distribution": law, "horizon": 40},
-        "simulate": {"distribution": law, "n_samples": 2000, "max_steps": 200},
-    }
+    # simulate refuses power_tail_pair, whose cut-off tail leaves it improper
+    tail = {"family": "power_tail_pair", "parameters": {"cutoff": 40}}
+    runs = [
+        ("verify", {"distribution": law, "horizon": 40}),
+        ("factorize", {"distribution": law, "horizon": 40}),
+        ("simulate", {"distribution": law, "n_samples": 2000, "max_steps": 200}),
+        ("verify", {"distribution": tail, "horizon": 40}),
+        ("factorize", {"distribution": tail, "horizon": 40}),
+    ]
     lines = ["from whlab.cli import main"]
-    for command, doc in docs.items():
-        cfg = tmp_path / (command + ".json")
+    for i, (command, doc) in enumerate(runs):
+        cfg = tmp_path / ("%d.json" % i)
         cfg.write_text(json.dumps(doc))
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / str(i))]
         lines.append("assert main(%r) == 0" % argv)
     assert _scipy_modules_after("\n".join(lines)) == "[]"
 

@@ -285,6 +285,16 @@ def test_grid_matches_pointwise():
                 assert grid.values[i, j] == pytest.approx(point, abs=1e-14)
 
 
+def test_chi_eval_grid_is_independent_of_s_batching(corpus100):
+    s_values = np.concatenate([S_GRID, [0.5j, -0.3 + 0.4j]])
+    for mu in corpus100:
+        for side in (UPWARD, DOWNWARD):
+            law = ladder_law(mu, side, 200)
+            grid = chi_eval_grid(law, s_values, T_GRID).values
+            rows = [chi_eval_grid(law, [s], T_GRID).values[0] for s in s_values]
+            np.testing.assert_array_equal(grid, np.array(rows))
+
+
 def _phase_first_chi(law, s_values, t_values):
     """Phase-first reference for chi_eval_grid: every epoch row meets the
     height phases before the sum over s."""

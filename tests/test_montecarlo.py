@@ -25,6 +25,7 @@ from whlab import montecarlo
 from whlab.montecarlo import EmpiricalLadder
 
 from conftest import CORPUS_SEED
+from reference import splitmix64_finalizer
 
 
 def _walk_by_walk(mu, side, n_samples, max_steps, seed):
@@ -281,6 +282,24 @@ def test_partial_mix_keeps_top_bits_and_finishes_to_mix64():
     assert (lookup.guide_moves[top >> np.uint64(52)] == lookup.loose_mark).sum() > 2000
     moves = lookup.moves(top, np.empty_like(top), np.empty(top.size, np.int32))
     np.testing.assert_array_equal(moves, expected)
+
+
+def test_mix_helpers_match_reference_splitmix64():
+    # the first output of splitmix64 seeded with 0
+    assert splitmix64_finalizer(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
+    rng = np.random.default_rng(CORPUS_SEED)
+    keys = np.concatenate(
+        [
+            np.array([0, 1, 0x9E3779B97F4A7C15, (1 << 64) - 1], dtype=np.uint64),
+            rng.integers(0, 1 << 64, size=2000, dtype=np.uint64),
+        ]
+    )
+    want = np.array([splitmix64_finalizer(int(k)) for k in keys], dtype=np.uint64)
+    np.testing.assert_array_equal(montecarlo._mix64(keys.copy()), want)
+    top = montecarlo._mix64_top(keys.copy(), np.empty_like(keys))
+    # the last round, z ^= z >> 31, is all that top still lacks
+    assert [int(z) ^ (int(z) >> 31) for z in top] == [int(w) for w in want]
+    np.testing.assert_array_equal(montecarlo._mix64_finish(top), want)
 
 
 def test_narrow_positions_cannot_overflow():

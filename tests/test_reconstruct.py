@@ -363,6 +363,15 @@ def test_correlation_lhs_heavy_tail_value(p5_dist, p5_data):
     assert b[1] == pytest.approx(((1.0 - c) / 2.0) / 64.0, rel=1e-12)
 
 
+def test_power_tail_pair_tail_mass_is_scipy_zeta():
+    # the generator holds zeta(3, 4) as a literal so that it loads no scipy
+    from scipy.special import zeta
+
+    from whlab import generators
+
+    assert generators._ZETA_3_4 == float(zeta(3, 4))
+
+
 def test_correlation_inverse_point_kernel_flagged():
     sol = correlation_inverse(delta(0), np.zeros(8), deficit=0.3)
     assert sol.rank_deficient
