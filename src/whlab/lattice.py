@@ -33,7 +33,6 @@ __all__ = [
     "zero_measure",
     "convolve",
     "split_nonneg",
-    "restrict_nonneg",
     "eval_transform",
     "tv_distance",
     "sup_distance",
@@ -284,11 +283,6 @@ def split_nonneg(mu: LatticeDist) -> tuple[LatticeDist, LatticeDist]:
     neg = lattice(mu.offset, mu.weights[:cut])
     pos = lattice(0, mu.weights[cut:])
     return neg, pos
-
-
-def restrict_nonneg(mu: LatticeDist) -> LatticeDist:
-    """Zero out all mass strictly below the origin."""
-    return split_nonneg(mu)[1]
 
 
 # -- the walk split at the origin ------------------------------------------

@@ -47,7 +47,7 @@ from .lattice import (
     LatticeDist,
     convolve,
     lattice,
-    restrict_nonneg,
+    split_nonneg,
     zero_measure,
 )
 
@@ -180,19 +180,35 @@ def _deficit(data: TruncatedData) -> float:
     return max(d, 0.0)
 
 
-def _mass_constrained_fit(design: np.ndarray, rhs: np.ndarray, total: float):
-    """Nonnegative least squares under sum(x) = total.
+def _nnls_with_mass(design, rhs, weight: float, total: float, cond: float):
+    """x >= 0 fitting design x ~ rhs, with sum(x) = total as an extra row
+    of the given weight: a solution that cannot carry the full total shows
+    up as a residual rather than a silent rescale. A solver failure raises
+    ConditioningError carrying the caller's condition number ``cond``.
+    """
+    # deferred: scipy loads on the first recovery, not on `import whlab`
+    from scipy.optimize import nnls
 
-    The mass constraint rides along as a heavily weighted extra row, so a
-    solution that cannot carry the full deficit shows up as a residual
-    rather than silently rescaling. Returns (x, sup_residual, cond) with
-    the residual taken over the raw equations only. Conditioning is that
-    of the design restricted to the constraint surface, which is what the
-    unconstrained directions actually see.
+    stacked = np.vstack([design, np.full((1, design.shape[1]), weight)])
+    target = np.concatenate([rhs, [weight * total]])
+    try:
+        return nnls(stacked, target)[0]
+    except RuntimeError as exc:
+        raise ConditioningError(
+            "nonnegative solver failed: %s" % exc, condition_number=cond
+        ) from exc
+
+
+def _mass_constrained_fit(design: np.ndarray, rhs: np.ndarray, total: float):
+    """Nonnegative least squares under sum(x) = total (mass row weight 1e8).
+
+    Returns (x, sup_residual, cond) with the residual taken over the raw
+    equations only. Conditioning is that of the design restricted to the
+    constraint surface, which is what the unconstrained directions
+    actually see.
     """
     # deferred: scipy loads on the first recovery, not on `import whlab`
     from scipy.linalg import null_space
-    from scipy.optimize import nnls
 
     m = design.shape[1]
     if m == 0:
@@ -205,13 +221,7 @@ def _mass_constrained_fit(design: np.ndarray, rhs: np.ndarray, total: float):
         reduced = design @ basis
         sv = np.linalg.svd(reduced, compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-        weight = 1e8
-        stacked = np.vstack([design, weight * np.ones((1, m))])
-        target = np.concatenate([rhs, [weight * total]])
-        try:
-            x, _ = nnls(stacked, target)
-        except RuntimeError:
-            return np.full(m, total / m), float("inf"), cond
+        x = _nnls_with_mass(design, rhs, 1e8, total, cond)
     sup = float(np.abs(design @ x - rhs).max())
     return x, sup, cond
 
@@ -402,45 +412,18 @@ class CorrelationSolution:
     residual_sup: float
     rank: int
     rank_deficient: bool
-    reg_used: float
     condition_number: float
 
 
 def _correlation_solve(design, b, deficit: float):
-    """Constrained nonnegative solve of lags 1..n; escalates reg on failure.
-
-    An ill-conditioned design starts at the smallest nonzero reg.
-    """
-    # deferred: scipy loads on the first recovery, not on `import whlab`
-    from scipy.optimize import nnls
-
+    """Nonnegative solve of lags 1..n under the deficit (mass row weight
+    1e3 max(sigma_max, 1)), rescaled to carry it exactly."""
     n_lags = design.shape[1]
     sv = np.linalg.svd(design, compute_uv=False)
     top = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > max(top, 1.0) * 1e-10)) if top > 0 else 0
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
-
-    ladder = [1e-10, 1e-8, 1e-6] if cond > COND_LIMIT else [0.0, 1e-10, 1e-8, 1e-6]
-    scale = max(top, 1.0)
-    mass_row = np.full((1, n_lags), 1e3 * scale)
-    x = None
-    reg_used = ladder[-1]
-    for reg_used in ladder:
-        stacked = np.vstack([design, mass_row])
-        target = np.concatenate([b, [1e3 * scale * deficit]])
-        if reg_used > 0.0:
-            stacked = np.vstack([stacked, np.sqrt(reg_used) * np.eye(n_lags)])
-            target = np.concatenate([target, np.zeros(n_lags)])
-        try:
-            x, _ = nnls(stacked, target)
-            break
-        except RuntimeError:
-            continue
-    if x is None:
-        raise ConditioningError(
-            "nonnegative solver failed at every regularization level",
-            condition_number=cond,
-        )
+    x = _nnls_with_mass(design, b, 1e3 * max(top, 1.0), deficit, cond)
     total = float(x.sum())
     if deficit > 0.0 and total > 0.0:
         x = x * (deficit / total)
@@ -450,7 +433,6 @@ def _correlation_solve(design, b, deficit: float):
         residual_sup=float(np.abs(fit).max()),
         rank=rank,
         rank_deficient=rank < n_lags,
-        reg_used=reg_used,
         condition_number=cond,
     )
 
@@ -463,9 +445,7 @@ def correlation_inverse(kernel: LatticeDist, b, deficit: float) -> CorrelationSo
     smallest window that explains the data wins (else the best residual),
     which keeps an underdetermined wide system from inventing deep tail
     mass. The design rank at the reported window comes from its singular
-    values; regularization starts at zero, escalates automatically when
-    the solve degrades or the design is ill-conditioned, and is always
-    reported.
+    values.
     """
     if kernel.is_zero:
         raise DomainError("kernel must be nonzero")
@@ -564,7 +544,6 @@ def recover_cm_discrete(data: TruncatedData) -> ReconstructionReport:
         # the correlation moments b(1..M)
         "moments": b_corr,
         "rank": sol.rank,
-        "reg_used": sol.reg_used,
         "window": int(len(sol.masses)),
     }
     return ReconstructionReport(CLASS_DISCRETE_CM, recovered, residuals, diagnostics)
@@ -635,8 +614,6 @@ def recover_triangular(data: TruncatedData) -> ReconstructionReport:
         "a": int(a),
         "b": int(b),
         "pivot": float(coef[0]),
-        # the gap pattern itself rules out mass at or below -b
-        "zero_tail_forced": True,
     }
     return ReconstructionReport(CLASS_TRIANGULAR, recovered, residuals, diagnostics)
 
@@ -662,7 +639,7 @@ def extend_by_negative(data: TruncatedData, nu: LatticeDist) -> TruncatedData:
     power = None
     for n in range(1, data.horizon + 1):
         power = nu if power is None else convolve(power, nu)
-        row = restrict_nonneg(convolve(data.restricted_power(n), power))
+        row = split_nonneg(convolve(data.restricted_power(n), power))[1]
         if not row.is_zero:
             table[n - 1, row.offset : row.max_index + 1] = row.weights
             width = max(width, row.max_index + 1)

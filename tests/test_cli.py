@@ -671,3 +671,94 @@ def test_simulate_exit_1_when_no_cell_reaches_threshold(tmp_path):
     report = json.loads((tmp_path / "out" / "simulate_report.json").read_text())
     assert "error" in report
     assert report["censored_count"] == 100
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# command, document, the key whose line the error names (None: line 1) and
+# the message; "{tmp}" stands for the test's directory
+CONFIG_REFUSALS = {
+    "tolerances_not_object": (
+        "verify", dict(FACTORIZE_DOC, tolerances=[1e-9]), "tolerances",
+        "'tolerances' must be an object",
+    ),
+    "missing_horizon": (
+        "factorize", _without(FACTORIZE_DOC, "horizon"), None,
+        "missing required key 'horizon'",
+    ),
+    "missing_distribution": (
+        "factorize", _without(FACTORIZE_DOC, "distribution"), None,
+        "missing required key 'distribution'",
+    ),
+    "missing_data_dir": ("reconstruct", {}, None, "missing required key 'data_dir'"),
+    "absent_data_dir": (
+        "reconstruct", {"data_dir": "{tmp}/absent"}, "data_dir",
+        "data directory {tmp}/absent not found",
+    ),
+    "s_values_empty": (
+        "factorize", dict(FACTORIZE_DOC, s_values=[]), "s_values",
+        "'s_values' must be a nonempty list",
+    ),
+    "s_values_at_one": (
+        "factorize", dict(FACTORIZE_DOC, s_values=[1.0]), "s_values",
+        "grid values must satisfy |s| < 1, got 1.0",
+    ),
+    "s_values_string": (
+        "factorize", dict(FACTORIZE_DOC, s_values="0.5"), "s_values",
+        "'s_values' must be a nonempty list",
+    ),
+    "side_up": (
+        "simulate", dict(SIMULATE_DOC, side="up"), "side",
+        "'side' must be 'upward' or 'downward'",
+    ),
+    "detectors_empty": (
+        "reconstruct", {"data_dir": "{tmp}/d", "detectors": []}, "detectors",
+        "'detectors' must be a nonempty list",
+    ),
+    "detectors_string": (
+        "reconstruct", {"data_dir": "{tmp}/d", "detectors": "skip_free"}, "detectors",
+        "'detectors' must be a nonempty list",
+    ),
+    "distribution_list": (
+        "factorize", dict(FACTORIZE_DOC, distribution=[1]), "distribution",
+        "'distribution' must be an object",
+    ),
+    "distribution_without_family": (
+        "factorize", dict(FACTORIZE_DOC, distribution={"parameters": {}}), "distribution",
+        "'distribution' needs 'family' or 'file'",
+    ),
+    "parameters_list": (
+        "factorize",
+        dict(FACTORIZE_DOC, distribution={"family": "two_point", "parameters": [-1, 1, 0.6]}),
+        "distribution",
+        "'parameters' must be an object",
+    ),
+    "top_level_array": (
+        "factorize", [FACTORIZE_DOC], None, "config document must be a JSON object",
+    ),
+    "simulate_improper_law": (
+        "simulate",
+        dict(SIMULATE_DOC, distribution=_family("power_tail_pair", cutoff=40)),
+        "distribution",
+        "simulation needs a proper distribution",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+def test_config_refusal_names_its_line_with_exit_2(tmp_path, case):
+    command, doc, key, message = CONFIG_REFUSALS[case]
+    save_data_dir(truncated_data(lattice(-1, [0.5, 0.2, 0.1, 0.2]), 10), tmp_path / "d")
+    doc = json.loads(json.dumps(doc).replace("{tmp}", str(tmp_path)))
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    lines = cfg.read_text().splitlines()
+    line = 1 if key is None else next(
+        i for i, text in enumerate(lines, start=1) if '"%s":' % key in text
+    )
+    result = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2, result.stderr
+    want = "config error: line %d: %s" % (line, message.replace("{tmp}", str(tmp_path)))
+    assert want in result.stderr
+    assert "Traceback" not in result.stderr

@@ -16,7 +16,6 @@ from whlab import (
     geometric_mixture,
     lattice,
     power_tail_pair,
-    restrict_nonneg,
     split_nonneg,
     sup_distance,
     tv_distance,
@@ -132,7 +131,7 @@ def test_split_nonneg_partitions_mass():
     assert pos.min_index >= 0
     assert neg.max_index < 0
     assert pos.total + neg.total == pytest.approx(mu.total, abs=1e-15)
-    assert restrict_nonneg(mu).total == pytest.approx(pos.total, abs=1e-15)
+    assert split_nonneg(mu)[1].total == pytest.approx(pos.total, abs=1e-15)
 
 
 def test_window_limit_enforced(monkeypatch):

@@ -404,6 +404,19 @@ def test_correlation_inverse_negative_deficit_rejected():
         correlation_inverse(delta(0), np.zeros(4), deficit=-0.01)
 
 
+@pytest.mark.parametrize(
+    "kernel, b, message",
+    [
+        (zero_measure(), [0.1], "kernel must be nonzero"),
+        (lattice(-1, [0.5, 0.5]), [0.1], "kernel must live on the nonnegative lattice"),
+        (delta(0), [], "empty correlation sequence"),
+    ],
+)
+def test_correlation_inverse_refuses_bad_input(kernel, b, message):
+    with pytest.raises(DomainError, match=message):
+        correlation_inverse(kernel, b, deficit=0.3)
+
+
 def test_cm_single_geometric_tail():
     # positive part 0.4 * 0.5**k, all remaining mass at -1
     mu = lattice(-1, np.concatenate([[0.2], 0.4 * 0.5 ** np.arange(140)]))
@@ -553,6 +566,12 @@ def test_extend_matches_forward_oracle():
     oracle = truncated_data(convolve(mu, nu), 12)
     for n in range(1, 13):
         assert sup_distance(out.restricted_power(n), oracle.restricted_power(n)) <= 1e-14
+
+
+def test_extend_rejects_improper_nu():
+    data = truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 5)
+    with pytest.raises(DomainError, match="nu must be proper"):
+        extend_by_negative(data, lattice(-2, [0.3, 0.3]))
 
 
 def test_extend_rejects_positive_support():
@@ -714,3 +733,49 @@ def test_recovered_agrees_with_first_power():
         for k in range(0, top + 1):
             assert rep.recovered.mass(k) == r1.mass(k)
 
+
+@pytest.mark.parametrize(
+    "detectors, message",
+    [
+        (["nope"], "unknown detector 'nope'"),
+        ("skip_free", "detectors must be a collection of names, not 'skip_free'"),
+        ([], "detectors must name at least one of"),
+    ],
+)
+def test_auto_reconstruct_refuses_bad_detector_lists(ssrw_data, detectors, message):
+    with pytest.raises(DomainError, match=message):
+        auto_reconstruct(ssrw_data, detectors)
+
+
+def test_triangular_refuses_interior_zeros():
+    data = TruncatedData(2, [[0, 0, 0, 0.3, 0, 0.2], [0, 0, 0.1, 0, 0, 0]])
+    with pytest.raises(ClassNotDetected, match="positive support has interior zeros"):
+        recover_triangular(data)
+
+
+# each detector's nnls call, with the law and horizon that reach it
+NNLS_CASES = {
+    "exponential": (recover_exponential, two_point(-2, 1, 0.8).dist, 40),
+    "discrete_cm": (
+        recover_cm_discrete,
+        geometric_mixture((0.3, 0.5), (0.5, 0.5), shift=-2).dist,
+        80,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NNLS_CASES))
+def test_nnls_failure_is_a_conditioning_error(monkeypatch, name):
+    import scipy.optimize
+
+    detector, mu, horizon = NNLS_CASES[name]
+    data = truncated_data(mu, horizon)
+
+    def failing_nnls(*args, **kwargs):
+        raise RuntimeError("too many iterations")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", failing_nnls)
+    with pytest.raises(ConditioningError, match="nonnegative solver failed: too many iterations"):
+        detector(data)
+    verdict = auto_reconstruct(data).diagnostics["detector_verdicts"][name]
+    assert verdict.startswith("failed: nonnegative solver failed: too many iterations")
