@@ -12,7 +12,7 @@ Each module's ``__all__`` is its public surface, and the package re-exports
 every module's but ``cli``'s.
 """
 
-from . import data, errors, expfit, generators, ladder, lattice, montecarlo, reconstruct
+from . import data, errors, generators, ladder, lattice, montecarlo, reconstruct
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     *lattice.__all__,
     *data.__all__,
     *ladder.__all__,
-    *expfit.__all__,
     *reconstruct.__all__,
     *montecarlo.__all__,
     *generators.__all__,
@@ -33,7 +32,6 @@ from .errors import *
 from .lattice import *
 from .data import *
 from .ladder import *
-from .expfit import *
 from .reconstruct import *
 from .montecarlo import *
 from .generators import *

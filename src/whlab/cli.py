@@ -19,7 +19,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,6 @@ from .reconstruct import CLASS_NONE, DETECTOR_ORDER, auto_reconstruct
 
 __all__ = ["main", "entrypoint", "parse_config", "ExperimentConfig"]
 
-COMMANDS = ("factorize", "verify", "reconstruct", "roundtrip", "simulate")
 DEFAULT_S_VALUES = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DEFAULT_T_POINTS = 32
 
@@ -88,22 +86,10 @@ def _json_17g(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, Enum):
-        return _json_17g(obj.value, indent)
     if isinstance(obj, str):
         return json.dumps(obj)
     # a repr would carry an address and break byte-identical bodies
     raise TypeError("cannot serialize %s into a report" % type(obj).__name__)
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v)).strip('"')
-    return str(v)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -117,7 +103,7 @@ def _write_csv(path: Path, config_hash: str, columns, rows) -> None:
         ",".join(columns),
     ]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(_json_17g(v).strip('"') for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -501,7 +487,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Random-walk factorization and recovery experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--out", default=None, help="output directory override")

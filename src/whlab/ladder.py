@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import TruncatedData
 from .errors import DomainError
-from .lattice import LatticeDist, _check_int, _half_line_walk, eval_transform
+from .lattice import LatticeDist, _check_int, _half_line_walk
 
 UPWARD = "upward"
 DOWNWARD = "downward"
@@ -237,7 +237,7 @@ def verify_factorization(
     down = ladder_law(mu, DOWNWARD, horizon)
     plus = chi_eval_grid(up, s_arr, t_arr).values
     minus = chi_eval_grid(down, s_arr, t_arr).values
-    phi = np.array([eval_transform(mu, np.exp(1j * t)) for t in t_arr])
+    phi = mu.weights @ _phases(mu.indices(), t_arr)
     lhs = 1.0 - s_arr[:, None] * phi[None, :]
     rhs = (1.0 - minus) * (1.0 - plus)
     residuals = np.abs(lhs - rhs)

@@ -33,7 +33,6 @@ __all__ = [
     "zero_measure",
     "convolve",
     "split_nonneg",
-    "eval_transform",
     "tv_distance",
     "sup_distance",
 ]
@@ -56,7 +55,7 @@ class LatticeDist:
     total: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", _integer_offset(self.offset))
+        object.__setattr__(self, "offset", _check_int("offset", self.offset, None))
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise DomainError("weights must be a 1-d array")
@@ -134,7 +133,7 @@ def lattice(offset: int, weights) -> LatticeDist:
     trimming, which would otherwise shift a bool into an int or drop the
     offset of an all-zero window.
     """
-    offset = _integer_offset(offset)
+    offset = _check_int("offset", offset, None)
     w = np.array(weights, dtype=float)
     if w.ndim != 1:
         raise DomainError("weights must be a 1-d sequence")
@@ -154,15 +153,6 @@ def delta(k: int = 0) -> LatticeDist:
 
 def zero_measure() -> LatticeDist:
     return LatticeDist(0, np.empty(0))
-
-
-def _integer_offset(k) -> int:
-    if not isinstance(k, bool):
-        try:
-            return operator.index(k)
-        except TypeError:
-            pass
-    raise DomainError("lattice offset must be an integer, got %r" % (k,))
 
 
 def _check_window(length: int) -> None:
@@ -389,21 +379,6 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     # the alive total is read at the horizon only, so it is taken once, here
     tail = float(np.add.reduce(alive)) if kill else None
     return _Walk(table, base, min(lo, hi), hi, tail)
-
-
-# -- transforms ----------------------------------------------------------
-
-
-def eval_transform(mu: LatticeDist, base: complex) -> complex:
-    """Evaluate sum_k mu(k) base^k, which is 0j for the zero measure.
-
-    base = e^{it} gives the characteristic function at t, and
-    base = e^{lambda} the moment generating function at lambda.
-    """
-    if mu.is_zero:
-        return 0j
-    powers = np.power(complex(base), mu.indices().astype(float))
-    return complex(np.dot(mu.weights, powers))
 
 
 # -- distances -----------------------------------------------------------

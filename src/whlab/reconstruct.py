@@ -30,7 +30,6 @@ layer: a rank-deficient kernel yields a flag, never a fabricated answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -90,7 +89,6 @@ __all__ = [
     "ReconstructionReport",
     "CorrelationSolution",
     "recover_exponential",
-    "Drift",
     "recover_skipfree",
     "correlation_lhs_from_data",
     "correlation_inverse",
@@ -315,15 +313,6 @@ def recover_exponential(data: TruncatedData) -> ReconstructionReport:
 # -- skip-free detection -----------------------------------------------------
 
 
-class Drift(Enum):
-    """Long-run behaviour of S_n: to +infinity, to -infinity, or oscillating
-    (limsup +infinity, liminf -infinity)."""
-
-    PLUS = "drifts_plus"
-    MINUS = "drifts_minus"
-    OSCILLATES = "oscillates"
-
-
 def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
     """Detect and invert the class with negative support exactly {-1}.
 
@@ -337,9 +326,10 @@ def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
     the candidate: with a positive deficit the class is not detected
     there. A zero r1 is not detected either: every law on the negative
     half-line gives the same all-zero data, so the data do not single out
-    delta(-1). The reported drift is the sign of the accepted law's mean
-    (a finite-mean walk drifts that way, and oscillates at mean zero),
-    with |mean| <= MASS_TOL, the tolerance of a proper law, read as zero.
+    delta(-1). The reported drift ("drifts_plus", "drifts_minus" or
+    "oscillates") is the sign of the accepted law's mean (a finite-mean
+    walk drifts that way, and oscillates at mean zero), with
+    |mean| <= MASS_TOL, the tolerance of a proper law, read as zero.
     """
     r1 = data.restricted_power(1)
     if r1.is_zero:
@@ -360,9 +350,9 @@ def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
             )
     mean = float(candidate.indices() @ candidate.weights)
     if abs(mean) <= MASS_TOL:
-        drift = Drift.OSCILLATES
+        drift = "oscillates"
     else:
-        drift = Drift.PLUS if mean > 0.0 else Drift.MINUS
+        drift = "drifts_plus" if mean > 0.0 else "drifts_minus"
     diagnostics = {"drift": drift}
     residuals = {"consistency_sup": consistency, "deficit": deficit}
     return ReconstructionReport(CLASS_SKIP_FREE, candidate, residuals, diagnostics)
@@ -540,12 +530,7 @@ def recover_cm_discrete(data: TruncatedData) -> ReconstructionReport:
         )
     recovered = _assemble(r1, sol.masses)
     residuals = {"system_residual": sol.residual_sup, "deficit": deficit}
-    diagnostics: dict[str, object] = {
-        # the correlation moments b(1..M)
-        "moments": b_corr,
-        "rank": sol.rank,
-        "window": int(len(sol.masses)),
-    }
+    diagnostics = {"rank": sol.rank, "window": int(len(sol.masses))}
     return ReconstructionReport(CLASS_DISCRETE_CM, recovered, residuals, diagnostics)
 
 

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -155,6 +156,31 @@ def test_roundtrip_tv_is_the_distance_of_the_written_law(tmp_path, expected):
     recovered = LatticeDist.from_dict(report["recovered"])
     truth = make_distribution(family, parameters).dist
     assert report["residuals"]["tv_distance"] == tv_distance(recovered, truth)
+
+
+def test_roundtrip_reads_a_distribution_file_relative_to_the_config(tmp_path):
+    law = {"min_index": -1, "weights": [0.5, 0.2, 0.1, 0.2]}
+    (tmp_path / "law.json").write_text(json.dumps(law))
+    doc = {"distribution": {"file": "law.json"}, "horizon": 40}
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    result = run_cli("roundtrip", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "out" / "roundtrip_report.json").read_text())
+    assert report["family"] == "custom_file"
+    assert report["detected_class"] == "skip_free"
+    assert report["passed"] is True
+
+
+def test_relative_output_dir_lands_under_the_config_directory(tmp_path, monkeypatch):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    cfg = write_config(tmp_path / "cfg.json", dict(FACTORIZE_DOC, output_dir="reports"))
+    result = run_cli("factorize", "--config", str(cfg))
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "reports" / "factorize_report.json").is_file()
+    assert (tmp_path / "reports" / "factorization.csv").is_file()
+    assert not any(elsewhere.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -458,7 +484,11 @@ def test_reconstruct_none_report_holds_only_the_verdicts(tmp_path):
     assert set(report["diagnostics"]) == {"detector_verdicts"}
 
 
-@pytest.mark.parametrize("value", [object(), 1j])
+class _Verdict(Enum):
+    HIT = "hit"
+
+
+@pytest.mark.parametrize("value", [object(), 1j, _Verdict.HIT])
 def test_report_serializer_refuses_a_type_no_report_holds(value):
     # a repr (with an address) would make bodies differ between runs
     with pytest.raises(TypeError):
@@ -737,6 +767,57 @@ CONFIG_REFUSALS = {
     ),
     "top_level_array": (
         "factorize", [FACTORIZE_DOC], None, "config document must be a JSON object",
+    ),
+    "p_up_zero": (
+        "factorize",
+        dict(FACTORIZE_DOC, distribution=_family("two_point", down=-1, up=1, p_up=0)),
+        "distribution",
+        "invalid distribution: p_up must lie in (0, 1)",
+    ),
+    "p_up_one": (
+        "factorize",
+        dict(FACTORIZE_DOC, distribution=_family("two_point", down=-1, up=1, p_up=1.0)),
+        "distribution",
+        "invalid distribution: p_up must lie in (0, 1)",
+    ),
+    "unknown_parameter": (
+        "factorize",
+        dict(FACTORIZE_DOC, distribution=_family("two_point", down=-1, up=1, p=0.6)),
+        "distribution",
+        "bad parameters for two_point: two_point() got an unexpected keyword argument 'p'",
+    ),
+    "geometric_lists_mismatched": (
+        "factorize",
+        dict(
+            FACTORIZE_DOC,
+            distribution=_family("geometric_mixture", atoms=[0.3, 0.5], atom_weights=[1.0]),
+        ),
+        "distribution",
+        "invalid distribution: atoms and atom_weights must match and be nonempty",
+    ),
+    "geometric_lists_empty": (
+        "factorize",
+        dict(FACTORIZE_DOC, distribution=_family("geometric_mixture", atoms=[], atom_weights=[])),
+        "distribution",
+        "invalid distribution: atoms and atom_weights must match and be nonempty",
+    ),
+    "geometric_atom_above_one": (
+        "factorize",
+        dict(
+            FACTORIZE_DOC,
+            distribution=_family("geometric_mixture", atoms=[1.2], atom_weights=[1.0]),
+        ),
+        "distribution",
+        "invalid distribution: geometric atoms must lie in (0, 1)",
+    ),
+    "geometric_weights_over_one": (
+        "factorize",
+        dict(
+            FACTORIZE_DOC,
+            distribution=_family("geometric_mixture", atoms=[0.3, 0.5], atom_weights=[0.5, 0.6]),
+        ),
+        "distribution",
+        "invalid distribution: atom_weights must be positive and sum to one",
     ),
     "simulate_improper_law": (
         "simulate",

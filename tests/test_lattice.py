@@ -12,7 +12,6 @@ from whlab import (
     LatticeDist,
     convolve,
     delta,
-    eval_transform,
     geometric_mixture,
     lattice,
     power_tail_pair,
@@ -196,20 +195,6 @@ def test_lattice_checks_offset_before_trimming(offset, weights):
     # trimming would turn True + 1 into the int 2 and drop an all-zero offset
     with pytest.raises(DomainError, match="offset must be an integer"):
         lattice(offset, weights)
-
-
-def test_eval_transform_characteristic():
-    mu = lattice(-1, [0.25, 0.25, 0.5])
-    t = 0.7
-    direct = sum(mu.mass(k) * np.exp(1j * t * k) for k in range(-1, 2))
-    point = eval_transform(mu, np.exp(1j * t))
-    assert point == pytest.approx(direct, abs=1e-15)
-
-
-def test_eval_transform_mgf():
-    mu = lattice(-1, [0.2, 0.0, 0.8])
-    want = 0.2 * np.exp(-0.5) + 0.8 * np.exp(0.5)
-    assert eval_transform(mu, np.exp(0.5)) == pytest.approx(want, abs=1e-14)
 
 
 def test_distances():

@@ -36,7 +36,7 @@ from whlab.errors import (
 )
 from whlab.generators import geometric_mixture, power_tail_pair, two_point, uniform_window
 from whlab.lattice import MASS_TOL, sup_distance
-from whlab.reconstruct import CONSISTENCY_TOL, Drift, _back_substitute
+from whlab.reconstruct import CONSISTENCY_TOL, _back_substitute
 
 from conftest import cm_shallow_window_law, random_corpus
 from reference import back_substitute, cross_correlation_direct, data_from_powers
@@ -153,7 +153,7 @@ def test_recover_skipfree_accepts_drifting_walk():
     data = truncated_data(mu, 40)
     rep = recover_skipfree(data)
     assert rep.detected_class == CLASS_SKIP_FREE
-    assert rep.diagnostics["drift"] is Drift.PLUS
+    assert rep.diagnostics["drift"] == "drifts_plus"
     assert tv_distance(rep.recovered, mu) <= 1e-10
     rep = auto_reconstruct(data, detectors=["skip_free"])
     assert rep.detected_class == CLASS_SKIP_FREE
@@ -162,8 +162,8 @@ def test_recover_skipfree_accepts_drifting_walk():
 def _mean_sign(mu):
     mean = float(mu.indices() @ mu.weights)
     if abs(mean) <= MASS_TOL:
-        return Drift.OSCILLATES
-    return Drift.PLUS if mean > 0.0 else Drift.MINUS
+        return "oscillates"
+    return "drifts_plus" if mean > 0.0 else "drifts_minus"
 
 
 def _skipfree_law(weights, down, zero_mean):
@@ -194,9 +194,9 @@ def test_recover_skipfree_drift_is_sign_of_mean(law, horizon):
     weights, down, zero_mean = law
     mu = _skipfree_law(weights, down, zero_mean)
     rep = recover_skipfree(truncated_data(mu, horizon))
-    assert rep.diagnostics["drift"] is _mean_sign(rep.recovered) is _mean_sign(mu)
+    assert rep.diagnostics["drift"] == _mean_sign(rep.recovered) == _mean_sign(mu)
     if zero_mean:
-        assert rep.diagnostics["drift"] is Drift.OSCILLATES
+        assert rep.diagnostics["drift"] == "oscillates"
 
 
 # an atom on 0..6 that is zero about 30% of the time
@@ -415,6 +415,16 @@ def test_correlation_inverse_negative_deficit_rejected():
 def test_correlation_inverse_refuses_bad_input(kernel, b, message):
     with pytest.raises(DomainError, match=message):
         correlation_inverse(kernel, b, deficit=0.3)
+
+
+def test_correlation_inverse_without_a_fit_returns_the_best_residual():
+    # no nonnegative masses can match a negative b: every window misses, and
+    # the smallest window with the least residual is returned, not raised
+    sol = correlation_inverse(lattice(0, [0.5, 0.3, 0.2]), [-0.1] * 3, deficit=0.5)
+    assert sol.masses.tolist() == [0.0, 0.5]
+    assert sol.residual_sup == pytest.approx(0.1, abs=1e-15)
+    assert sol.rank == 1
+    assert sol.rank_deficient
 
 
 def test_cm_single_geometric_tail():
