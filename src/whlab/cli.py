@@ -2,11 +2,14 @@
 roundtrip, and simulate, driven by a single JSON config document.
 
 Exit codes: 0 success, 1 tolerance or statistical violation, 2 config
-parse/validation failure (line-anchored message on stderr), 3 class
-detection failure. Report bodies are deterministic functions of the config
-bytes; the only timestamp sits on a leading comment line of CSV files so
-bodies stay byte-comparable across runs. Every report embeds the sha256 of
-the config document it came from.
+parse/validation failure (line-anchored message on stderr) or invalid
+input, a lattice window past MAX_WINDOW included, 3 class detection
+failure. Report bodies are deterministic functions of the config bytes; the
+only timestamp sits on a leading comment line of CSV files so bodies stay
+byte-comparable across runs. Each runner returns its report payload and
+exit code, and ``main`` alone adds the command name and the sha256 of the
+config document and writes ``<command>_report.json``; runners write their
+own CSV files.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     DataInconsistencyError,
     DomainError,
     InsufficientSamplesError,
+    SizeLimitError,
     WhlabError,
 )
 from .generators import GeneratedDist, custom_file, make_distribution
@@ -158,10 +162,8 @@ class ExperimentConfig:
         return np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
 
     def tolerance(self, name: str, default: float) -> float:
-        table = self.doc.get("tolerances", {})
-        if not isinstance(table, dict):
-            self._fail("tolerances", "'tolerances' must be an object")
-        value = table.get(name, default)
+        # parse_config has already refused a "tolerances" that is not an object
+        value = self.doc.get("tolerances", {}).get(name, default)
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and 0 < value < math.inf):
             self._fail("tolerances", "tolerance %r must be finite and positive" % name)
@@ -312,10 +314,16 @@ def _factorization_rows(report: FactorizationReport):
             )
 
 
-def cmd_factorize(cfg: ExperimentConfig) -> int:
+def _factorization(cfg: ExperimentConfig):
+    """The distribution, horizon and factorization report of the config."""
     dist = cfg.distribution()
     horizon = cfg.positive_int("horizon")
     report = verify_factorization(dist.dist, cfg.s_values(), cfg.t_values(), horizon)
+    return dist, horizon, report
+
+
+def cmd_factorize(cfg: ExperimentConfig):
+    dist, horizon, report = _factorization(cfg)
     _write_csv(
         cfg.output_dir / "factorization.csv",
         cfg.sha256,
@@ -331,27 +339,19 @@ def cmd_factorize(cfg: ExperimentConfig) -> int:
         ),
         _factorization_rows(report),
     )
-    _write_json(
-        cfg.output_dir / "factorize_report.json",
-        {
-            "command": "factorize",
-            "config_sha256": cfg.sha256,
-            "family": dist.family,
-            "horizon": horizon,
-            "n_s_values": len(report.s_values),
-            "n_t_values": len(report.t_values),
-            "max_residual": report.max_residual,
-            "max_bound": report.max_bound,
-        },
-    )
-    return 0
+    return {
+        "family": dist.family,
+        "horizon": horizon,
+        "n_s_values": len(report.s_values),
+        "n_t_values": len(report.t_values),
+        "max_residual": report.max_residual,
+        "max_bound": report.max_bound,
+    }, 0
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
-    dist = cfg.distribution()
-    horizon = cfg.positive_int("horizon")
+def cmd_verify(cfg: ExperimentConfig):
+    dist, horizon, report = _factorization(cfg)
     slack = cfg.tolerance("residual", 1e-10)
-    report = verify_factorization(dist.dist, cfg.s_values(), cfg.t_values(), horizon)
     allowed = report.bounds[:, None] + slack
     passed = bool(np.all(report.residuals <= allowed))
     per_s = [
@@ -362,34 +362,25 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         }
         for i, s in enumerate(report.s_values)
     ]
-    _write_json(
-        cfg.output_dir / "verify_report.json",
-        {
-            "command": "verify",
-            "config_sha256": cfg.sha256,
-            "family": dist.family,
-            "horizon": horizon,
-            "residual_slack": slack,
-            "max_residual": report.max_residual,
-            "passed": passed,
-            "per_s": per_s,
-        },
-    )
-    return 0 if passed else 1
+    return {
+        "family": dist.family,
+        "horizon": horizon,
+        "residual_slack": slack,
+        "max_residual": report.max_residual,
+        "passed": passed,
+        "per_s": per_s,
+    }, 0 if passed else 1
 
 
-def cmd_reconstruct(cfg: ExperimentConfig) -> int:
+def cmd_reconstruct(cfg: ExperimentConfig):
     data = load_data_dir(cfg.data_dir())
     report = auto_reconstruct(data, detectors=cfg.detectors())
     payload = report.to_dict()
-    payload["command"] = "reconstruct"
-    payload["config_sha256"] = cfg.sha256
     payload["horizon"] = data.horizon
-    _write_json(cfg.output_dir / "reconstruct_report.json", payload)
-    return 0 if report.detected_class != CLASS_NONE else 3
+    return payload, 0 if report.detected_class != CLASS_NONE else 3
 
 
-def cmd_roundtrip(cfg: ExperimentConfig) -> int:
+def cmd_roundtrip(cfg: ExperimentConfig):
     dist = cfg.distribution()
     horizon = cfg.positive_int("horizon")
     tol = cfg.tolerance("tv", 1e-6)
@@ -404,21 +395,18 @@ def cmd_roundtrip(cfg: ExperimentConfig) -> int:
         passed = tv <= tol
     payload.update(
         {
-            "command": "roundtrip",
-            "config_sha256": cfg.sha256,
             "family": dist.family,
             "horizon": horizon,
             "tv_tolerance": tol,
             "passed": passed,
         }
     )
-    _write_json(cfg.output_dir / "roundtrip_report.json", payload)
     if not detected:
-        return 3
-    return 0 if passed else 1
+        return payload, 3
+    return payload, 0 if passed else 1
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
+def cmd_simulate(cfg: ExperimentConfig):
     dist = cfg.distribution()
     if not dist.dist.is_proper():
         cfg._fail("distribution", "simulation needs a proper distribution")
@@ -428,8 +416,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     emp = sample_ladder(dist.dist, side, n_samples, max_steps, cfg.seed)
     exact = ladder_law(dist.dist, side, max_steps)
     payload = {
-        "command": "simulate",
-        "config_sha256": cfg.sha256,
         "family": dist.family,
         "side": side,
         "seed": cfg.seed,
@@ -441,9 +427,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         comparison = compare_empirical(exact, emp)
     except InsufficientSamplesError as exc:
         payload["error"] = str(exc)
-        _write_json(cfg.output_dir / "simulate_report.json", payload)
         print("whlab simulate: %s" % exc, file=sys.stderr)
-        return 1
+        return payload, 1
     cz = censored_z(exact, emp)
     rows = (
         (n, k, count, expected / emp.n_samples, z)
@@ -466,8 +451,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             "passed": comparison.passed and censored_ok,
         }
     )
-    _write_json(cfg.output_dir / "simulate_report.json", payload)
-    return 0 if comparison.passed and censored_ok else 1
+    return payload, 0 if comparison.passed and censored_ok else 1
 
 
 RUNNERS = {
@@ -505,11 +489,14 @@ def main(argv=None) -> int:
             seed_override=args.seed,
         )
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        return RUNNERS[args.command](cfg)
+        payload, code = RUNNERS[args.command](cfg)
+        payload.update(command=args.command, config_sha256=cfg.sha256)
+        _write_json(cfg.output_dir / ("%s_report.json" % args.command), payload)
+        return code
     except ConfigError as exc:
         print("whlab: config error: %s" % exc, file=sys.stderr)
         return 2
-    except (DataInconsistencyError, DomainError) as exc:
+    except (DataInconsistencyError, DomainError, SizeLimitError) as exc:
         print("whlab: invalid input: %s" % exc, file=sys.stderr)
         return 2
     except ClassNotDetected as exc:

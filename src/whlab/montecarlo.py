@@ -348,47 +348,8 @@ def _cell_z(observed: int, n_samples: int, p: float) -> float:
     return (observed - expected) / np.sqrt(var)
 
 
-def compare_empirical(exact: LadderLaw, emp: EmpiricalLadder) -> ComparisonReport:
-    """Per-cell z-scores of observed counts against exact DP masses.
-
-    Only cells with expected or observed count >= MIN_EXPECTED enter the
-    verdict; an observed cell with near-zero exact mass fails outright.
-    """
-    if exact.side != emp.side:
-        raise DomainError("sides differ: %s vs %s" % (exact.side, emp.side))
-    if exact.horizon < emp.max_steps:
-        raise DomainError("exact law horizon is shorter than the sampler's range")
-    cells = []
-    seen = set()
-    expected = emp.n_samples * exact.masses
-    for row, col in zip(*np.nonzero(expected >= MIN_EXPECTED)):
-        n, k = int(row) + 1, int(exact.heights[col])
-        p = float(exact.masses[row, col])
-        observed = emp.counts.get((n, k), 0)
-        z = _cell_z(observed, emp.n_samples, p)
-        cells.append((n, k, observed, float(expected[row, col]), float(z)))
-        seen.add((n, k))
-    for (n, k), observed in emp.counts.items():
-        if (n, k) in seen or observed < MIN_EXPECTED:
-            continue
-        p = exact.mass(n, k)
-        z = _cell_z(observed, emp.n_samples, p)
-        cells.append((n, k, observed, emp.n_samples * p, float(z)))
-    if not cells:
-        raise InsufficientSamplesError(
-            "no cell reaches the expected-count threshold %g" % MIN_EXPECTED
-        )
-    max_z = max(abs(c[4]) for c in cells)
-    return ComparisonReport(
-        max_z=float(max_z),
-        passed=bool(max_z <= 4.0),
-        n_cells=len(cells),
-        cells=tuple(sorted(cells)),
-    )
-
-
-def censored_z(exact: LadderLaw, emp: EmpiricalLadder) -> float:
-    """z-score of the censored fraction against the DP alive mass P(tau > max_steps)."""
+def _check_pair(exact: LadderLaw, emp: EmpiricalLadder) -> None:
+    """DomainError unless the exact law covers the sampler's side and range."""
     if exact.side != emp.side:
         raise DomainError("sides differ: %s vs %s" % (exact.side, emp.side))
     if exact.horizon != emp.max_steps:
@@ -396,4 +357,40 @@ def censored_z(exact: LadderLaw, emp: EmpiricalLadder) -> float:
             "exact law horizon %d differs from the sampler's max_steps %d"
             % (exact.horizon, emp.max_steps)
         )
+
+
+def compare_empirical(exact: LadderLaw, emp: EmpiricalLadder) -> ComparisonReport:
+    """Per-cell z-scores of observed counts against exact DP masses.
+
+    Only cells with expected or observed count >= MIN_EXPECTED enter the
+    verdict; an observed cell with near-zero exact mass fails outright.
+    The exact law must end at the sampler's max_steps: epochs past it were
+    never drawn, and epochs short of it would go unscored.
+    """
+    _check_pair(exact, emp)
+    rows, cols = np.nonzero(emp.n_samples * exact.masses >= MIN_EXPECTED)
+    keys = set(zip((rows + 1).tolist(), exact.heights[cols].tolist()))
+    keys.update(key for key, observed in emp.counts.items() if observed >= MIN_EXPECTED)
+    if not keys:
+        raise InsufficientSamplesError(
+            "no cell reaches the expected-count threshold %g" % MIN_EXPECTED
+        )
+    cells = []
+    for n, k in sorted(keys):
+        p = exact.mass(n, k)
+        observed = emp.counts.get((n, k), 0)
+        z = float(_cell_z(observed, emp.n_samples, p))
+        cells.append((n, k, observed, emp.n_samples * p, z))
+    max_z = max(abs(c[4]) for c in cells)
+    return ComparisonReport(
+        max_z=float(max_z),
+        passed=bool(max_z <= 4.0),
+        n_cells=len(cells),
+        cells=tuple(cells),
+    )
+
+
+def censored_z(exact: LadderLaw, emp: EmpiricalLadder) -> float:
+    """z-score of the censored fraction against the DP alive mass P(tau > max_steps)."""
+    _check_pair(exact, emp)
     return _cell_z(emp.censored_count, emp.n_samples, exact.tail)

@@ -197,33 +197,6 @@ def _nnls_with_mass(design, rhs, weight: float, total: float, cond: float):
         ) from exc
 
 
-def _mass_constrained_fit(design: np.ndarray, rhs: np.ndarray, total: float):
-    """Nonnegative least squares under sum(x) = total (mass row weight 1e8).
-
-    Returns (x, sup_residual, cond) with the residual taken over the raw
-    equations only. Conditioning is that of the design restricted to the
-    constraint surface, which is what the unconstrained directions
-    actually see.
-    """
-    # deferred: scipy loads on the first recovery, not on `import whlab`
-    from scipy.linalg import null_space
-
-    m = design.shape[1]
-    if m == 0:
-        return np.zeros(0), float(np.abs(rhs).max()), 1.0
-    if m == 1:
-        x = np.array([total])
-        cond = 1.0
-    else:
-        basis = null_space(np.ones((1, m)))
-        reduced = design @ basis
-        sv = np.linalg.svd(reduced, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-        x = _nnls_with_mass(design, rhs, 1e8, total, cond)
-    sup = float(np.abs(design @ x - rhs).max())
-    return x, sup, cond
-
-
 _STAB_TOL = 5e-8
 
 
@@ -244,21 +217,38 @@ def _window_search(points: np.ndarray, rhs: np.ndarray, total: float):
 
     Window w fits masses at -1..-w to the terms exp(-lam j) at the probe
     points. Every candidate, the empty window included, is solved as a
-    nonnegative mass vector that must carry the deficit, so a window is
-    accepted only when a genuine distribution reproduces the transform
-    data within tolerance. Nothing is ever returned on a failed fit; the
-    alternative (the best-residual solution over all windows) is exactly
-    the overfitted oscillating garbage ill-conditioned designs produce.
+    nonnegative mass vector that must carry the deficit (a mass row of
+    weight 1e8), so a window is accepted only when a genuine distribution
+    reproduces the transform data within tolerance. Conditioning is that of
+    the design restricted to the constraint surface, which is what the
+    unconstrained directions actually see. Nothing is ever returned on a
+    failed fit; the alternative (the best-residual solution over all
+    windows) is exactly the overfitted oscillating garbage ill-conditioned
+    designs produce.
+
+    Returns (x, sup, relative, cond, w): the sup residual over the raw
+    equations, and that residual relative to max(1, sup |rhs|).
     """
+    # deferred: scipy loads on the first recovery, not on `import whlab`
+    from scipy.linalg import null_space
+
     rhs_scale = max(1.0, float(np.abs(rhs).max()))
+    terms = np.exp(-np.outer(points, np.arange(1, MAX_NEG_WINDOW + 1)))
     for w in range(MAX_NEG_WINDOW + 1):
-        design = np.exp(-np.outer(points, np.arange(1, w + 1)))
-        x, sup, cond = _mass_constrained_fit(design, rhs, total)
+        design = terms[:, :w]
+        cond = 1.0
+        if w < 2:
+            x = np.full(w, total)  # no window, or the whole deficit at -1
+        else:
+            sv = np.linalg.svd(design @ null_space(np.ones((1, w))), compute_uv=False)
+            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+            x = _nnls_with_mass(design, rhs, 1e8, total, cond)
         if cond > COND_LIMIT:
             break
+        sup = float(np.abs(design @ x - rhs).max())
         mass_ok = abs(float(x.sum()) - total) <= 1e-6 * max(1.0, total)
         if sup / rhs_scale <= FIT_TOL and mass_ok:
-            return x, sup, cond, w
+            return x, sup, sup / rhs_scale, cond, w
     raise ConditioningError(
         "no negative window fits the transform data with a distribution",
         condition_number=cond,
@@ -294,11 +284,11 @@ def recover_exponential(data: TruncatedData) -> ReconstructionReport:
             condition_number=float("inf"),
         )
     rhs = estimates - known
-    x, sup, cond, width = _window_search(points, rhs, deficit)
+    x, sup, relative, cond, width = _window_search(points, rhs, deficit)
     recovered = _assemble(r1, x)
     residuals = {
         "fit_residual": sup,
-        "relative_residual": sup / max(1.0, float(np.abs(rhs).max())),
+        "relative_residual": relative,
         "deficit": deficit,
     }
     diagnostics = {

@@ -183,6 +183,18 @@ def test_relative_output_dir_lands_under_the_config_directory(tmp_path, monkeypa
     assert not any(elsewhere.iterdir())
 
 
+def test_relative_data_dir_resolves_against_the_config_directory(tmp_path, monkeypatch):
+    save_data_dir(truncated_data(lattice(-1, [0.5, 0.2, 0.1, 0.2]), 10), tmp_path / "d")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    cfg = write_config(tmp_path / "cfg.json", {"data_dir": "d"})
+    result = run_cli("reconstruct", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result == (0, "")
+    report = json.loads((tmp_path / "out" / "reconstruct_report.json").read_text())
+    assert (report["detected_class"], report["horizon"]) == ("skip_free", 10)
+
+
 @pytest.fixture(scope="module")
 def heavy_tail_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("heavy_tail")
@@ -495,6 +507,14 @@ def test_report_serializer_refuses_a_type_no_report_holds(value):
         _json_17g(value)
 
 
+def test_report_serializer_spells_out_special_values():
+    assert _json_17g([float("nan"), float("inf"), float("-inf")]) == (
+        '[\n  "nan",\n  "inf",\n  "-inf"\n]'
+    )
+    assert _json_17g(np.array([2.0, 0.5])) == "[\n  2,\n  0.5\n]"
+    assert _json_17g({"b": {}, "a": []}) == '{\n  "a": [],\n  "b": {}\n}'
+
+
 def test_reconstruct_all_zero_data_is_none(tmp_path):
     result, report = _reconstruct_saved(tmp_path, lattice(-2, [1.0]), 10)
     assert result.returncode == 3, result.stderr
@@ -701,6 +721,65 @@ def test_simulate_exit_1_when_no_cell_reaches_threshold(tmp_path):
     report = json.loads((tmp_path / "out" / "simulate_report.json").read_text())
     assert "error" in report
     assert report["censored_count"] == 100
+
+
+def test_window_past_limit_in_a_walk_exits_2(tmp_path):
+    # the generator's window fits; the walk's third power does not
+    doc = {
+        "distribution": {
+            "family": "two_point",
+            "parameters": {"down": -1, "up": 524288, "p_up": 0.5},
+        },
+        "horizon": 3,
+    }
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result == (
+        2,
+        "whlab: invalid input: convolution window 1048579 exceeds maximum 1048576\n",
+    )
+    assert not any((tmp_path / "out").iterdir())
+
+
+# one config per command, with the exit code it gives and a report field
+REPORTS = {
+    "factorize": (FACTORIZE_DOC, 0, "family", "two_point"),
+    "verify": (FACTORIZE_DOC, 0, "passed", True),
+    "reconstruct": ({"data_dir": "d"}, 0, "detected_class", "skip_free"),
+    "roundtrip": (
+        {
+            "distribution": {"family": "uniform_window", "parameters": {"low": -3, "high": 2}},
+            "horizon": 2,
+        },
+        3,
+        "detected_class",
+        "none",
+    ),
+    "simulate": (
+        {
+            "distribution": {"family": "point_mass", "parameters": {"location": 1}},
+            "side": "downward",
+            "n_samples": 100,
+            "max_steps": 10,
+        },
+        1,
+        "error",
+        "no cell reaches the expected-count threshold 25",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_every_report_names_its_command_and_config(tmp_path, command):
+    doc, code, key, value = REPORTS[command]
+    save_data_dir(truncated_data(lattice(-1, [0.5, 0.2, 0.1, 0.2]), 10), tmp_path / "d")
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    result = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == code, result.stderr
+    report = json.loads((tmp_path / "out" / ("%s_report.json" % command)).read_text())
+    assert report["command"] == command
+    assert report["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert report[key] == value
 
 
 def _without(doc, key):

@@ -58,6 +58,19 @@ def test_ladder_law_delta1_downward_is_zero():
     assert law.masses.sum() == 0.0
 
 
+def test_ladder_law_refuses_the_zero_measure():
+    with pytest.raises(DomainError, match="^step distribution must be nonzero$"):
+        ladder_law(zero_measure(), UPWARD, 5)
+
+
+def test_ladder_law_mass_is_zero_outside_its_table():
+    law = ladder_law(lattice(-1, [0.5, 0.0, 0.5]), UPWARD, 3)
+    assert law.mass(1, 1) == 0.5
+    # epochs 0 and 4 lie outside the horizon, heights -1 and 2 outside 0..1
+    for n, k in ((0, 0), (4, 0), (1, -1), (1, 2)):
+        assert law.mass(n, k) == 0.0
+
+
 def test_downward_epochs_follow_catalan_counts():
     law = ladder_law(lattice(-1, [0.5, 0.0, 0.5]), DOWNWARD, 9)
     for k in range(1, 5):

@@ -65,6 +65,18 @@ def test_non_canonical_direct_construction_rejected():
         LatticeDist(0, np.array([0.0, 1.0]))
 
 
+def test_two_dimensional_weights_rejected():
+    with pytest.raises(DomainError, match="^weights must be a 1-d array$"):
+        LatticeDist(0, np.ones((2, 2)))
+    with pytest.raises(DomainError, match="^weights must be a 1-d sequence$"):
+        lattice(0, [[0.5], [0.5]])
+
+
+def test_repr_names_the_window_and_total():
+    assert repr(zero_measure()) == "LatticeDist(zero)"
+    assert repr(lattice(-1, [0.25, 0.0, 0.5])) == "LatticeDist([-1, 1], total=0.75)"
+
+
 def test_delta_and_zero_measure():
     d = delta(3)
     assert (d.offset, d.weights.tolist()) == (3, [1.0])

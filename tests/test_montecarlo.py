@@ -210,13 +210,15 @@ def test_empirical_ladder_validates_totals():
 def test_censoring_requires_matching_horizon():
     mu = lattice(-1, [0.5, 0.0, 0.5])
     emp = sample_ladder(mu, UPWARD, 100, max_steps=200, seed=2)
-    with pytest.raises(DomainError):
-        compare_empirical(ladder_law(mu, UPWARD, 100), emp)
+    # a longer law would score epochs the sampler never drew
     for law in (ladder_law(mu, UPWARD, 100), ladder_law(mu, UPWARD, 201)):
+        with pytest.raises(DomainError, match="differs from the sampler's max_steps 200"):
+            compare_empirical(law, emp)
         with pytest.raises(DomainError):
             censored_z(law, emp)
-    with pytest.raises(DomainError):
-        censored_z(ladder_law(mu, DOWNWARD, 200), emp)
+    for check in (compare_empirical, censored_z):
+        with pytest.raises(DomainError, match="^sides differ: downward vs upward$"):
+            check(ladder_law(mu, DOWNWARD, 200), emp)
 
 
 def test_improper_step_distribution_rejected():

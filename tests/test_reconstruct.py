@@ -297,6 +297,12 @@ def test_correlation_lhs_positive_support_vanishes():
     assert np.max(np.abs(correlation_lhs_from_data(data))) <= 1e-15
 
 
+def test_correlation_lhs_needs_two_powers():
+    data = truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 1)
+    with pytest.raises(DomainError, match="^correlation sequence needs horizon >= 2$"):
+        correlation_lhs_from_data(data)
+
+
 def test_correlation_lhs_keeps_boundary_term():
     # the j = 0 term of the two-sided sum survives when mass sits at 0
     mu = lattice(0, [0.3, 0.3, 0.4])
@@ -588,6 +594,18 @@ def test_extend_rejects_positive_support():
     data = truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 5)
     with pytest.raises(DomainError):
         extend_by_negative(data, lattice(0, [0.5, 0.5]))
+
+
+def test_extend_rejects_the_zero_measure():
+    data = truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 5)
+    with pytest.raises(DomainError, match="^nu must be a proper distribution$"):
+        extend_by_negative(data, zero_measure())
+
+
+def test_deconvolution_rejects_positive_support():
+    data = truncated_data(lattice(-1, [0.5, 0.0, 0.5]), 5)
+    with pytest.raises(DomainError, match="^nu must be nonzero on the nonpositive lattice$"):
+        deconvolve_extension(data, delta(1))
 
 
 @pytest.mark.parametrize("nu_weights,nu_offset", [((1.0,), -1), ((0.5, 0.5), -1)])
