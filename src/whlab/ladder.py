@@ -97,8 +97,6 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
     identity the tests pin at 1e-14.
     """
     _check_side(side)
-    if mu.is_zero:
-        raise DomainError("step distribution must be nonzero")
     horizon = _check_int("horizon", horizon, 1)
     walk = _half_line_walk(mu, "nonneg" if side == UPWARD else "neg", horizon)
     if walk.lo == walk.hi:

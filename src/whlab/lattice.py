@@ -205,11 +205,13 @@ def _trim(offset: int, w: np.ndarray) -> tuple[int, np.ndarray]:
     # per end as scalars, and make a full pass only when more may follow
     size = w.size
     lo, hi = 0, size
-    while lo < min(size, _PEEL) and w[lo] == 0.0:
+    stop = min(size, _PEEL)
+    while lo < stop and w[lo] == 0.0:
         lo += 1
     if lo == size:
         return 0, w[:0]
-    while hi > max(lo, size - _PEEL) and w[hi - 1] == 0.0:
+    stop = max(lo, size - _PEEL)
+    while hi > stop and w[hi - 1] == 0.0:
         hi -= 1
     if lo == _PEEL or hi == size - _PEEL:
         # argmax finds each end's first nonzero; flatnonzero would list them all
@@ -281,10 +283,12 @@ def split_nonneg(mu: LatticeDist) -> tuple[LatticeDist, LatticeDist]:
 class _Walk(NamedTuple):
     """Output of ``_half_line_walk``.
 
-    ``table[n-1, j]`` is the crossing mass of step n at height ``base + j``;
-    ``lo`` and ``hi`` bound the heights that carry any (``lo == hi`` if none).
-    ``tail`` is the killed walk's P(tau > horizon), the total of its final
-    alive window, and None for the unkilled walk.
+    ``table[n-1, j]`` is the crossing mass of step n at height ``base + j``:
+    row n-1 is step n's crossing, written as an untrimmed slice of the
+    stepped window into zeros. ``lo`` and ``hi`` bound the heights that
+    carry any (``lo == hi == base`` if none), found once after the last
+    step. ``tail`` is the killed walk's P(tau > horizon), the total of its
+    final alive window, and None for the unkilled walk.
     """
 
     table: np.ndarray
@@ -302,16 +306,21 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     k >= 0 (first weak ascent), ``kill="neg"`` the part on k < 0 (first
     strict descent), and the removed part is the step's crossing. With
     ``kill=None`` nothing is removed and the crossing is the part on k >= 0,
-    the restricted power r_n. Windows are trimmed exactly as ``convolve``
-    and ``split_nonneg`` trim them, so each crossing row holds the bytes of
-    the LatticeDist that loop of public calls would build.
+    the restricted power r_n. Each crossing row holds the bytes of the
+    LatticeDist that loop of ``convolve`` and ``split_nonneg`` calls would
+    build, and the stepped and alive windows are trimmed exactly as theirs.
 
-    Crossings go straight into a table sized by the heights they can reach,
-    and the direct path makes ``np.convolve``'s own call (a correlation with
-    the shorter factor reversed), with ``_trim`` run only where an edge
-    weight is not positive: for small step laws the per-step calls, not the
-    arithmetic, set the cost.
+    For small step laws the per-step calls, not the arithmetic, set the
+    cost. So a step makes one convolution (on the direct path,
+    ``np.convolve``'s own call: a correlation with the shorter factor
+    reversed), runs ``_trim`` only where an edge weight of the stepped or
+    alive window is not positive, and writes its crossing into the zeroed
+    table as an untrimmed slice: the exact-zero edges ``split_nonneg``
+    would trim land on zeros. ``[lo, hi)`` is found once, after the last
+    step.
     """
+    if mu.is_zero:
+        raise DomainError("step distribution must be nonzero")
     mu_offset, mu_w = mu.offset, mu.weights
     mu_size = mu_w.size
     top = max(mu.max_index, 0)
@@ -328,7 +337,8 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
         base = min(mu.offset, 0)
         width = -base
     table = np.zeros((horizon, width))
-    lo, hi = base + width, base
+    # one past the highest column any crossing was written to
+    end = 0
     mu_rev = mu_w[::-1].copy()
     # alive windows longer than this leave the direct path (see _convolve_raw)
     direct_max = FFT_THRESHOLD - mu_size
@@ -337,8 +347,7 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     offset, alive = 0, np.ones(1)
     for n in range(horizon):
         size = alive.size
-        if not (size and mu_size):
-            alive = np.empty(0)
+        if not size:
             break
         if size == 1 or mu_size == 1 or size > direct_max:
             stepped = _convolve_raw(alive, mu_w)
@@ -350,35 +359,47 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
         if not (stepped[0] > 0.0 and stepped[-1] > 0.0):
             offset, stepped = _trim(offset, stepped)
         size = stepped.size
-        # index of lattice point 0, clipped to the window
-        cut = 0 if offset >= 0 else min(-offset, size)
-        # stepped's own edges are positive: only the edges at the cut can be 0
-        if cut < size and stepped[cut] > 0.0:
-            nonneg = offset + cut, stepped[cut:]
-        else:
-            nonneg = _trim(offset + cut, stepped[cut:])
-        if kill is None:
-            (k, w), alive = nonneg, stepped
-        else:
-            if cut and stepped[cut - 1] > 0.0:
-                neg = offset, stepped[:cut]
+        # index of lattice point 0, clipped to the window (without a min()
+        # call, which costs more than the comparison once a step)
+        cut = 0 if offset >= 0 else -offset if -offset < size else size
+        # stepped's own edges are positive, so only an edge at the cut can be
+        # 0: the alive window is trimmed there if it is, the crossing is not
+        if kill == "neg":
+            j, crossing = offset - base, stepped[:cut]
+            if cut < size and stepped[cut] > 0.0:
+                offset, alive = offset + cut, stepped[cut:]
             else:
-                neg = _trim(offset, stepped[:cut])
-            if kill == "nonneg":
-                (k, w), (offset, alive) = nonneg, neg
+                offset, alive = _trim(offset + cut, stepped[cut:])
+        else:
+            j, crossing = offset + cut - base, stepped[cut:]
+            if kill is None:
+                alive = stepped
+            elif cut and stepped[cut - 1] > 0.0:
+                alive = stepped[:cut]
             else:
-                (k, w), (offset, alive) = neg, nonneg
-        if w.size:
-            j = k - base
-            if j + w.size > table.shape[1]:
-                wider = np.zeros((horizon, max(j + w.size, 2 * table.shape[1])))
-                wider[:n, : table.shape[1]] = table[:n]
-                table = wider
-            table[n, j : j + w.size] = w
-            lo, hi = min(lo, k), max(hi, k + w.size)
+                offset, alive = _trim(offset, stepped[:cut])
+        if crossing.size:
+            j_end = j + crossing.size
+            if j_end > width:
+                wider = np.zeros((horizon, max(j_end, 2 * width)))
+                wider[:n, :width] = table[:n]
+                table, width = wider, wider.shape[1]
+            table[n, j:j_end] = crossing
+            if j_end > end:
+                end = j_end
+    # A nonempty crossing keeps one of stepped's positive edges (its top for
+    # r_n and ascents, its bottom for descents); its edge at the cut may be
+    # an exact zero. So scan in from each end of the written columns, which
+    # stops at once on most laws: one pass over the unkilled table would
+    # cost more than its last steps.
+    lo, hi = 0, end
+    while lo < hi and not table[:, lo].any():
+        lo += 1
+    while hi > lo and not table[:, hi - 1].any():
+        hi -= 1
     # the alive total is read at the horizon only, so it is taken once, here
     tail = float(np.add.reduce(alive)) if kill else None
-    return _Walk(table, base, min(lo, hi), hi, tail)
+    return _Walk(table, base, base + lo, base + hi, tail)
 
 
 # -- distances -----------------------------------------------------------

@@ -394,6 +394,15 @@ def test_bad_custom_distribution_rejected_with_exit_2(tmp_path, case):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", ["factorize", "roundtrip"])
+def test_zero_step_law_rejected_with_exit_2(tmp_path, command):
+    spec = _custom_file(tmp_path, b'{"min_index": 0, "weights": []}')
+    cfg = write_config(tmp_path / "cfg.json", {"distribution": spec, "horizon": 20})
+    result = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result == (2, "whlab: invalid input: step distribution must be nonzero\n")
+    assert not (tmp_path / "out" / ("%s_report.json" % command)).exists()
+
+
 BAD_GEOMETRIC_MIXTURES = {
     "cutoff_below_shift": {"atoms": [0.5], "atom_weights": [1.0], "cutoff": -5},
     "cutoff_infinite": {"atoms": [0.5], "atom_weights": [1.0], "cutoff": float("inf")},

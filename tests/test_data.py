@@ -17,6 +17,7 @@ from whlab import (
     split_nonneg,
     sup_distance,
     truncated_data,
+    zero_measure,
 )
 from whlab.errors import DataInconsistencyError, DomainError
 
@@ -68,6 +69,12 @@ def test_horizon_must_be_an_integer(horizon):
 def test_table_shape_must_match_horizon(shape):
     with pytest.raises(DataInconsistencyError, match="does not hold 3 nonempty rows"):
         TruncatedData(3, np.zeros(shape))
+
+
+def test_zero_step_law_rejected():
+    # the same refusal as ladder_law's: both run the one walk kernel
+    with pytest.raises(DomainError, match="^step distribution must be nonzero$"):
+        truncated_data(zero_measure(), 3)
 
 
 def test_power_outside_horizon_rejected():

@@ -17,6 +17,7 @@ from whlab import (
     delta,
     convolve,
     exp_moment_conditions,
+    geometric_mixture,
     ladder_law,
     lattice,
     power_tail_pair,
@@ -540,6 +541,12 @@ def _wide_law(width):
         (_wide_law(1200), 14),
         # r_n reaches 1100, past the 954 columns the table starts with
         (lattice(-1, [0.5, 0.0, 0.5]), 1100),
+        # the deep edge underflows from about step 620 on
+        (two_point(-2, 1, 0.7).dist, 1500),
+        # the top edge loses more than _PEEL entries a step: _trim's full pass
+        (geometric_mixture((0.3, 0.5), (0.5, 0.5)).dist, 40),
+        # crossings with exact-zero edges, and all-zero rows on both sides
+        (lattice(-3, [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]), 200),
     ],
     ids=[
         "underflow_both_edges",
@@ -548,6 +555,9 @@ def _wide_law(width):
         "point_down",
         "fft",
         "table_widens",
+        "deep_edge_underflows",
+        "top_edge_underflows",
+        "zero_edged_crossings",
     ],
 )
 def test_walk_kernel_matches_public_loop_on_edge_cases(mu, side, horizon):
