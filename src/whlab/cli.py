@@ -3,10 +3,11 @@ roundtrip, and simulate, driven by a single JSON config document.
 
 Exit codes: 0 success, 1 tolerance or statistical violation, 2 config
 parse/validation failure (line-anchored message on stderr) or invalid
-input, a lattice window past MAX_WINDOW included, 3 class detection
-failure. Report bodies are deterministic functions of the config bytes; the
-only timestamp sits on a leading comment line of CSV files so bodies stay
-byte-comparable across runs. Each runner returns its report payload and
+input, a lattice window past MAX_WINDOW included, 3 when reconstruct or
+roundtrip detects no class. Report bodies are deterministic functions of the
+config bytes (``simulate`` takes its seed from the ``"seed"`` key, default
+0); the only timestamp sits on a leading comment line of CSV files so bodies
+stay byte-comparable across runs. Each runner returns its report payload and
 exit code, and ``main`` alone adds the command name and the sha256 of the
 config document and writes ``<command>_report.json``; runners write their
 own CSV files.
@@ -20,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,12 +29,10 @@ import numpy as np
 
 from .data import load_data_dir, truncated_data
 from .errors import (
-    ClassNotDetected,
     ConfigError,
     DataInconsistencyError,
     DomainError,
     InsufficientSamplesError,
-    SizeLimitError,
     WhlabError,
 )
 from .generators import GeneratedDist, custom_file, make_distribution
@@ -114,6 +113,11 @@ def _write_csv(path: Path, config_hash: str, columns, rows) -> None:
 # -- config parsing ---------------------------------------------------------
 
 
+def _beside(config_path: Path, value) -> Path:
+    """A path the config names; a relative one starts at the config's directory."""
+    return config_path.parent / str(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     config_path: Path
@@ -121,7 +125,6 @@ class ExperimentConfig:
     raw_text: str
     doc: dict
     output_dir: Path
-    seed: int
 
     def key_line(self, key: str) -> int:
         needle = '"%s"' % key
@@ -190,17 +193,24 @@ class ExperimentConfig:
                 )
         return tuple(value)
 
+    def seed(self) -> int:
+        value = self.doc.get("seed", 0)
+        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 1 << 64:
+            self._fail("seed", "'seed' must be an integer in [0, 2^64)")
+        return value
+
     def distribution(self) -> GeneratedDist:
         spec = self.require("distribution")
         if not isinstance(spec, dict):
             self._fail("distribution", "'distribution' must be an object")
         if "file" in spec:
-            path = Path(str(spec["file"]))
-            if not path.is_absolute():
-                path = self.config_path.parent / path
+            path = _beside(self.config_path, spec["file"])
             if not path.is_file():
                 self._fail("distribution", "distribution file %s not found" % path)
-            return custom_file(path)
+            try:
+                return custom_file(path)
+            except ConfigError as exc:
+                self._fail("distribution", str(exc))
         if "family" not in spec:
             self._fail("distribution", "'distribution' needs 'family' or 'file'")
         parameters = spec.get("parameters", {})
@@ -214,20 +224,14 @@ class ExperimentConfig:
             self._fail("distribution", "invalid distribution: %s" % exc)
 
     def data_dir(self) -> Path:
-        value = self.require("data_dir")
-        path = Path(str(value))
-        if not path.is_absolute():
-            path = self.config_path.parent / path
+        path = _beside(self.config_path, self.require("data_dir"))
         if not path.is_dir():
             self._fail("data_dir", "data directory %s not found" % path)
         return path
 
 
 def parse_config(
-    path: str | Path,
-    command: str,
-    out_override: str | None = None,
-    seed_override: int | None = None,
+    path: str | Path, command: str, out_override: str | None = None
 ) -> ExperimentConfig:
     config_path = Path(path)
     if not config_path.is_file():
@@ -246,14 +250,18 @@ def parse_config(
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object", line=1)
 
-    # output_dir and seed are settled below, once the document has passed
+    if out_override is not None:
+        out_dir = Path(out_override)
+    elif "output_dir" in doc:
+        out_dir = _beside(config_path, doc["output_dir"])
+    else:
+        out_dir = Path(".")
     cfg = ExperimentConfig(
         config_path=config_path,
         sha256=hashlib.sha256(raw_bytes).hexdigest(),
         raw_text=raw_text,
         doc=doc,
-        output_dir=Path("."),
-        seed=0,
+        output_dir=out_dir,
     )
 
     declared = doc.get("command")
@@ -263,9 +271,7 @@ def parse_config(
             "config declares command %r but %r was invoked" % (declared, command),
         )
 
-    if "horizon" in doc:
-        cfg.positive_int("horizon")
-    for key in ("n_samples", "max_steps", "t_points"):
+    for key in ("horizon", "n_samples", "max_steps", "t_points"):
         if key in doc:
             cfg.positive_int(key)
     tolerances = doc.get("tolerances", {})
@@ -276,22 +282,8 @@ def parse_config(
     cfg.s_values()
     cfg.side()
     cfg.detectors()
-
-    # the document's seed must be valid even when --seed overrides it
-    seeds = [doc.get("seed", 0)] + ([] if seed_override is None else [seed_override])
-    for seed in seeds:
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
-            cfg._fail("seed", "'seed' must be an integer in [0, 2^64)")
-
-    if out_override is not None:
-        out_dir = Path(out_override)
-    elif "output_dir" in doc:
-        out_dir = Path(str(doc["output_dir"]))
-        if not out_dir.is_absolute():
-            out_dir = config_path.parent / out_dir
-    else:
-        out_dir = Path(".")
-    return replace(cfg, output_dir=out_dir, seed=seeds[-1])
+    cfg.seed()
+    return cfg
 
 
 # -- command runners ----------------------------------------------------------
@@ -413,12 +405,13 @@ def cmd_simulate(cfg: ExperimentConfig):
     side = cfg.side()
     n_samples = cfg.positive_int("n_samples", default=100_000)
     max_steps = cfg.positive_int("max_steps", default=10_000)
-    emp = sample_ladder(dist.dist, side, n_samples, max_steps, cfg.seed)
+    seed = cfg.seed()
+    emp = sample_ladder(dist.dist, side, n_samples, max_steps, seed)
     exact = ladder_law(dist.dist, side, max_steps)
     payload = {
         "family": dist.family,
         "side": side,
-        "seed": cfg.seed,
+        "seed": seed,
         "n_samples": n_samples,
         "max_steps": max_steps,
         "censored_count": emp.censored_count,
@@ -475,19 +468,13 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = parse_config(
-            args.config,
-            command=args.command,
-            out_override=args.out,
-            seed_override=args.seed,
-        )
+        cfg = parse_config(args.config, command=args.command, out_override=args.out)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         payload, code = RUNNERS[args.command](cfg)
         payload.update(command=args.command, config_sha256=cfg.sha256)
@@ -496,12 +483,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("whlab: config error: %s" % exc, file=sys.stderr)
         return 2
-    except (DataInconsistencyError, DomainError, SizeLimitError) as exc:
+    except (DataInconsistencyError, DomainError) as exc:
         print("whlab: invalid input: %s" % exc, file=sys.stderr)
         return 2
-    except ClassNotDetected as exc:
-        print("whlab: detection failure: %s" % exc, file=sys.stderr)
-        return 3
     except WhlabError as exc:
         print("whlab: %s" % exc, file=sys.stderr)
         return 1

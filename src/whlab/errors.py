@@ -20,7 +20,7 @@ class DomainError(WhlabError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class SizeLimitError(WhlabError):
+class SizeLimitError(DomainError):
     """A lattice window would exceed the configured maximum length."""
 
 

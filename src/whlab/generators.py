@@ -129,7 +129,7 @@ def custom_file(path: str | Path) -> GeneratedDist:
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigError("invalid JSON in %s: %s" % (path, exc), line=exc.lineno)
+        raise ConfigError("invalid JSON in %s: %s" % (path, exc))
     if not isinstance(payload, dict) or "min_index" not in payload or "weights" not in payload:
         raise ConfigError("custom file needs min_index and weights keys")
     try:

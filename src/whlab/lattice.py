@@ -156,10 +156,10 @@ def zero_measure() -> LatticeDist:
 
 
 def _check_window(length: int) -> None:
-    """DomainError for a generator window of more than MAX_WINDOW entries,
-    raised before it is allocated: no convolution with it would fit."""
+    """SizeLimitError for a window of more than MAX_WINDOW entries, raised
+    before it is allocated."""
     if length > MAX_WINDOW:
-        raise DomainError(
+        raise SizeLimitError(
             "window of %d entries exceeds maximum %d" % (length, MAX_WINDOW)
         )
 
@@ -235,10 +235,7 @@ def _convolve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     clamped to zero.
     """
     out_len = len(a) + len(b) - 1
-    if out_len > MAX_WINDOW:
-        raise SizeLimitError(
-            "convolution window %d exceeds maximum %d" % (out_len, MAX_WINDOW)
-        )
+    _check_window(out_len)
     # singleton factors multiply exactly; keeps point-mass convolution free
     # of FFT noise inside support gaps
     if len(a) == 1:

@@ -126,11 +126,11 @@ class _StepLookup:
     at or below x. Thresholds are clipped at 2**53, above every x: a cdf
     that passes 1.0 before its last entry is forced to 1.0 (a law proper
     within MASS_TOL) then still gives a sorted table with the same counts.
-    Each bucket of the guide table holds the index at its lowest x; only
-    buckets with a threshold inside them need compares, at most ``gap`` each.
-    ``moves`` reads step values, as ``dtype``, from the guide table
-    directly, and those loose buckets hold ``loose_mark``, values[0] - 1,
-    which no step takes; the caller picks a dtype that holds it.
+    ``moves`` reads step values, as ``dtype``, from a guide table of the
+    top _GUIDE_BITS bits of x. Only a bucket with a threshold inside it
+    needs ``index``, a search of the thresholds; those loose buckets hold
+    ``loose_mark``, values[0] - 1, which no step takes, and the caller
+    picks a dtype that holds it.
     """
 
     def __init__(self, values: np.ndarray, cdf: np.ndarray, dtype):
@@ -139,19 +139,14 @@ class _StepLookup:
         self.thresholds = np.minimum(np.ceil(cdf * top), top).astype(np.int64)
         width = 1 << (_X_BITS - _GUIDE_BITS)
         starts = np.arange(1 << _GUIDE_BITS, dtype=np.int64) * width
-        self.guide = np.searchsorted(self.thresholds, starts, side="right")
+        guide = np.searchsorted(self.thresholds, starts, side="right")
         last = np.searchsorted(self.thresholds, starts + (width - 1), side="right")
-        self.gap = int((last - self.guide).max())
         self.loose_mark = self.values[0] - 1
-        loose = last > self.guide
-        self.guide_moves = np.where(loose, self.loose_mark, self.values[self.guide])
+        self.guide_moves = np.where(last > guide, self.loose_mark, self.values[guide])
 
     def index(self, x: np.ndarray) -> np.ndarray:
         """Step index of each 53-bit integer x (int64)."""
-        idx = self.guide[x >> (_X_BITS - _GUIDE_BITS)]
-        for _ in range(self.gap):
-            idx += x >= self.thresholds[idx]
-        return idx
+        return np.searchsorted(self.thresholds, x, side="right")
 
     def moves(
         self, top: np.ndarray, scratch: np.ndarray, out: np.ndarray

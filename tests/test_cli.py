@@ -394,6 +394,29 @@ def test_bad_custom_distribution_rejected_with_exit_2(tmp_path, case):
     assert "Traceback" not in result.stderr
 
 
+# a distribution file's own line and column stay inside its message; the
+# line prefix is the config's "distribution" line
+CUSTOM_FILE_ERRORS = {
+    "invalid_json": (
+        b'{\n "min_index": 0,\n "weights": [1.0,]\n}\n',
+        "invalid JSON in %s: Expecting value: line 3 column 18 (char 36)",
+    ),
+    "no_min_index": (b'{"weights": [1.0]}', "custom file needs min_index and weights keys"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUSTOM_FILE_ERRORS))
+def test_custom_file_errors_carry_the_config_line(tmp_path, case):
+    payload, message = CUSTOM_FILE_ERRORS[case]
+    spec = _custom_file(tmp_path, payload)
+    cfg = write_config(tmp_path / "cfg.json", {"distribution": spec, "horizon": 20})
+    assert cfg.read_text().splitlines()[1] == ' "distribution": {'
+    result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    if "%s" in message:
+        message %= tmp_path / "custom.json"
+    assert result == (2, "whlab: config error: line 2: %s\n" % message)
+
+
 @pytest.mark.parametrize("command", ["factorize", "roundtrip"])
 def test_zero_step_law_rejected_with_exit_2(tmp_path, command):
     spec = _custom_file(tmp_path, b'{"min_index": 0, "weights": []}')
@@ -652,22 +675,6 @@ def test_simulate_passes_and_is_deterministic(tmp_path):
     assert abs(report["censored_z"]) <= 4.0
 
 
-def test_simulate_seed_override_lands_in_report(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", SIMULATE_DOC)
-    result = run_cli(
-        "simulate",
-        "--config",
-        str(cfg),
-        "--out",
-        str(tmp_path / "out"),
-        "--seed",
-        "5",
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads((tmp_path / "out" / "simulate_report.json").read_text())
-    assert report["seed"] == 5
-
-
 # each family's window one entry past lattice.MAX_WINDOW
 _PAST = importlib.import_module("whlab.lattice").MAX_WINDOW + 1
 WINDOWS_PAST_LIMIT = {
@@ -690,29 +697,33 @@ def test_generator_window_past_limit_rejected_with_exit_2(tmp_path, family):
 
 def test_parser_reused_across_calls_keeps_errors_and_defaults(tmp_path):
     # main builds its parser once per process: a parse must leave nothing
-    # behind for the next call, neither an error nor an override
+    # behind for the next call, neither an error nor a value
     save_data_dir(truncated_data(lattice(-1, [0.5, 0.2, 0.1, 0.2]), 10), tmp_path / "d")
     rcfg = str(write_config(tmp_path / "r.json", {"data_dir": str(tmp_path / "d")}))
     assert run_cli("reconstruct", "--config", rcfg, "--out", str(tmp_path / "r")) == (0, "")
     bad = run_cli("reconstruct", "--config", rcfg, "--bogus")
     assert bad.returncode == 2
     assert "unrecognized arguments: --bogus" in bad.stderr
-    scfg = str(write_config(tmp_path / "s.json", SIMULATE_DOC))
-    seeded = run_cli("simulate", "--config", scfg, "--out", str(tmp_path / "a"), "--seed", "5")
-    assert seeded == (0, "")
-    assert run_cli("simulate", "--config", scfg, "--out", str(tmp_path / "b")) == (0, "")
-    seeds = [
-        json.loads((tmp_path / out / "simulate_report.json").read_text())["seed"]
-        for out in "ab"
-    ]
-    assert seeds == [5, 41]
+    assert run_cli("reconstruct", "--config", rcfg, "--out", str(tmp_path / "r")) == (0, "")
 
 
-def test_bad_document_seed_rejected_under_override(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", dict(SIMULATE_DOC, seed=-1))
+def test_seed_option_is_gone(tmp_path):
+    # the config's "seed" is the only seed
+    cfg = write_config(tmp_path / "cfg.json", SIMULATE_DOC)
     result = run_cli("simulate", "--config", str(cfg), "--seed", "5")
-    assert result.returncode == 2, result.stderr
-    assert "'seed' must be an integer" in result.stderr
+    assert result.returncode == 2
+    assert "unrecognized arguments: --seed 5" in result.stderr
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, 1 << 64])
+def test_bad_document_seed_rejected(tmp_path, seed):
+    cfg = write_config(tmp_path / "cfg.json", dict(SIMULATE_DOC, seed=seed))
+    line = cfg.read_text().splitlines().index(' "seed": %s' % json.dumps(seed)) + 1
+    result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result == (
+        2,
+        "whlab: config error: line %d: 'seed' must be an integer in [0, 2^64)\n" % line,
+    )
 
 
 def test_simulate_exit_1_when_no_cell_reaches_threshold(tmp_path):
@@ -745,7 +756,7 @@ def test_window_past_limit_in_a_walk_exits_2(tmp_path):
     result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert result == (
         2,
-        "whlab: invalid input: convolution window 1048579 exceeds maximum 1048576\n",
+        "whlab: invalid input: window of 1048579 entries exceeds maximum 1048576\n",
     )
     assert not any((tmp_path / "out").iterdir())
 

@@ -149,7 +149,7 @@ def test_window_limit_enforced(monkeypatch):
     # whlab.lattice is the re-exported function, so patch the module itself
     monkeypatch.setattr(importlib.import_module("whlab.lattice"), "MAX_WINDOW", 1 << 10)
     wide = lattice(0, np.full(1 << 11, 2.0**-11))
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="window of 4095 entries exceeds maximum 1024"):
         convolve(wide, wide)
 
 
@@ -215,6 +215,8 @@ def test_distances():
     assert tv_distance(a, a) == 0.0
     assert tv_distance(a, b) == pytest.approx(0.25, abs=1e-15)
     assert sup_distance(a, b) == pytest.approx(0.25, abs=1e-15)
+    assert tv_distance(zero_measure(), zero_measure()) == 0.0
+    assert sup_distance(zero_measure(), zero_measure()) == 0.0
 
 
 def test_json_round_trip_is_exact():

@@ -650,6 +650,21 @@ def test_deconvolution_honest_about_undetermined_head():
     assert dec.r1.mass(1) == pytest.approx(0.4, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "r2_weights",
+    [[0.05, 0.0, 0.0], [0.01, 0.02, 0.0]],
+    ids=["r2_too_short", "negative_head"],
+)
+def test_deconvolution_keeps_the_frontier_when_r2_cannot_fill_the_head(r2_weights):
+    # delta(-1) leaves r1(0) to be read from r2; an r2 that stops below
+    # top + gap - 1, or one that gives r1(0) < 0, leaves the frontier at 1
+    data = TruncatedData(2, [[0.2, 0.3, 0.1], r2_weights])
+    dec = deconvolve_extension(data, delta(-1))
+    assert dec.determined_from == 1
+    assert dec.stable
+    assert (dec.r1.min_index, dec.r1.max_index) == (1, 3)
+
+
 def test_deconvolution_flags_unstable_first_power():
     # dividing by nu = 0.9 delta(-1) + 0.1 delta(0) from the top multiplies
     # roundoff by 9 per index, which pushes r1 out of [0, 1]
