@@ -133,8 +133,8 @@ def custom_file(path: str | Path) -> GeneratedDist:
     if not isinstance(payload, dict) or "min_index" not in payload or "weights" not in payload:
         raise ConfigError("custom file needs min_index and weights keys")
     try:
-        dist = lattice(payload["min_index"], np.asarray(payload["weights"], dtype=float))
-    except (TypeError, ValueError, DomainError) as exc:
+        dist = lattice(payload["min_index"], payload["weights"])
+    except DomainError as exc:
         raise ConfigError("custom file does not define a distribution: %s" % exc)
     return GeneratedDist("custom_file", dist)
 

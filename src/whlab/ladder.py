@@ -18,7 +18,10 @@ detector in `reconstruct` reads it.
 The exponential-moment probes (`log_restricted_mgf`,
 `exp_moment_conditions`) read half-line data only and return the one
 certificate `recover_exponential` needs: a witness lambda, or None, and
-the probe cap.
+the probe cap. One rule decides where the growth of the restricted
+moment generating values has stabilized, for the certificate and for
+the exponential fit alike: the four ratios over the last five nonzero
+powers agree within 1e-8 of the last (`_stabilized_growth`).
 """
 
 from __future__ import annotations
@@ -308,24 +311,36 @@ def _lambda_grid(data: TruncatedData) -> np.ndarray:
     return np.geomspace(lam_max / 50.0, lam_max, 12)
 
 
-def exp_moment_conditions(data: TruncatedData) -> ExpMomentReport:
-    """Probe 12 lambdas, geometric up to log(1e3) over the top of r_1.
+def _stabilized_growth(data: TruncatedData, lambdas: np.ndarray):
+    """(growth, stabilized) at each lambda: the one stabilization rule.
 
-    At each lambda the ratios of successive restricted moment generating
-    values are taken over the last five nonzero powers. A probe has
-    stabilized when its four ratios spread by at most 1e-8 relative to the
-    last, its growth; it certifies when it has stabilized with growth above
-    one. Fewer than six nonzero powers certify nothing.
+    The ratios of successive restricted moment generating values are taken
+    over the last five nonzero powers; the growth is the last of the four,
+    and a lambda has stabilized when the four spread by at most 1e-8
+    relative to max(1, |growth|). Fewer than six nonzero powers stabilize
+    nothing, and then the growth is nan throughout.
     """
-    grid = _lambda_grid(data)
-    cap = float(grid.max())
     # a nonzero power has a finite log-MGF at every lambda
     nonzero = (np.flatnonzero(data.table.max(axis=1) > 0.0) + 1).tolist()
     if len(nonzero) < 6:
-        return ExpMomentReport(None, cap)
-    logs = np.array([log_restricted_mgf(data, grid, n) for n in nonzero[-5:]])
-    ratios = np.exp(np.diff(logs, axis=0))  # (4, len(grid))
+        return np.full(lambdas.shape, np.nan), np.zeros(lambdas.shape, dtype=bool)
+    logs = np.array([log_restricted_mgf(data, lambdas, n) for n in nonzero[-5:]])
+    ratios = np.exp(np.diff(logs, axis=0))  # (4, len(lambdas))
     growth = ratios[-1]
     stabilized = np.ptp(ratios, axis=0) <= 1e-8 * np.maximum(1.0, np.abs(growth))
+    return growth, stabilized
+
+
+def exp_moment_conditions(data: TruncatedData) -> ExpMomentReport:
+    """Probe 12 lambdas, geometric up to log(1e3) over the top of r_1.
+
+    A probe certifies when it has stabilized under `_stabilized_growth`'s
+    rule (four ratios over the last five nonzero powers within 1e-8 of
+    the last, its growth) with growth above one. Fewer than six nonzero
+    powers certify nothing.
+    """
+    grid = _lambda_grid(data)
+    cap = float(grid.max())
+    growth, stabilized = _stabilized_growth(data, grid)
     certified = np.flatnonzero(stabilized & (growth > 1.0 + 1e-9))
     return ExpMomentReport(float(grid[certified[0]]) if certified.size else None, cap)

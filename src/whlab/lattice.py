@@ -128,13 +128,16 @@ def lattice(offset: int, weights) -> LatticeDist:
     Any positive mass however small stays in the window, and interior zeros
     are always preserved. Tiny negative weights from floating-point
     convolution are clamped to zero, anything more negative raises, and so
-    does a NaN or infinite weight. The offset must be an integer: a float or
-    bool offset raises rather than being truncated. It is checked before
-    trimming, which would otherwise shift a bool into an int or drop the
-    offset of an all-zero window.
+    does a NaN or infinite weight, or one that is not a number. The offset
+    must be an integer: a float or bool offset raises rather than being
+    truncated. It is checked before trimming, which would otherwise shift a
+    bool into an int or drop the offset of an all-zero window.
     """
     offset = _check_int("offset", offset, None)
-    w = np.array(weights, dtype=float)
+    try:
+        w = np.array(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("weights must be numbers: %s" % exc) from exc
     if w.ndim != 1:
         raise DomainError("weights must be a 1-d sequence")
     finite = np.isfinite(w)

@@ -40,7 +40,7 @@ from .errors import (
     DataInconsistencyError,
     DomainError,
 )
-from .ladder import exp_moment_conditions, log_restricted_mgf
+from .ladder import _stabilized_growth, exp_moment_conditions, log_restricted_mgf
 from .lattice import (
     MASS_TOL,
     LatticeDist,
@@ -197,21 +197,6 @@ def _nnls_with_mass(design, rhs, weight: float, total: float, cond: float):
         ) from exc
 
 
-_STAB_TOL = 5e-8
-
-
-def _mgf_ratio_points(data: TruncatedData, lambdas: np.ndarray):
-    """Moment-generating estimates at probe lambdas with stabilized ratios."""
-    n = data.horizon
-    log1, a3, a2, a1 = (log_restricted_mgf(data, lambdas, k) for k in (1, n - 2, n - 1, n))
-    with np.errstate(invalid="ignore", over="ignore"):
-        ratio = np.exp(a1 - a2)
-        drift = np.abs(ratio - np.exp(a2 - a3))
-    stable = drift <= _STAB_TOL * np.maximum(1.0, np.abs(ratio))
-    keep = np.isfinite(a3) & np.isfinite(a2) & np.isfinite(a1) & stable
-    return lambdas[keep], ratio[keep], np.exp(log1[keep])
-
-
 def _window_search(points: np.ndarray, rhs: np.ndarray, total: float):
     """Accept the smallest negative window whose fit carries the deficit.
 
@@ -263,6 +248,9 @@ def recover_exponential(data: TruncatedData) -> ReconstructionReport:
     the full transform, so the ratios of successive restricted moment
     generating values, where they stabilize, estimate the full transform
     at probe lambdas between a twentieth of the witness and the probe cap.
+    Stabilized is the certificate's own rule, ``_stabilized_growth``
+    (four ratios over the last five nonzero powers within 1e-8 of the
+    last), and E[e^{lam X}; X >= 0] is evaluated at the kept lambdas only.
     The negative window is then fitted by least squares constrained to
     carry exactly the missing mass.
     """
@@ -277,13 +265,14 @@ def recover_exponential(data: TruncatedData) -> ReconstructionReport:
         max(conditions.b_witness / 20.0, 1e-6), conditions.lambda_cap, 40
     )
     lambdas = np.unique(np.concatenate([[conditions.b_witness], grid]))
-    points, estimates, known = _mgf_ratio_points(data, lambdas)
+    growth, stabilized = _stabilized_growth(data, lambdas)
+    points = lambdas[stabilized]
     if len(points) < 4:
         raise ConditioningError(
             "too few stabilized moment-generating probes",
             condition_number=float("inf"),
         )
-    rhs = estimates - known
+    rhs = growth[stabilized] - np.exp(log_restricted_mgf(data, points, 1))
     x, sup, relative, cond, width = _window_search(points, rhs, deficit)
     recovered = _assemble(r1, x)
     residuals = {

@@ -4,6 +4,9 @@ The random corpus is seeded once and reused session-wide; acceptance
 criteria and unit tests must see the same distributions.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from whlab import LatticeDist, TruncatedData, lattice, truncated_data
 from whlab.generators import power_tail_pair
 
 CORPUS_SEED = 20260815
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 acceptance_lines = []
 
@@ -20,6 +25,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with the checkout's ``src`` first on
+    PYTHONPATH, so that a child interpreter imports the same whlab."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def random_corpus(count: int, seed: int = CORPUS_SEED) -> list[LatticeDist]:

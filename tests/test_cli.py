@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import cm_shallow_window_law
+from conftest import child_env, cm_shallow_window_law
 from whlab import (
     LatticeDist,
     geometric_mixture,
@@ -25,6 +25,7 @@ from whlab import (
     two_point,
 )
 from whlab.cli import _json_17g, main
+from whlab.errors import ConditioningError
 
 
 class CliResult(NamedTuple):
@@ -289,6 +290,7 @@ def test_module_entry_point_rejects_malformed_data_dir_with_exit_2(tmp_path):
          "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 2, result.stderr
     assert "hash mismatch" in result.stderr
@@ -307,6 +309,7 @@ def test_module_entry_point_reconstructs_skip_free_data(tmp_path):
          "--out", str(tmp_path / "fresh")],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0, result.stderr
     body = (tmp_path / "fresh" / "reconstruct_report.json").read_text()
@@ -402,6 +405,11 @@ CUSTOM_FILE_ERRORS = {
         "invalid JSON in %s: Expecting value: line 3 column 18 (char 36)",
     ),
     "no_min_index": (b'{"weights": [1.0]}', "custom file needs min_index and weights keys"),
+    "non_numeric_weight": (
+        b'{"min_index": 0, "weights": ["x"]}',
+        "custom file does not define a distribution: "
+        "weights must be numbers: could not convert string to float: 'x'",
+    ),
 }
 
 
@@ -724,6 +732,31 @@ def test_bad_document_seed_rejected(tmp_path, seed):
         2,
         "whlab: config error: line %d: 'seed' must be an integer in [0, 2^64)\n" % line,
     )
+
+
+def test_key_spelled_with_an_escape_is_refused_at_line_1(tmp_path):
+    # no line holds the text "seed", so the refusal cannot name the key's line
+    text = json.dumps(dict(SIMULATE_DOC, seed=-1), indent=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace('"seed"', '"\\u0073eed"'))
+    assert "seed" not in cfg.read_text()
+    result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result == (
+        2,
+        "whlab: config error: line 1: 'seed' must be an integer in [0, 2^64)\n",
+    )
+
+
+def test_runner_error_exits_1_without_a_traceback(tmp_path, monkeypatch):
+    def refuse(data, detectors=None):
+        raise ConditioningError("solver gave up", condition_number=1e13)
+
+    monkeypatch.setattr("whlab.cli.auto_reconstruct", refuse)
+    save_data_dir(truncated_data(lattice(-1, [0.5, 0.2, 0.1, 0.2]), 10), tmp_path / "d")
+    cfg = write_config(tmp_path / "cfg.json", {"data_dir": str(tmp_path / "d")})
+    result = run_cli("reconstruct", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result == (1, "whlab: solver gave up (condition number 1.000e+13)\n")
+    assert not (tmp_path / "out" / "reconstruct_report.json").exists()
 
 
 def test_simulate_exit_1_when_no_cell_reaches_threshold(tmp_path):

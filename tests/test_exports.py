@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import whlab
+from conftest import child_env
 
 MODULES = ["whlab"] + [
     "whlab." + info.name for info in pkgutil.iter_modules(whlab.__path__)
@@ -45,7 +46,11 @@ def test_import_does_not_load_scipy_signal():
     # scipy.signal alone would roughly double the package's import time
     probe = "import sys, whlab; print('scipy.signal' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=child_env(),
     )
     assert result.stdout.strip() == "False"
 
@@ -57,7 +62,11 @@ def _scipy_modules_after(script):
         "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=child_env(),
     )
     return result.stdout.strip().splitlines()[-1]
 

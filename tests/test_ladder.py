@@ -28,9 +28,15 @@ from whlab import (
     verify_factorization,
 )
 from whlab.errors import DomainError
-from whlab.ladder import DOWNWARD, UPWARD, _lambda_grid, log_restricted_mgf
+from whlab.ladder import (
+    DOWNWARD,
+    UPWARD,
+    _lambda_grid,
+    _stabilized_growth,
+    log_restricted_mgf,
+)
 from whlab.lattice import zero_measure
-from whlab.reconstruct import _STAB_TOL, _mgf_ratio_points
+from whlab.reconstruct import recover_exponential
 
 S_GRID = np.arange(0.1, 0.95, 0.1)
 T_GRID = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
@@ -586,39 +592,50 @@ def _old_log_restricted_mgf(data, lam):
     return out
 
 
+def _old_stabilized_growth(data, lam):
+    """(growth or nan, stabilized) at one lambda."""
+    logs = _old_log_restricted_mgf(data, lam)
+    finite = np.isfinite(logs)
+    if finite.sum() < 6:
+        return np.nan, False
+    ratios = np.exp(np.diff(logs[finite]))
+    last = ratios[-4:]
+    growth = float(ratios[-1])
+    stabilized = float(last.max() - last.min()) <= 1e-8 * max(1.0, abs(growth))
+    return (growth if stabilized else np.nan), stabilized
+
+
 def _old_exp_moment_probes(data):
     """(lam, growth or nan, stabilized, certified) rows and the witness."""
     rows, witness = [], None
     for lam in _lambda_grid(data):
-        logs = _old_log_restricted_mgf(data, lam)
-        finite = np.isfinite(logs)
-        if finite.sum() < 6:
-            rows.append((lam, np.nan, False, False))
-            continue
-        ratios = np.exp(np.diff(logs[finite]))
-        last = ratios[-4:]
-        growth = float(ratios[-1])
-        stabilized = float(last.max() - last.min()) <= 1e-8 * max(1.0, abs(growth))
+        growth, stabilized = _old_stabilized_growth(data, lam)
         certified = stabilized and growth > 1.0 + 1e-9
         if certified and witness is None:
             witness = float(lam)
-        rows.append((lam, growth if stabilized else np.nan, stabilized, certified))
+        rows.append((lam, growth, stabilized, certified))
     return np.array(rows, dtype=float), witness
 
 
 def _old_mgf_ratio_points(data, lambdas):
+    """The exponential fit's (points, estimates, E[e^{lam X}; X >= 0]) under
+    the certificate's rule, one lambda at a time."""
     pts, est, known = [], [], []
     for lam in lambdas:
-        logs = _old_log_restricted_mgf(data, lam)
-        if not np.all(np.isfinite(logs[-3:])):
-            continue
-        ratio = float(np.exp(logs[-1] - logs[-2]))
-        prev = float(np.exp(logs[-2] - logs[-3]))
-        if abs(ratio - prev) <= _STAB_TOL * max(1.0, abs(ratio)):
+        growth, stabilized = _old_stabilized_growth(data, lam)
+        if stabilized:
             pts.append(float(lam))
-            est.append(ratio)
-            known.append(float(np.exp(logs[0])))
+            est.append(growth)
+            known.append(float(np.exp(_old_log_restricted_mgf(data, lam)[0])))
     return np.array(pts), np.array(est), np.array(known)
+
+
+def _mgf_ratio_points(data, lambdas):
+    """The same triple as ``recover_exponential`` forms it."""
+    growth, stabilized = _stabilized_growth(data, lambdas)
+    points = lambdas[stabilized]
+    known = np.exp(log_restricted_mgf(data, points, 1))
+    return points, growth[stabilized], known
 
 
 def _assert_probes_match(data):
@@ -631,13 +648,11 @@ def _assert_probes_match(data):
     rep = exp_moment_conditions(data)
     assert rep.b_witness == _old_exp_moment_probes(data)[1]
     assert rep.lambda_cap == grid[-1]
-    if data.horizon < 3:
-        return  # the ratio points need three powers
     lambdas = np.unique(np.concatenate([grid, np.geomspace(grid[0] / 20.0, grid[-1], 40)]))
     got = _mgf_ratio_points(data, lambdas)
     ref = _old_mgf_ratio_points(data, lambdas)
     for a, b in zip(got, ref, strict=True):
-        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
 
 
 # sub-distributions on 0..4, the empty measure included
@@ -693,9 +708,13 @@ def test_probes_evaluate_only_the_powers_they_read(monkeypatch):
     exp_moment_conditions(data)
     assert calls == [(n, 12) for n in range(36, 41)]
     calls.clear()
-    lambdas = np.geomspace(1e-3, 1.0, 41)
-    _mgf_ratio_points(data, lambdas)
-    assert calls == [(n, 41) for n in (1, 38, 39, 40)]
+    # the certificate again, then the fit: the last five powers at its 41
+    # lambdas, and r_1 at the stabilized ones only
+    report = recover_exponential(data)
+    kept = report.diagnostics["n_transform_points"]
+    assert kept < 41
+    want = [(n, 12) for n in range(36, 41)] + [(n, 41) for n in range(36, 41)]
+    assert calls == want + [(1, kept)]
 
 
 # -- the log-sum-exp kernel against scipy's, the oracle it reproduces --------

@@ -233,6 +233,21 @@ def test_from_dict_rejects_bad_payload():
         LatticeDist.from_dict({"offset": 0})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LatticeDist.from_dict({"offset": 0, "weights": "ab"}),
+        lambda: LatticeDist.from_dict({"offset": 0, "weights": {"a": 1}}),
+        lambda: lattice(0, ["x"]),
+    ],
+    ids=["string", "object", "string_entry"],
+)
+def test_non_numeric_weights_are_a_domain_error(build):
+    # a bare ValueError or TypeError would escape the CLI's exit-2 handler
+    with pytest.raises(DomainError, match="^weights must be numbers: "):
+        build()
+
+
 small_dists = st.builds(
     lambda lo, w: lattice(lo, np.asarray(w) / max(sum(w), 1e-9)),
     st.integers(-4, 2),

@@ -95,6 +95,15 @@ def test_recover_exponential_uniform_window(horizon):
     assert tv_distance(rep.recovered, mu) <= 1e-6
 
 
+@pytest.mark.parametrize("top", [1, 2, 3, 4])
+def test_recover_exponential_keeps_only_converged_probes(top):
+    # probes whose last two ratios agree but whose last four do not have
+    # not converged, and fitting them misplaces about 1e-6 to 2e-5 of mass
+    mu = uniform_window(-4, top).dist
+    rep = recover_exponential(truncated_data(mu, 40))
+    assert tv_distance(rep.recovered, mu) <= 1e-6
+
+
 @pytest.mark.parametrize("index", [7, 36, 57, 95])
 def test_exponential_corpus_laws_recovered_within_class_tolerance(corpus100, index):
     # laws whose P(S_n < 0) has a geometric decay fit are recovered
