@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -127,11 +128,9 @@ class ExperimentConfig:
     output_dir: Path
 
     def key_line(self, key: str) -> int:
-        needle = '"%s"' % key
-        for i, line in enumerate(self.raw_text.splitlines(), start=1):
-            if needle in line:
-                return i
-        return 1
+        """Line of the first `"key":`; 1 when a JSON escape hides the key."""
+        found = re.search(r'"%s"\s*:' % re.escape(key), self.raw_text)
+        return 1 if found is None else self.raw_text.count("\n", 0, found.start()) + 1
 
     def _fail(self, key: str, message: str):
         raise ConfigError(message, line=self.key_line(key))

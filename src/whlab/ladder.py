@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import TruncatedData
 from .errors import DomainError
-from .lattice import LatticeDist, _check_int, _half_line_walk
+from .lattice import LatticeDist, _check_int, _finite_vector, _half_line_walk
 
 UPWARD = "upward"
 DOWNWARD = "downward"
@@ -112,20 +112,14 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
 # -- transform evaluation with certified truncation bounds -----------------
 
 
-def _check_s(s: complex) -> float:
-    mod = abs(s)
-    if not mod < 1.0:  # also refuses nan
-        raise DomainError("|s| must be finite and below one, got %r" % s)
-    return mod
-
-
 def _grid_args(s_values, t_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s as complex, t as float, |s|) after the domain checks of a grid."""
-    s_arr = np.asarray(s_values, dtype=complex)
-    t_arr = np.asarray(t_values, dtype=float)
-    mods = np.array([_check_s(s) for s in s_arr], dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise DomainError("t values must be finite")
+    """(s as complex, t as float, |s|) after the domain checks of a grid:
+    1-d sequences of finite numbers, each |s| below one."""
+    s_arr = _finite_vector("s values", s_values, complex)
+    t_arr = _finite_vector("t values", t_values)
+    mods = np.abs(s_arr)
+    if not (mods < 1.0).all():
+        raise DomainError("|s| must be below one, got %r" % s_arr[mods >= 1.0][0])
     return s_arr, t_arr, mods
 
 

@@ -134,16 +134,7 @@ def lattice(offset: int, weights) -> LatticeDist:
     bool into an int or drop the offset of an all-zero window.
     """
     offset = _check_int("offset", offset, None)
-    try:
-        w = np.array(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError("weights must be numbers: %s" % exc) from exc
-    if w.ndim != 1:
-        raise DomainError("weights must be a 1-d sequence")
-    finite = np.isfinite(w)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DomainError("non-finite weight %r at index %d" % (float(w[i]), i))
+    w = _finite_vector("weights", weights)
     _clamp_negatives(w)
     offset, w = _trim(offset, w)
     return LatticeDist(offset, w.copy())
@@ -165,6 +156,21 @@ def _check_window(length: int) -> None:
         raise SizeLimitError(
             "window of %d entries exceeds maximum %d" % (length, MAX_WINDOW)
         )
+
+
+def _finite_vector(name: str, values, dtype=float) -> np.ndarray:
+    """values as a new 1-d array of finite numbers of dtype, else DomainError."""
+    try:
+        v = np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("%s must be numbers: %s" % (name, exc)) from exc
+    if v.ndim != 1:
+        raise DomainError("%s must be a 1-d sequence" % name)
+    finite = np.isfinite(v)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError("non-finite %s entry %r at index %d" % (name, v[i].item(), i))
+    return v
 
 
 def _check_int(name: str, value, low: int | None, high: int | None = None) -> int:

@@ -17,7 +17,7 @@ inverted:
   triangular and exactly solvable;
 * discrete_cm: a completely monotone positive part is the kernel of a
   nonnegative inversion of the one-sided correlation sequence, accepted
-  only at full design rank and a residual within CONSISTENCY_TOL.
+  only at a residual within CONSISTENCY_TOL and full design rank.
 
 The dispatcher walks the ``DETECTORS`` table (name to detector call),
 which lists the detectors in precedence order, exact before approximate;
@@ -44,6 +44,7 @@ from .ladder import _stabilized_growth, exp_moment_conditions, log_restricted_mg
 from .lattice import (
     MASS_TOL,
     LatticeDist,
+    _finite_vector,
     convolve,
     lattice,
     split_nonneg,
@@ -411,33 +412,31 @@ def correlation_inverse(kernel: LatticeDist, b, deficit: float) -> CorrelationSo
 
     Solves b(n) ~ sum_j x_j kernel(n + j) for lags j = 1.. under x >= 0 and
     sum x = deficit. Lag windows grow from 1 up to min(len(b), 16) and the
-    smallest window that explains the data wins (else the best residual),
-    which keeps an underdetermined wide system from inventing deep tail
-    mass. The design rank at the reported window comes from its singular
-    values.
+    first whose residual is within CONSISTENCY_TOL is returned, else the
+    widest, which keeps an underdetermined wide system from inventing deep
+    tail mass. The design rank at the returned window comes from its
+    singular values.
     """
     if kernel.is_zero:
         raise DomainError("kernel must be nonzero")
     if kernel.min_index < 0:
         raise DomainError("kernel must live on the nonnegative lattice")
+    if not np.isfinite(deficit):
+        raise DomainError("mass deficit must be finite, got %r" % deficit)
     if deficit < -MASS_TOL:
         raise DataInconsistencyError("negative mass deficit %g" % deficit)
     deficit = max(deficit, 0.0)
-    b = np.asarray(b, dtype=float)
+    b = _finite_vector("correlation sequence", b)
     n_rows = len(b)
     if n_rows == 0:
         raise DomainError("empty correlation sequence")
     widest = min(n_rows, 16)
     full = _kernel_design(kernel, n_rows, range(1, widest + 1))
-    b_scale = max(1.0, float(np.abs(b).max()))
-    best = None
     for w in range(1, widest + 1):
         sol = _correlation_solve(full[:, :w], b, deficit)
-        if best is None or sol.residual_sup < best.residual_sup:
-            best = sol
-        if sol.residual_sup <= FIT_TOL * b_scale:
-            return sol
-    return best
+        if sol.residual_sup <= CONSISTENCY_TOL:
+            break
+    return sol
 
 
 # -- discrete completely monotone recovery -----------------------------------
@@ -467,10 +466,11 @@ def recover_cm_discrete(data: TruncatedData) -> ReconstructionReport:
     A completely monotone positive part (the paper's case 2) passes the
     alternating-difference gate; the correlation b(n) with the j = 0 term
     removed is then inverted against restricted(1) as kernel for
-    nonnegative masses at -1, -2, ... carrying the mass deficit. A
-    rank-deficient design does not determine the masses, so it raises
-    ConditioningError, and a fit whose residual exceeds CONSISTENCY_TOL
-    raises ClassNotDetected. Neither claims a recovery.
+    nonnegative masses at -1, -2, ... carrying the mass deficit. A system
+    that no lag window solves within CONSISTENCY_TOL raises
+    ClassNotDetected; a window that solves it at deficient design rank
+    does not determine the masses, so it raises ConditioningError. Neither
+    claims a recovery.
     """
     if data.horizon < 2:
         raise ClassNotDetected("correlation sequence needs horizon >= 2")
@@ -496,16 +496,16 @@ def recover_cm_discrete(data: TruncatedData) -> ReconstructionReport:
     usable = min(len(b_corr), len(pos) - 1)
     b_tilde = b_corr[:usable] - pos[0] * pos[1 : usable + 1]
     sol = correlation_inverse(r1, b_tilde, deficit)
+    if sol.residual_sup > CONSISTENCY_TOL:
+        raise ClassNotDetected(
+            "the correlation inversion leaves a residual of %.3g"
+            % sol.residual_sup
+        )
     if sol.rank_deficient:
         raise ConditioningError(
             "correlation inversion has a rank-deficient design "
             "(rank %d of %d lags)" % (sol.rank, len(sol.masses)),
             condition_number=sol.condition_number,
-        )
-    if sol.residual_sup > CONSISTENCY_TOL:
-        raise ClassNotDetected(
-            "the correlation inversion leaves a residual of %.3g"
-            % sol.residual_sup
         )
     recovered = _assemble(r1, sol.masses)
     residuals = {"system_residual": sol.residual_sup, "deficit": deficit}
@@ -724,7 +724,7 @@ def auto_reconstruct(data: TruncatedData, detectors=None) -> ReconstructionRepor
     only diagnostics. ``detectors`` is None for all of them, or a nonempty
     collection of names from ``DETECTOR_ORDER``.
     """
-    if isinstance(detectors, str):
+    if isinstance(detectors, str) or not (detectors is None or np.iterable(detectors)):
         raise DomainError("detectors must be a collection of names, not %r" % detectors)
     enabled = DETECTOR_ORDER if detectors is None else tuple(detectors)
     if not enabled:

@@ -50,15 +50,26 @@ def random_corpus(count: int, seed: int = CORPUS_SEED) -> list[LatticeDist]:
 def cm_shallow_window_law() -> LatticeDist:
     """Masses on -4..-1 under a three-atom completely monotone positive part.
 
-    The three-atom kernel gives no full-rank lag window as deep as the
-    law, and the widest full-rank one solves the correlation system only
-    to 6.8e-8, with a law tv 0.30 from the truth.
+    Every full-rank lag window is too shallow: the widest one solves the
+    correlation system only to 6.8e-8. The first window that solves it
+    within CONSISTENCY_TOL is four lags deep, at design rank 3, so the
+    data do not determine the masses.
     """
     k = np.arange(188)
     c = np.array([0.17, 0.24, 0.29])
     w = np.array([0.14, 0.68, 0.18])
     p = (w[:, None] * (1.0 - c[:, None]) * c[:, None] ** k).sum(axis=0)
     return lattice(-4, np.concatenate([[0.2, 0.16, 0.1, 0.05], 0.49 * p / p.sum()]))
+
+
+def cm_unsolved_data(horizon: int) -> TruncatedData:
+    """Half-line data of a completely monotone law on -2.. with r2(1) set
+    to 0: no nonnegative masses at -1, -2, ... solve the correlation
+    system, and the widest window leaves a residual of 0.0613."""
+    mu = lattice(-2, np.concatenate([[0.1, 0.2], 0.35 * 0.5 ** np.arange(60)]))
+    table = truncated_data(mu, horizon).table.copy()
+    table[1, 1] = 0.0
+    return TruncatedData(horizon, table)
 
 
 @pytest.fixture(scope="session")

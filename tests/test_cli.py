@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import child_env, cm_shallow_window_law
+from conftest import child_env, cm_shallow_window_law, cm_unsolved_data
 from whlab import (
     LatticeDist,
     geometric_mixture,
@@ -485,11 +485,22 @@ def test_reconstruct_refuses_rank_deficient_cm_recovery_with_exit_3(tmp_path):
 
 
 def test_reconstruct_refuses_an_unsolved_cm_system_with_exit_3(tmp_path):
+    root = save_data_dir(cm_unsolved_data(2), tmp_path / "d")
+    result = _reconstruct_exit(tmp_path, root)
+    assert result.returncode == 3, result.stderr
+    report = json.loads((tmp_path / "out" / "reconstruct_report.json").read_text())
+    assert report["detected_class"] == "none"
+    verdict = report["diagnostics"]["detector_verdicts"]["discrete_cm"]
+    assert verdict == "not_detected: the correlation inversion leaves a residual of 0.0613"
+
+
+def test_reconstruct_refuses_a_cm_system_solved_at_deficient_rank_with_exit_3(tmp_path):
     result, report = _reconstruct_saved(tmp_path, cm_shallow_window_law(), 40)
     assert result.returncode == 3, result.stderr
     assert report["detected_class"] == "none"
     verdict = report["diagnostics"]["detector_verdicts"]["discrete_cm"]
-    assert verdict.startswith("not_detected: the correlation inversion")
+    assert verdict.startswith("failed: correlation inversion has a rank-deficient design")
+    assert "(rank 3 of 4 lags)" in verdict
 
 
 @pytest.mark.parametrize("down", [-45, -46])
@@ -721,6 +732,26 @@ def test_seed_option_is_gone(tmp_path):
     result = run_cli("simulate", "--config", str(cfg), "--seed", "5")
     assert result.returncode == 2
     assert "unrecognized arguments: --seed 5" in result.stderr
+
+
+def test_config_error_names_the_key_line_not_a_value_line(tmp_path):
+    # "seed" appears first as a value on line 3; the key sits on line 6
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{\n'
+        ' "distribution": {"family": "point_mass", "parameters": {"location": 1}},\n'
+        ' "output_dir": "seed",\n'
+        ' "side": "upward",\n'
+        ' "n_samples": 200,\n'
+        ' "seed": -1,\n'
+        ' "max_steps": 20\n'
+        '}\n'
+    )
+    result = run_cli("simulate", "--config", str(cfg))
+    assert result == (
+        2,
+        "whlab: config error: line 6: 'seed' must be an integer in [0, 2^64)\n",
+    )
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.5, 1 << 64])

@@ -152,6 +152,21 @@ def test_grids_reject_non_finite_t(route, t):
 
 
 @pytest.mark.parametrize("route", sorted(GRID_ROUTES))
+@pytest.mark.parametrize(
+    "s, t, message",
+    [
+        (["a"], [0.0], "s values must be numbers"),
+        ([0.5], ["a"], "t values must be numbers"),
+        ([[0.5]], [0.0], "s values must be a 1-d sequence"),
+        ([0.5], 0.0, "t values must be a 1-d sequence"),
+    ],
+)
+def test_grids_refuse_values_that_are_not_a_sequence_of_numbers(route, s, t, message):
+    with pytest.raises(DomainError, match=message):
+        GRID_ROUTES[route](lattice(-1, [0.3, 0.3, 0.4]), 10, s, t)
+
+
+@pytest.mark.parametrize("route", sorted(GRID_ROUTES))
 def test_grids_on_empty_s_are_empty(route):
     got = GRID_ROUTES[route](lattice(-1, [0.3, 0.3, 0.4]), 10, [], T_GRID)
     values = got.chi_plus if route == "verify_factorization" else got.values

@@ -36,9 +36,15 @@ from whlab.errors import (
 )
 from whlab.generators import geometric_mixture, power_tail_pair, two_point, uniform_window
 from whlab.lattice import MASS_TOL, sup_distance
-from whlab.reconstruct import CONSISTENCY_TOL, _back_substitute
+from whlab.reconstruct import (
+    CONSISTENCY_TOL,
+    _back_substitute,
+    _correlation_solve,
+    _dense_r1,
+    _kernel_design,
+)
 
-from conftest import cm_shallow_window_law, random_corpus
+from conftest import cm_shallow_window_law, cm_unsolved_data, random_corpus
 from reference import back_substitute, cross_correlation_direct, data_from_powers
 
 
@@ -425,6 +431,9 @@ def test_correlation_inverse_negative_deficit_rejected():
         (zero_measure(), [0.1], "kernel must be nonzero"),
         (lattice(-1, [0.5, 0.5]), [0.1], "kernel must live on the nonnegative lattice"),
         (delta(0), [], "empty correlation sequence"),
+        (delta(0), [[0.1, 0.2]], "correlation sequence must be a 1-d sequence"),
+        (delta(0), [0.1, np.nan], "non-finite correlation sequence entry nan at index 1"),
+        (delta(0), ["x"], "correlation sequence must be numbers"),
     ],
 )
 def test_correlation_inverse_refuses_bad_input(kernel, b, message):
@@ -432,11 +441,17 @@ def test_correlation_inverse_refuses_bad_input(kernel, b, message):
         correlation_inverse(kernel, b, deficit=0.3)
 
 
-def test_correlation_inverse_without_a_fit_returns_the_best_residual():
-    # no nonnegative masses can match a negative b: every window misses, and
-    # the smallest window with the least residual is returned, not raised
+@pytest.mark.parametrize("deficit", [np.nan, np.inf, -np.inf])
+def test_correlation_inverse_refuses_a_non_finite_deficit(deficit):
+    with pytest.raises(DomainError, match="mass deficit must be finite"):
+        correlation_inverse(delta(0), [0.1], deficit)
+
+
+def test_correlation_inverse_without_a_fit_returns_the_widest_window():
+    # no nonnegative masses can match a negative b: every window misses,
+    # and the widest window's solve is returned, not raised
     sol = correlation_inverse(lattice(0, [0.5, 0.3, 0.2]), [-0.1] * 3, deficit=0.5)
-    assert sol.masses.tolist() == [0.0, 0.5]
+    assert sol.masses.tolist() == [0.0, 0.5, 0.0]
     assert sol.residual_sup == pytest.approx(0.1, abs=1e-15)
     assert sol.rank == 1
     assert sol.rank_deficient
@@ -462,13 +477,53 @@ def test_cm_two_atom_mixture():
 
 @pytest.mark.parametrize("horizon", [2, 40])
 def test_cm_refuses_a_fit_with_a_residual_above_tolerance(horizon):
-    mu = cm_shallow_window_law()
-    data = truncated_data(mu, horizon)
-    with pytest.raises(ClassNotDetected, match="leaves a residual"):
+    data = cm_unsolved_data(horizon)
+    with pytest.raises(ClassNotDetected, match="leaves a residual of 0.0613$"):
         recover_cm_discrete(data)
     rep = auto_reconstruct(data)
     assert rep.detected_class == CLASS_NONE
     assert rep.diagnostics["detector_verdicts"]["discrete_cm"].startswith("not_detected")
+
+
+@pytest.mark.parametrize("horizon", [2, 40])
+def test_cm_refuses_a_solved_system_at_deficient_rank(horizon):
+    # a window as deep as the law solves the system, but at rank 3 of 4
+    data = truncated_data(cm_shallow_window_law(), horizon)
+    with pytest.raises(ConditioningError, match=r"\(rank 3 of 4 lags\)"):
+        recover_cm_discrete(data)
+    rep = auto_reconstruct(data)
+    assert rep.detected_class == CLASS_NONE
+    assert rep.diagnostics["detector_verdicts"]["discrete_cm"].startswith("failed")
+
+
+def _cm_three_atom_law():
+    # the first window with a residual of 7.8e-7 is not a solve; the next,
+    # as deep as the law, solves the system to 1.8e-13 at full rank
+    c = np.array([0.6, 0.65, 0.75])
+    w = np.array([0.43, 0.17, 0.40])
+    k = np.arange(147)
+    p = (w[:, None] * (1.0 - c[:, None]) * c[:, None] ** k).sum(axis=0)
+    return lattice(-3, np.concatenate([[0.01, 0.4, 0.28], 0.31 * p / p.sum()]))
+
+
+@pytest.mark.parametrize("horizon", [2, 40])
+def test_cm_recovers_at_the_first_window_within_consistency_tol(horizon):
+    mu = _cm_three_atom_law()
+    data = truncated_data(mu, horizon)
+    rep = auto_reconstruct(data)
+    assert rep.detected_class == CLASS_DISCRETE_CM
+    assert rep.diagnostics["window"] == 3
+    assert rep.residuals["system_residual"] <= CONSISTENCY_TOL
+    assert tv_distance(rep.recovered, mu) <= 1e-8
+    # every narrower window leaves a residual above CONSISTENCY_TOL
+    pos = _dense_r1(data.restricted_power(1))
+    b = correlation_lhs_from_data(data)[: len(pos) - 1]
+    b_tilde = b - pos[0] * pos[1 : len(b) + 1]
+    deficit = 1.0 - data.restricted_power(1).total
+    design = _kernel_design(data.restricted_power(1), len(b_tilde), range(1, 3))
+    for w in (1, 2):
+        sol = _correlation_solve(design[:, :w], b_tilde, deficit)
+        assert sol.residual_sup > CONSISTENCY_TOL
 
 
 def test_cm_seeded_sweep_hits_are_recoveries():
@@ -792,6 +847,7 @@ def test_recovered_agrees_with_first_power():
         (["nope"], "unknown detector 'nope'"),
         ("skip_free", "detectors must be a collection of names, not 'skip_free'"),
         ([], "detectors must name at least one of"),
+        (5, "detectors must be a collection of names, not 5"),
     ],
 )
 def test_auto_reconstruct_refuses_bad_detector_lists(ssrw_data, detectors, message):
