@@ -53,7 +53,10 @@ class TruncatedData:
 
     def __post_init__(self):
         horizon = _check_int("horizon", self.horizon, 1)
-        table = np.asarray(self.table, dtype=float)
+        try:
+            table = np.asarray(self.table, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DataInconsistencyError("table must hold numbers: %s" % exc) from exc
         if table.ndim != 2 or table.shape[0] != horizon or not table.shape[1]:
             raise DataInconsistencyError(
                 "table of shape %r does not hold %d nonempty rows"
@@ -85,6 +88,7 @@ class TruncatedData:
 
     def restricted_power(self, n: int) -> LatticeDist:
         """r_n for 1 <= n <= horizon, built from its table row on first use."""
+        n = _check_int("power", n, None)
         if not 1 <= n <= self.horizon:
             raise DataInconsistencyError(
                 "power %d outside horizon %d" % (n, self.horizon)

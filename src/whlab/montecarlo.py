@@ -1,14 +1,15 @@
 """Statistical oracle: seeded walk simulation against the exact ladder DP.
 
-Deviates come from a counter-based hash of (seed, sample, step): each
-sample's key is mixed once from (seed, sample index), and the deviate of
-step n is the splitmix64 finalizer of that key plus a key for n. No deviate
-depends on which other samples or steps are drawn with it, so the counts
-cannot depend on how the sampler groups its work: ``sample_ladder`` draws
-blocks of steps for all walks still running, ``walk_sample`` draws one step
-at a time for one walk, and the two agree walk for walk. Steps are drawn by
-inverse CDF; the first boundary crossing per the side convention is
-recorded, with explicit censoring when max_steps is hit.
+Deviates come from a counter-based hash of (seed, sample, step), with F the
+splitmix64 finalizer and GOLD = 0x9E3779B97F4A7C15 (Steele, Lea & Flood,
+OOPSLA 2014): sample i's key is F(seed + GOLD * (i + 1)), and the deviate
+of its step n is u = (F(key + GOLD * n) >> 11) * 2**-53, sums taken modulo
+2**64. No deviate depends on which other samples or steps are drawn with
+it, so the counts cannot depend on how the sampler groups its work; the
+tests check ``sample_ladder`` walk for walk against a one-step-at-a-time
+reference on Python ints (tests/reference.py). Steps are drawn by inverse
+CDF; the first boundary crossing per the side convention is recorded, with
+explicit censoring when max_steps is hit.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .ladder import UPWARD, LadderLaw, _check_side
 from .lattice import LatticeDist, _check_int
 
 __all__ = [
-    "WalkSample",
-    "walk_sample",
     "EmpiricalLadder",
     "sample_ladder",
     "ComparisonReport",
@@ -166,42 +165,6 @@ class _StepLookup:
         return moves
 
 
-@dataclass(frozen=True)
-class WalkSample:
-    """One simulated walk up to its first crossing or censoring."""
-
-    ladder_epoch: int | None
-    ladder_height: int | None
-    censored: bool
-
-
-def _crossed(side: str, position: int) -> bool:
-    return position >= 0 if side == UPWARD else position < 0
-
-
-def walk_sample(
-    mu: LatticeDist, side: str, seed: int, sample_index: int, max_steps: int = 10_000
-) -> WalkSample:
-    """Reference single-walk sampler: sample ``sample_index`` of
-    ``sample_ladder`` with the same seed, drawn one step at a time with a
-    float deviate and ``searchsorted``."""
-    _check_side(side)
-    seed = _check_int("seed", seed, 0, 1 << 64)
-    # sample_index + 1 enters the key, so it must not wrap to 0
-    sample_index = _check_int("sample_index", sample_index, 0, (1 << 64) - 1)
-    max_steps = _check_int("max_steps", max_steps, 1)
-    values, cdf = _step_tables(mu)
-    key = _sample_keys(seed, np.array([sample_index], dtype=np.uint64))
-    position = 0
-    for step in range(1, max_steps + 1):
-        x = _mix64(_step_keys(key, step, 1))[0, 0] >> np.uint64(64 - _X_BITS)
-        u = float(x) * 2.0**-_X_BITS
-        position += int(values[np.searchsorted(cdf, u, side="right")])
-        if _crossed(side, position):
-            return WalkSample(step, position, False)
-    return WalkSample(None, None, True)
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalLadder:
     """Crossing counts per (epoch, height) cell plus censoring accounting."""
@@ -227,10 +190,12 @@ def sample_ladder(
 ) -> EmpiricalLadder:
     """Simulate samples 0 .. n_samples - 1 to their first crossing.
 
-    Walk i is exactly ``walk_sample(mu, side, seed, i, max_steps)``. Its
-    deviates are keyed by (seed, sample, step), never by position in a
-    batch, so how the walks are grouped and blocked below changes the work
-    done and not one count.
+    Step n of walk i is values[searchsorted(cdf, u, "right")], for u the
+    deviate of the module docstring and cdf the cumulative weights with its
+    last entry set to 1.0; tests/reference.py draws the same walks one step
+    at a time. The deviates are keyed by (seed, sample, step), never by
+    position in a batch, so how the walks are grouped and blocked below
+    changes the work done and not one count.
 
     Walks run in groups of at most ``_BLOCK_ELEMENTS`` (2**15). A block
     draws b steps for each of the A walks of a group still running, as one

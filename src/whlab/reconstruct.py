@@ -168,7 +168,7 @@ def _assemble(r1: LatticeDist, neg_masses: np.ndarray) -> LatticeDist:
     pos = _dense_r1(r1)
     if w == 0:
         return lattice(0, pos)
-    weights = np.concatenate([np.maximum(neg_masses, 0.0)[::-1], pos])
+    weights = np.concatenate([neg_masses[::-1], pos])
     return lattice(-w, weights)
 
 
@@ -421,8 +421,10 @@ def correlation_inverse(kernel: LatticeDist, b, deficit: float) -> CorrelationSo
         raise DomainError("kernel must be nonzero")
     if kernel.min_index < 0:
         raise DomainError("kernel must live on the nonnegative lattice")
-    if not np.isfinite(deficit):
-        raise DomainError("mass deficit must be finite, got %r" % deficit)
+    try:
+        (deficit,) = _finite_vector("mass deficit", [deficit]).tolist()
+    except DomainError:
+        raise DomainError("mass deficit must be finite, got %r" % (deficit,)) from None
     if deficit < -MASS_TOL:
         raise DataInconsistencyError("negative mass deficit %g" % deficit)
     deficit = max(deficit, 0.0)

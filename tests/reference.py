@@ -1,10 +1,12 @@
 """Slow, obviously correct references that the tests check the library against."""
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from whlab import LatticeDist, TruncatedData, convolve, delta
+from whlab import UPWARD, LatticeDist, TruncatedData, convolve, delta
 from whlab.errors import DomainError
 
 
@@ -89,9 +91,43 @@ def back_substitute(rhs, coef) -> np.ndarray:
 
 
 def splitmix64_finalizer(z: int) -> int:
-    """splitmix64's output mix of a 64-bit integer, on Python ints: the
-    three rounds that ``montecarlo._mix64`` runs on uint64 arrays."""
+    """splitmix64's output mix of a 64-bit integer, on Python ints (Steele,
+    Lea & Flood, "Fast splittable pseudorandom number generators", OOPSLA
+    2014): the three rounds that ``montecarlo._mix64`` runs on uint64 arrays."""
     mask = (1 << 64) - 1
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return z ^ (z >> 31)
+
+
+GOLD = 0x9E3779B97F4A7C15
+
+
+def walk_by_walk(mu: LatticeDist, side: str, n_samples: int, max_steps: int, seed: int):
+    """(counts, censored) of ``sample_ladder(mu, side, n_samples, max_steps,
+    seed)``, one walk and one step at a time on Python ints.
+
+    Walk i's key is F(seed + GOLD (i + 1)) and its step n's deviate is
+    u = (F(key + GOLD n) >> 11) 2**-53, sums modulo 2**64, F the splitmix64
+    finalizer; the step is the first atom whose cumulative weight exceeds
+    u, with the last cumulative weight set to 1.0. counts maps each first
+    crossing (epoch, height) to its number of walks.
+    """
+    mask = (1 << 64) - 1
+    values = [int(k) for k in mu.indices()]
+    cdf = list(accumulate(float(w) for w in mu.weights))
+    cdf[-1] = 1.0
+    counts = {}
+    censored = 0
+    for i in range(n_samples):
+        key = splitmix64_finalizer((seed + GOLD * (i + 1)) & mask)
+        position = 0
+        for n in range(1, max_steps + 1):
+            u = (splitmix64_finalizer((key + GOLD * n) & mask) >> 11) * 2.0**-53
+            position += values[bisect_right(cdf, u)]
+            if (position >= 0) if side == UPWARD else (position < 0):
+                counts[n, position] = counts.get((n, position), 0) + 1
+                break
+        else:
+            censored += 1
+    return counts, censored

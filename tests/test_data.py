@@ -13,6 +13,7 @@ from whlab import (
     TruncatedData,
     lattice,
     load_data_dir,
+    log_restricted_mgf,
     save_data_dir,
     split_nonneg,
     sup_distance,
@@ -71,6 +72,12 @@ def test_table_shape_must_match_horizon(shape):
         TruncatedData(3, np.zeros(shape))
 
 
+@pytest.mark.parametrize("horizon, table", [(2, "ab"), (1, [[0.1, "x"]])], ids=repr)
+def test_table_must_hold_numbers(horizon, table):
+    with pytest.raises(DataInconsistencyError, match="table must hold numbers"):
+        TruncatedData(horizon, table)
+
+
 def test_zero_step_law_rejected():
     # the same refusal as ladder_law's: both run the one walk kernel
     with pytest.raises(DomainError, match="^step distribution must be nonzero$"):
@@ -81,6 +88,11 @@ def test_power_outside_horizon_rejected():
     data = truncated_data(lattice(0, [1.0]), 3)
     with pytest.raises(DataInconsistencyError):
         data.restricted_power(4)
+    for n in (1.5, True):
+        with pytest.raises(DomainError, match="power must be an integer"):
+            data.restricted_power(n)
+        with pytest.raises(DomainError, match="power must be an integer"):
+            log_restricted_mgf(data, [0.1], n)
 
 
 def test_table_layout():

@@ -19,27 +19,13 @@ from whlab import (
     lattice,
     sample_ladder,
     two_point,
-    walk_sample,
 )
 from whlab import montecarlo
 from whlab.montecarlo import EmpiricalLadder
 
 from conftest import CORPUS_SEED
-from reference import splitmix64_finalizer
-
-
-def _walk_by_walk(mu, side, n_samples, max_steps, seed):
-    """counts and censored_count of sample_ladder, from walk_sample."""
-    counts = {}
-    censored = 0
-    for i in range(n_samples):
-        w = walk_sample(mu, side, seed, i, max_steps=max_steps)
-        if w.censored:
-            censored += 1
-        else:
-            cell = (w.ladder_epoch, w.ladder_height)
-            counts[cell] = counts.get(cell, 0) + 1
-    return counts, censored
+import reference
+from reference import splitmix64_finalizer, walk_by_walk
 
 
 def test_same_seed_reproduces_counts_exactly():
@@ -61,7 +47,7 @@ def test_single_walks_aggregate_to_batch():
     mu = lattice(-1, [0.3, 0.2, 0.5])
     n = 300
     batch = sample_ladder(mu, DOWNWARD, n, max_steps=50, seed=11)
-    assert _walk_by_walk(mu, DOWNWARD, n, 50, 11) == (
+    assert walk_by_walk(mu, DOWNWARD, n, 50, 11) == (
         batch.counts,
         batch.censored_count,
     )
@@ -102,7 +88,7 @@ def test_blocked_sampler_matches_walk_by_walk(mu, side, n_samples, max_steps, se
     # 16 // active, so 1..40 walks run both below and above its width
     with mock.patch.object(montecarlo, "_BLOCK_ELEMENTS", 16):
         emp = sample_ladder(mu, side, n_samples, max_steps=max_steps, seed=seed)
-    expected = _walk_by_walk(mu, side, n_samples, max_steps, seed)
+    expected = walk_by_walk(mu, side, n_samples, max_steps, seed)
     assert (emp.counts, emp.censored_count) == expected
 
 
@@ -118,7 +104,7 @@ def test_module_budget_sampler_matches_walk_by_walk(
     mu, side, n_samples, max_steps, seed
 ):
     emp = sample_ladder(mu, side, n_samples, max_steps=max_steps, seed=seed)
-    expected = _walk_by_walk(mu, side, n_samples, max_steps, seed)
+    expected = walk_by_walk(mu, side, n_samples, max_steps, seed)
     assert (emp.counts, emp.censored_count) == expected
 
 
@@ -344,32 +330,19 @@ def test_sample_ladder_rejects_bad_integers(kwargs):
         sample_ladder(delta(1), UPWARD, **args)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"sample_index": -1},
-        {"sample_index": (1 << 64) - 1},
-        {"sample_index": 1.0},
-        {"seed": 1.5},
-        {"seed": -1},
-        {"seed": 1 << 64},
-        {"max_steps": True},
-        {"max_steps": 0},
-    ],
-    ids=repr,
-)
-def test_walk_sample_rejects_bad_integers(kwargs):
-    args = {"seed": 0, "sample_index": 0, "max_steps": 5, **kwargs}
-    with pytest.raises(DomainError):
-        walk_sample(delta(1), UPWARD, **args)
-
-
 def test_numpy_integers_and_extreme_seeds_accepted():
     mu = lattice(-1, [0.5, 0.0, 0.5])
     for seed in (0, (1 << 64) - 1):
         a = sample_ladder(mu, UPWARD, np.int64(50), max_steps=np.uint16(20), seed=seed)
-        b = _walk_by_walk(mu, UPWARD, 50, 20, seed)
+        b = walk_by_walk(mu, UPWARD, 50, 20, seed)
         assert (a.counts, a.censored_count) == b
     assert sample_ladder(mu, UPWARD, 50, seed=np.uint64(7)).counts == (
         sample_ladder(mu, UPWARD, 50, seed=7).counts
     )
+
+
+def test_reference_sampler_shares_no_code_with_the_sampler():
+    # a fault in a helper both used would hide from the walk-by-walk tests
+    for name, obj in vars(reference).items():
+        assert obj is not montecarlo, name
+        assert getattr(obj, "__module__", None) != montecarlo.__name__, name

@@ -441,7 +441,7 @@ def test_correlation_inverse_refuses_bad_input(kernel, b, message):
         correlation_inverse(kernel, b, deficit=0.3)
 
 
-@pytest.mark.parametrize("deficit", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("deficit", [np.nan, np.inf, -np.inf, "x", None])
 def test_correlation_inverse_refuses_a_non_finite_deficit(deficit):
     with pytest.raises(DomainError, match="mass deficit must be finite"):
         correlation_inverse(delta(0), [0.1], deficit)
