@@ -277,6 +277,8 @@ def parse_config(
     if not isinstance(tolerances, dict):
         cfg._fail("tolerances", "'tolerances' must be an object")
     for name in tolerances:
+        if name != "tv":
+            cfg._fail("tolerances", "unknown tolerance %r; expected 'tv'" % name)
         cfg.tolerance(name, 1.0)
     cfg.s_values()
     cfg.side()
@@ -342,8 +344,7 @@ def cmd_factorize(cfg: ExperimentConfig):
 
 def cmd_verify(cfg: ExperimentConfig):
     dist, horizon, report = _factorization(cfg)
-    slack = cfg.tolerance("residual", 1e-10)
-    allowed = report.bounds[:, None] + slack
+    allowed = (report.bounds + report.roundoff)[:, None]
     passed = bool(np.all(report.residuals <= allowed))
     per_s = [
         {
@@ -356,7 +357,6 @@ def cmd_verify(cfg: ExperimentConfig):
     return {
         "family": dist.family,
         "horizon": horizon,
-        "residual_slack": slack,
         "max_residual": report.max_residual,
         "passed": passed,
         "per_s": per_s,

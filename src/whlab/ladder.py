@@ -13,7 +13,10 @@ a horizon N carries a certified tail bound read off the DP's ``tail``, the
 alive total P(tau > N) after the last step. The upward transform is also
 reproducible from half-line data alone through the log-series of the
 restricted powers (`spitzer_chi_grid`), which cross-checks the DP; no
-detector in `reconstruct` reads it.
+detector in `reconstruct` reads it. Both grids, and the factorization
+check built on them, also return a first-order a-priori bound on their own
+floating-point error, derived from the horizon, the widths, the largest
+|height|, max|t| and |s|.
 
 The exponential-moment probes (`log_restricted_mgf`,
 `exp_moment_conditions`) read half-line data only and return the one
@@ -138,10 +141,41 @@ def _phases(heights: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# First-order a-priori bounds on the floating-point error of what the grids
+# return (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# ch. 2-4), for masses that total at most one. u is the unit roundoff and
+# gamma_n = n u / (1 - n u) bounds n roundings; libm's log, exp, cos and sin
+# are taken within 2 ulp. numpy forms s^n by repeated squaring below
+# n = 100, within (n - 1) sqrt2 gamma_2 <= 3 n u relative, and as
+# exp(n log s) from there, within u (5 n |log s| + 8): log s within 4u and
+# its product with n within u, per component, and exp, cos, sin and their
+# product within 8u. So s^n is within u (5 n |log s| + 3 n + 8) relative,
+# with |log s| <= |log |s|| + |arg s|.
+
+_U = 2.0**-53
+
+
+def _gamma(n):
+    return n * _U / (1.0 - n * _U)
+
+
+def _dot_error(n: int) -> float:
+    """Error of a complex dot product of length n over the sum of the
+    moduli of its terms: sqrt2 gamma_{n+2} (Higham, section 3.6)."""
+    return np.sqrt(2.0) * _gamma(n + 2)
+
+
+def _phase_error(reach: int, t_arr: np.ndarray) -> float:
+    """Error of `_phases` for heights |k| <= reach: the rounded product k t
+    is off by u |k t|, and cos and sin by 2 ulp each."""
+    return _U * (reach * np.abs(t_arr).max(initial=0.0) + 2.0 * np.sqrt(2.0))
+
+
 @dataclass(frozen=True)
 class TransformGrid:
     values: np.ndarray  # (len(s_values), len(t_values)) complex
-    bounds: np.ndarray  # per s value
+    bounds: np.ndarray  # per s value: truncation at the horizon
+    roundoff: np.ndarray  # per s value: floating-point error of the values
 
 
 def chi_eval_grid(law: LadderLaw, s_values, t_values) -> TransformGrid:
@@ -151,6 +185,14 @@ def chi_eval_grid(law: LadderLaw, s_values, t_values) -> TransformGrid:
     the height phases are applied, one s row at a time: a batched matmul
     picks shape-dependent kernels, and a value must not depend on how an s
     sweep is chunked.
+
+    ``roundoff`` bounds, to first order, how far each value lies from the
+    exact truncated sum over the law's masses, for masses totalling at most
+    one. It is about u |s| ((5 |arg s| + 4.5) N + 1.5 W + K max|t|), with u
+    the unit roundoff, W the width of the ladder table and K its largest
+    |height|, and passes 1e-10 only where the bracket nears 9e5: at
+    N = 2e5 for positive s and 4.5e4 for negative s, at W = 6e5, or at
+    K max|t| = 9e5.
     """
     s_arr, t_arr, mods = _grid_args(s_values, t_values)
     vals = np.zeros((len(s_arr), len(t_arr)), dtype=complex)
@@ -160,7 +202,13 @@ def chi_eval_grid(law: LadderLaw, s_values, t_values) -> TransformGrid:
         for i, row in enumerate(s_arr[:, None] ** n_idx[None, :]):
             vals[i] = (row @ law.masses) @ phases
     bounds = mods ** (law.horizon + 1) * law.tail
-    return TransformGrid(vals, bounds)
+    width = law.masses.shape[1]
+    reach = max(abs(law.height_offset), abs(law.height_offset + width - 1))
+    # the powers' errors weighted by sum_n |s|^n m_n, since n |s|^n |log |s|| <= 1/e
+    arg = np.abs(np.angle(s_arr))
+    powers = _U * (2.0 + mods * ((5.0 * arg + 3.0) * law.horizon + 8.0))
+    sums = _dot_error(law.horizon) + _dot_error(width) + _phase_error(reach, t_arr)
+    return TransformGrid(vals, bounds, powers + mods * sums)
 
 
 def spitzer_chi_grid(data: TruncatedData, s_values, t_values) -> TransformGrid:
@@ -175,11 +223,21 @@ def spitzer_chi_grid(data: TruncatedData, s_values, t_values) -> TransformGrid:
     Unlike ``chi_eval_grid``'s, a value here depends on how an s sweep is
     chunked: the stacked matmul picks shape-dependent kernels, and one call
     per s moves most values by an ulp or so (at most about 2e-15).
+
+    ``roundoff`` bounds, to first order, how far each value lies from the
+    exact truncated series over the table. It reads nothing from the table:
+    rows totalling at most one keep the series' sum of moduli within
+    B = -log(1 - |s|) and so |1 - chi+| within e^B = 1/(1 - |s|). It is
+    about u B (1.5 N + 1.5 W + W max|t|) / (1 - |s|), so it passes 1e-10 at
+    N = 4.6e5 or W max|t| = 6.5e5 for |s| = 0.5, at N = 2.8e4 or
+    W max|t| = 3.9e4 for |s| = 0.9, and at N = 1,300 or W max|t| = 1,600
+    for |s| = 0.99.
     """
     s_arr, t_arr, mods = _grid_args(s_values, t_values)
     horizon = data.horizon
     table = data.table
-    phases = _phases(np.arange(table.shape[1]), t_arr)  # (W, T)
+    width = table.shape[1]
+    phases = _phases(np.arange(width), t_arr)  # (W, T)
     n_idx = np.arange(1, horizon + 1)
     s_pow = (s_arr[:, None] ** n_idx[None, :]) / n_idx[None, :]  # (S, N)
     parts = np.concatenate([s_pow.real, s_pow.imag]) @ table  # (2S, W)
@@ -187,7 +245,16 @@ def spitzer_chi_grid(data: TruncatedData, s_values, t_values) -> TransformGrid:
     vals = 1.0 - np.exp(-(by_k @ phases))
     tail = mods ** (horizon + 1) / ((horizon + 1) * (1.0 - mods))
     bounds = tail * np.exp(tail) / (1.0 - mods)
-    return TransformGrid(vals, bounds)
+    series = -np.log1p(-mods)
+    growth = 1.0 / (1.0 - mods)
+    # the powers' errors and the division by n (2u) weighted by
+    # sum_n |s|^n / n, since x |log x| <= 1 - x
+    arg = np.abs(np.angle(s_arr))
+    powers = _U * (5.0 + (5.0 * arg + 3.0) * mods * growth + 10.0 * series)
+    sums = _dot_error(horizon) + _dot_error(width) + _phase_error(width - 1, t_arr)
+    # exp within 8u relative, and 1 - exp(...) one rounding within u (1 + growth)
+    roundoff = growth * (powers + series * sums + 9.0 * _U) + _U
+    return TransformGrid(vals, bounds, roundoff)
 
 
 # -- factorization verification -------------------------------------------
@@ -203,7 +270,8 @@ class FactorizationReport:
     chi_plus: np.ndarray  # (S, T) complex
     chi_minus: np.ndarray
     residuals: np.ndarray  # (S, T) float
-    bounds: np.ndarray  # per s value
+    bounds: np.ndarray  # per s value: truncation at the horizon
+    roundoff: np.ndarray  # per s value: floating-point error of the residuals
 
     @property
     def max_residual(self) -> float:
@@ -224,21 +292,39 @@ def verify_factorization(
     (1 - chi-)(1 - chi+) by at most
     (1 + |s|) |s|^{N+1} (P(tau+ > N) + P(tau- > N)), read from the two
     ladder laws' ``tail``, since each factor is at most 1 + |s| in modulus
-    and each dropped tail at most |s|^{N+1} P(tau > N). Residuals above
-    that bound plus float noise indicate a real defect.
+    and each dropped tail at most |s|^{N+1} P(tau > N); that is ``bounds``.
+    ``roundoff`` bounds, to first order, the floating-point error of each
+    residual for a step law of total mass at most one: (1 + |s|) times the
+    two factors' ``roundoff``, plus phi's and a few roundings of the
+    products. A residual above ``bounds + roundoff`` indicates a real
+    defect. The roundoff is about four times a factor's, so it passes 1e-10
+    at N = 5e4 for positive s and 1.1e4 for negative s, or where the largest
+    |step| times max|t| reaches 1.8e5.
     """
     s_arr, t_arr, mods = _grid_args(s_values, t_values)
     up = ladder_law(mu, UPWARD, horizon)
     down = ladder_law(mu, DOWNWARD, horizon)
-    plus = chi_eval_grid(up, s_arr, t_arr).values
-    minus = chi_eval_grid(down, s_arr, t_arr).values
+    plus = chi_eval_grid(up, s_arr, t_arr)
+    minus = chi_eval_grid(down, s_arr, t_arr)
     phi = mu.weights @ _phases(mu.indices(), t_arr)
     lhs = 1.0 - s_arr[:, None] * phi[None, :]
-    rhs = (1.0 - minus) * (1.0 - plus)
+    rhs = (1.0 - minus.values) * (1.0 - plus.values)
     residuals = np.abs(lhs - rhs)
     alive = up.tail + down.tail
     bounds = (1.0 + mods) * mods ** (horizon + 1) * alive
-    return FactorizationReport(horizon, s_arr, t_arr, plus, minus, residuals, bounds)
+    reach = max(abs(mu.min_index), abs(mu.max_index))
+    one = 1.0 + mods
+    # each 1 - x rounds within u (1 + |s|) and each complex product within
+    # sqrt2 gamma_2; lhs - rhs and its modulus within 3u (|lhs| + |rhs|)
+    roundoff = (
+        one * (plus.roundoff + minus.roundoff)
+        + mods * (_dot_error(len(mu.weights)) + _phase_error(reach, t_arr))
+        + np.sqrt(2.0) * _gamma(2) * (mods + one**2)
+        + _U * (4.0 * one + 5.0 * one**2)
+    )
+    return FactorizationReport(
+        horizon, s_arr, t_arr, plus.values, minus.values, residuals, bounds, roundoff
+    )
 
 
 # -- exponential-moment probes ----------------------------------------------

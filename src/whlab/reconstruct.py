@@ -173,10 +173,7 @@ def _assemble(r1: LatticeDist, neg_masses: np.ndarray) -> LatticeDist:
 
 
 def _deficit(data: TruncatedData) -> float:
-    d = 1.0 - data.restricted_power(1).total
-    if d < -MASS_TOL:
-        raise DataInconsistencyError("restricted(1) mass exceeds one by %g" % -d)
-    return max(d, 0.0)
+    return max(1.0 - data.restricted_power(1).total, 0.0)
 
 
 def _nnls_with_mass(design, rhs, weight: float, total: float, cond: float):

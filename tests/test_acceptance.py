@@ -58,32 +58,38 @@ def _record(label: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_factorization_identity(corpus100):
     start = time.perf_counter()
-    excess = -np.inf
+    excess = roundoff = -np.inf
     for mu in corpus100:
         rep = verify_factorization(mu, S_GRID, T_GRID, horizon=HORIZON)
-        slack = rep.residuals - (rep.bounds[:, None] + 1e-10)
+        slack = rep.residuals - (rep.bounds + rep.roundoff)[:, None]
         excess = max(excess, float(slack.max()))
+        roundoff = max(roundoff, float(rep.roundoff.max()))
     elapsed = time.perf_counter() - start
-    ok = excess <= 0.0 and elapsed < 30.0
+    ok = excess <= 0.0 and roundoff <= 1e-10 and elapsed < 30.0
     assert _record(
         "1 factorization identity",
         ok,
-        "worst bound excess %.3e, %.1fs for 100 distributions" % (excess, elapsed),
+        "worst bound excess %.3e, largest roundoff %.3e, %.1fs for 100 distributions"
+        % (excess, roundoff, elapsed),
     )
 
 
 def test_criterion_2_transform_oracles_agree(corpus100, corpus100_data):
-    excess = -np.inf
+    excess = roundoff = -np.inf
     for mu, data in zip(corpus100, corpus100_data):
         law = ladder_law(mu, UPWARD, HORIZON)
         dp = chi_eval_grid(law, S_GRID, T_GRID)
         series = spitzer_chi_grid(data, S_GRID, T_GRID)
-        allowed = (dp.bounds + series.bounds)[:, None] + 1e-10
-        gap = np.abs(dp.values - series.values) - allowed
+        both = dp.roundoff + series.roundoff
+        allowed = dp.bounds + series.bounds + both
+        gap = np.abs(dp.values - series.values) - allowed[:, None]
         excess = max(excess, float(gap.max()))
-    ok = excess <= 0.0
+        roundoff = max(roundoff, float(both.max()))
+    ok = excess <= 0.0 and roundoff <= 1e-10
     assert _record(
-        "2 transform oracles agree", ok, "worst combined-bound excess %.3e" % excess
+        "2 transform oracles agree",
+        ok,
+        "worst combined-bound excess %.3e, largest roundoff %.3e" % (excess, roundoff),
     )
 
 

@@ -610,12 +610,12 @@ def test_config_error_is_line_anchored(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_tolerance_rejected_with_line(tmp_path, bad):
     # json.dumps writes NaN and Infinity literals, and Python's json parses them
-    cfg = write_config(tmp_path / "cfg.json", dict(FACTORIZE_DOC, tolerances={"residual": bad}))
+    cfg = write_config(tmp_path / "cfg.json", dict(FACTORIZE_DOC, tolerances={"tv": bad}))
     lines = cfg.read_text().splitlines()
     line = next(i for i, text in enumerate(lines, start=1) if '"tolerances"' in text)
     result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert result.returncode == 2, result.stderr
-    assert "line %d: tolerance 'residual' must be finite and positive" % line in result.stderr
+    assert "line %d: tolerance 'tv' must be finite and positive" % line in result.stderr
 
 
 def test_invalid_json_reports_line(tmp_path):
@@ -876,6 +876,14 @@ CONFIG_REFUSALS = {
     "tolerances_not_object": (
         "verify", dict(FACTORIZE_DOC, tolerances=[1e-9]), "tolerances",
         "'tolerances' must be an object",
+    ),
+    "tolerance_misnamed": (
+        "roundtrip", dict(FACTORIZE_DOC, tolerances={"tv_distance": 1e-3}), "tolerances",
+        "unknown tolerance 'tv_distance'; expected 'tv'",
+    ),
+    "tolerance_residual_removed": (
+        "verify", dict(FACTORIZE_DOC, tolerances={"residual": 1e-10}), "tolerances",
+        "unknown tolerance 'residual'; expected 'tv'",
     ),
     "missing_horizon": (
         "factorize", _without(FACTORIZE_DOC, "horizon"), None,

@@ -215,9 +215,10 @@ _disk_points = st.tuples(st.floats(0.0, 0.97), st.floats(0.0, 2.0 * np.pi)).map(
     lambda p: p[0] * np.exp(1j * p[1])
 )
 # both routes build each phase e^{ikt} from the rounded product k t, whose
-# error grows with |t|: past |t| ~ 1e6 it outgrows the 1e-10 slack (at
-# t = 4.7e14 the routes part by 1.1e-7 on delta(1)), and up to 1e3 a 3,000-law
-# sweep stayed 1.1e-13 inside it
+# error u |k t| grows with |t|: past |t| ~ 1e6 it outgrows a flat 1e-10 slack
+# (at t = 4.74e14 + 1/16 the routes part by 4.6e-3 on delta(1)), which is why
+# the grids' roundoff carries it; up to 1e3 a 3,000-law sweep stayed 1.1e-13
+# inside that slack
 _real_t = st.floats(-1e3, 1e3)
 
 
@@ -232,6 +233,24 @@ def test_transform_routes_agree_within_their_bounds(mu, horizon, s, t):
     dp = chi_eval_grid(ladder_law(mu, UPWARD, horizon), s, t)
     series = spitzer_chi_grid(truncated_data(mu, horizon), s, t)
     allowed = (dp.bounds + series.bounds)[:, None] + 1e-10
+    assert np.all(np.abs(dp.values - series.values) <= allowed)
+
+
+@example(delta(1), 20, [0.5], [4.74e14])
+@example(delta(1), 20, [0.5], [4.74e14 + 0.0625])
+@settings(max_examples=150, deadline=None)
+@given(
+    _window_laws,
+    st.integers(1, 60),
+    st.lists(_disk_points, min_size=1, max_size=3),
+    st.lists(st.floats(-1e15, 1e15), min_size=1, max_size=3),
+)
+def test_transform_routes_agree_within_bounds_and_roundoff_up_to_huge_t(
+    mu, horizon, s, t
+):
+    dp = chi_eval_grid(ladder_law(mu, UPWARD, horizon), s, t)
+    series = spitzer_chi_grid(truncated_data(mu, horizon), s, t)
+    allowed = (dp.bounds + dp.roundoff + series.bounds + series.roundoff)[:, None]
     assert np.all(np.abs(dp.values - series.values) <= allowed)
 
 
@@ -408,6 +427,24 @@ def test_factorization_random_window_within_bound():
     report = verify_factorization(mu, S_GRID, T_GRID, horizon=200)
     assert np.all(report.residuals <= report.bounds[:, None] + 1e-10)
     assert report.max_residual <= 1e-8
+
+
+def test_factorization_check_catches_1e12_of_mass_moved_in_phi(corpus100):
+    # phi alone moves 1e-12 of mass from mu's bottom atom to its top atom;
+    # the factors stay those of mu, so the identity is off by up to 2e-12 |s|
+    caught = 0
+    for mu in corpus100:
+        report = verify_factorization(mu, S_GRID, T_GRID, horizon=200)
+        weights = mu.weights.copy()
+        weights[0] -= 1e-12
+        weights[-1] += 1e-12
+        phi = weights @ np.exp(1j * np.outer(mu.indices(), T_GRID))
+        lhs = 1.0 - report.s_values[:, None] * phi[None, :]
+        residuals = np.abs(lhs - _factor_product(report))
+        allowed = (report.bounds + report.roundoff)[:, None]
+        assert np.all(report.residuals <= allowed)
+        caught += bool(np.any(residuals > allowed))
+    assert caught == len(corpus100)
 
 
 def test_factorization_at_t_zero_matches_one_minus_s():
