@@ -68,8 +68,12 @@ class LadderLaw:
 
     ``masses[n-1, j]`` is P(tau = n, S_tau = height_offset + j). Upward laws
     live on heights >= 0, downward laws on heights <= -1. ``tail`` is the
-    alive total P(tau > horizon). The n-step law is the first n rows of the
-    N-step law, so ``ladder_law(mu, side, n).tail`` is P(tau > n).
+    alive total P(tau > horizon): the killed walk's last alive window plus
+    the mass it stopped stepping because that mass could not cross before
+    the horizon, carried there at ``mu.total`` per step. The n-step law is
+    the first n rows of the N-step law, so ``ladder_law(mu, side, n).tail``
+    is P(tau > n), up to rounding: the walk to horizon n stops stepping
+    other mass than the walk to N does.
     """
 
     side: str
@@ -99,8 +103,12 @@ class LadderLaw:
 def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
     """Killed-walk dynamic program for the joint first-passage law.
 
-    At every epoch the ladder mass equals the drop of the alive total, an
-    identity the tests pin at 1e-14.
+    At every epoch the ladder mass equals the drop of the alive total once
+    the step has kept ``mu.total`` of it, an identity the tests pin at
+    1e-14. The walk (``lattice._half_line_walk``) does not step mass that
+    can no longer cross before the horizon: on its direct path the masses
+    are those of the walk that steps everything, and the tail differs from
+    that walk's in rounding only.
     """
     _check_side(side)
     horizon = _check_int("horizon", horizon, 1)

@@ -293,8 +293,9 @@ class _Walk(NamedTuple):
     row n-1 is step n's crossing, written as an untrimmed slice of the
     stepped window into zeros. ``lo`` and ``hi`` bound the heights that
     carry any (``lo == hi == base`` if none), found once after the last
-    step. ``tail`` is the killed walk's P(tau > horizon), the total of its
-    final alive window, and None for the unkilled walk.
+    step. ``tail`` is the killed walk's P(tau > horizon): the total of its
+    final alive window plus the mass cut from it on the way, carried to the
+    horizon. It is None for the unkilled walk.
     """
 
     table: np.ndarray
@@ -314,7 +315,25 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     ``kill=None`` nothing is removed and the crossing is the part on k >= 0,
     the restricted power r_n. Each crossing row holds the bytes of the
     LatticeDist that loop of ``convolve`` and ``split_nonneg`` calls would
-    build, and the stepped and alive windows are trimmed exactly as theirs.
+    build, wherever both take the direct path (see the cut below).
+
+    Mass that cannot cross before the horizon is not stepped. Before step
+    n+1, with k = horizon - n steps left, a point below -k * top (for
+    ``kill=None`` and ``"nonneg"``, top = max(mu.max_index, 0)) or above
+    k * max(-mu.min_index, 0) (for ``"neg"``) cannot reach the other side
+    of the origin by the horizon, so the alive window is cut there. Every later crossing is a sum over points inside
+    the cut, so the direct path computes it from the same products in the
+    same order, provided ``np.correlate`` keeps the orientation it has on
+    the uncut window (the alive window as the longer factor): the cut keeps
+    at least len(mu) entries, a margin of up to len(mu) beyond the bound.
+    A window the cut keeps at or below ``FFT_THRESHOLD - len(mu)`` entries
+    takes the direct path where the uncut one would have taken the FFT,
+    and so loses its ~1e-17 noise floor. The mass cut from a killed walk is
+    never killed, so it reaches the horizon as its total times ``mu.total``
+    per step left, a factor below one for a defective mu. ``tail`` adds
+    it, and so differs from the uncut walk's alive total in rounding only.
+    An exact-zero edge the cut leaves makes a zero edge of
+    the next stepped window, which is trimmed there.
 
     For small step laws the per-step calls, not the arithmetic, set the
     cost. So a step makes one convolution (on the direct path,
@@ -327,7 +346,7 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     """
     if mu.is_zero:
         raise DomainError("step distribution must be nonzero")
-    mu_offset, mu_w = mu.offset, mu.weights
+    mu_offset, mu_w, mu_total = mu.offset, mu.weights, mu.total
     mu_size = mu_w.size
     top = max(mu.max_index, 0)
     # Crossing heights: a weak ascent lands on 0..top, a strict descent on
@@ -342,6 +361,8 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     else:
         base = min(mu.offset, 0)
         width = -base
+    # one step moves a point at most this far towards the crossing side
+    reach = -base if kill == "neg" else top
     table = np.zeros((horizon, width))
     # one past the highest column any crossing was written to
     end = 0
@@ -351,10 +372,31 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     # the loop runs once per step: look these up once
     correlate = np.correlate
     offset, alive = 0, np.ones(1)
+    # mass cut from the killed walk, already carried to the horizon
+    carried = 0.0
     for n in range(horizon):
         size = alive.size
         if not size:
             break
+        # the cut: alive[keep:] (alive[:drop] unless "neg") cannot cross in
+        # the horizon - n steps left; at least mu_size entries stay
+        if kill == "neg":
+            keep = (horizon - n) * reach - offset + 1
+            if keep < mu_size:
+                keep = mu_size
+            if keep < size:
+                cut_mass = float(np.add.reduce(alive[keep:]))
+                carried += cut_mass * mu_total ** (horizon - n)
+                alive, size = alive[:keep], keep
+        else:
+            drop = (n - horizon) * reach - offset
+            if drop > size - mu_size:
+                drop = size - mu_size
+            if drop > 0:
+                if kill:
+                    cut_mass = float(np.add.reduce(alive[:drop]))
+                    carried += cut_mass * mu_total ** (horizon - n)
+                offset, alive, size = offset + drop, alive[drop:], size - drop
         if size == 1 or mu_size == 1 or size > direct_max:
             stepped = _convolve_raw(alive, mu_w)
         elif size >= mu_size:
@@ -404,7 +446,7 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     while hi > lo and not table[:, hi - 1].any():
         hi -= 1
     # the alive total is read at the horizon only, so it is taken once, here
-    tail = float(np.add.reduce(alive)) if kill else None
+    tail = float(np.add.reduce(alive)) + carried if kill else None
     return _Walk(table, base, base + lo, base + hi, tail)
 
 

@@ -27,10 +27,11 @@ from whlab import (
     two_point,
     verify_factorization,
 )
-from whlab.errors import DomainError
+from whlab.errors import DomainError, SizeLimitError
 from whlab.ladder import (
     DOWNWARD,
     UPWARD,
+    _U,
     _lambda_grid,
     _stabilized_growth,
     log_restricted_mgf,
@@ -542,7 +543,37 @@ def _masses_on(law, other):
     return out
 
 
-def _assert_walk_matches_public_loop(mu, side, horizon):
+def _tail_roundoff(mu, horizon, tail):
+    """First-order bound on |walk tail - public loop's alive total| at a horizon.
+
+    For the direct convolution path, in the terms of Higham, *Accuracy and
+    Stability of Numerical Algorithms* (2nd ed., ch. 2-3): u is the unit
+    roundoff, gamma_k ~ k u bounds k roundings, and every term is
+    nonnegative. With m = len(mu), each stepped entry is a dot product of
+    at most m terms, within gamma_m relative, so after N steps every alive
+    entry of either computation is within N gamma_m of the value the same
+    recursion takes in exact arithmetic, and the alive window has at most
+    W = N (m - 1) + 1 entries. The public loop sums its last window
+    (gamma_{W-1}). The walk sums its last window and each piece it cut
+    (gamma_W), scales a piece by mu.total ** k for k <= N steps left
+    (mu.total within gamma_{m-1}, so k gamma_{m-1}, plus 2u for the power
+    and u for the product) and adds at most N pieces (gamma_N). Both are
+    sums of exact masses totalling the exact tail T, so
+    |tail - T| <= u (2 N m + W + 4) T and |survival - T| <= u (N m + W) T.
+    A product that underflows errs by up to 2^-1074 absolute, at most m per
+    entry and W entries a step, and one step carries an absolute error
+    onward at most times mu.total <= 1: N W m 2^-1074 per side.
+    """
+    m = len(mu.weights)
+    width = horizon * (m - 1) + 1
+    rel = _U * (3 * horizon * m + 2 * width + 4)
+    return rel * tail + 2.0 * horizon * width * m * 2.0**-1074
+
+
+def _assert_walk_matches_public_loop(mu, side, horizon, tail_bytes=False):
+    """Crossing rows and r_n byte for byte; tails within `_tail_roundoff`,
+    or byte for byte with ``tail_bytes`` (mass the killed walk left alive
+    on the wrong side of the origin would show in either)."""
     crossings, survival, restricted = _reference_walk(mu, side, horizon)
     law = ladder_law(mu, side, horizon)
     hit = [c for c in crossings if not c.is_zero]
@@ -559,12 +590,16 @@ def _assert_walk_matches_public_loop(mu, side, horizon):
     tails = {0: 1.0}
     for n in sorted({*range(1, min(horizon, 60) + 1), horizon}):
         short = law if n == horizon else ladder_law(mu, side, n)
-        assert np.float64(short.tail).tobytes() == np.float64(survival[n]).tobytes()
+        if tail_bytes:
+            assert np.float64(short.tail).tobytes() == np.float64(survival[n]).tobytes()
+        else:
+            assert abs(short.tail - survival[n]) <= _tail_roundoff(mu, n, survival[n])
         assert _masses_on(short, law).tobytes() == law.masses[:n].tobytes()
         tails[n] = short.tail
+    # a step keeps mu.total of the alive mass and kills the crossing
     epochs = law.masses.sum(axis=1)
     for n in range(1, min(horizon, 60) + 1):
-        assert abs(tails[n - 1] - tails[n] - epochs[n - 1]) <= 1e-14
+        assert abs(tails[n - 1] * mu.total - tails[n] - epochs[n - 1]) <= 1e-14
     data = truncated_data(mu, horizon)
     assert data.table.tobytes() == data_from_powers(restricted).table.tobytes()
     for got, ref in zip(data.restricted, restricted, strict=True):
@@ -579,9 +614,13 @@ def test_walk_kernel_matches_public_loop(mu, side, horizon):
     _assert_walk_matches_public_loop(mu, side, horizon)
 
 
-def _wide_law(width):
-    w = np.random.default_rng(width).random(width)
-    return lattice(-(width // 2), w / w.sum())
+def _steep_law(top):
+    """One atom at -1 and top + 1 atoms on 0..top, random weights."""
+    w = np.random.default_rng(top).random(top + 2)
+    return lattice(-1, w / w.sum())
+
+
+_FFT_LAW = _steep_law(1200)
 
 
 @pytest.mark.parametrize("side", [UPWARD, DOWNWARD])
@@ -594,9 +633,9 @@ def _wide_law(width):
         # point masses take the singleton path
         (lattice(3, [1.0]), 5),
         (lattice(-3, [1.0]), 5),
-        # the unkilled walk's fourteenth step has 13 * 1199 + 1200 = 16787
-        # outputs, past FFT_THRESHOLD (16384)
-        (_wide_law(1200), 14),
+        # the unkilled walk's windows pass FFT_THRESHOLD; the downward
+        # walk's cut keeps its windows on the direct path
+        (_FFT_LAW, 16),
         # r_n reaches 1100, past the 954 columns the table starts with
         (lattice(-1, [0.5, 0.0, 0.5]), 1100),
         # the deep edge underflows from about step 620 on
@@ -605,6 +644,9 @@ def _wide_law(width):
         (geometric_mixture((0.3, 0.5), (0.5, 0.5)).dist, 40),
         # crossings with exact-zero edges, and all-zero rows on both sides
         (lattice(-3, [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]), 200),
+        # defective (total 0.999988): the mass cut from the downward walk
+        # loses 1 - total a step on its way to the horizon
+        (power_tail_pair().dist, 40),
     ],
     ids=[
         "underflow_both_edges",
@@ -616,18 +658,83 @@ def _wide_law(width):
         "deep_edge_underflows",
         "top_edge_underflows",
         "zero_edged_crossings",
+        "defective_power_tail",
     ],
 )
-def test_walk_kernel_matches_public_loop_on_edge_cases(mu, side, horizon):
-    _assert_walk_matches_public_loop(mu, side, horizon)
+def test_walk_kernel_matches_public_loop_on_edge_cases(mu, side, horizon, monkeypatch):
+    if mu is _FFT_LAW:
+        _assert_fft_walk_matches_public_loop(mu, side, horizon, monkeypatch)
+    else:
+        _assert_walk_matches_public_loop(mu, side, horizon)
+
+
+def _assert_fft_walk_matches_public_loop(mu, side, horizon, monkeypatch):
+    lat = importlib.import_module("whlab.lattice")
+    raw, fft_outputs = lat._convolve_raw, []
+
+    def counting(a, b):
+        out_len = len(a) + len(b) - 1
+        if min(len(a), len(b)) > 1 and out_len >= lat.FFT_THRESHOLD:
+            fft_outputs.append(out_len)
+        return raw(a, b)
+
+    monkeypatch.setattr(lat, "_convolve_raw", counting)
+    # r_n's window has n * 1201 + 1 entries, past FFT_THRESHOLD (16384) from
+    # step 14 on (FFT noise then trims a few edge atoms of order w**n), and
+    # nothing below the cut: the walk takes the FFT path on the windows the
+    # public loop takes it on, with the same bytes
+    truncated_data(mu, horizon)
+    assert len(fft_outputs) == 3 and fft_outputs[0] == 14 * 1201 + 1
+    if side == UPWARD:
+        _assert_walk_matches_public_loop(mu, UPWARD, horizon)
+        return
+    # the downward walk's alive window would reach 16 * 1201 entries too,
+    # but the cut keeps it near the origin, on the direct path, so its
+    # crossings are the all-direct public loop's bytes
+    fft_outputs.clear()
+    ladder_law(mu, DOWNWARD, horizon)
+    assert fft_outputs == []
+    monkeypatch.setattr(lat, "FFT_THRESHOLD", lat.MAX_WINDOW + 1)
+    _assert_walk_matches_public_loop(mu, DOWNWARD, horizon)
+
+
+@pytest.mark.parametrize(
+    "mu, side", [(lattice(2, [0.5, 0.3]), DOWNWARD), (lattice(-4, [0.5, 0.3]), UPWARD)]
+)
+def test_walk_that_cannot_cross_keeps_a_defective_tail(mu, side):
+    # no mass ever crosses, so the cut takes all but len(mu) entries, and
+    # what it takes must still lose 1 - total = 0.2 at every step left:
+    # tails 0.512, 1.3292e-4 and 1.7218e-39
+    for horizon in (3, 40, 400):
+        law = ladder_law(mu, side, horizon)
+        assert not law.masses.any()
+        assert abs(law.tail - 0.8**horizon) <= _tail_roundoff(mu, horizon, 0.8**horizon)
+
+
+def test_killed_walk_finishes_where_the_uncut_window_would_not_fit(monkeypatch):
+    lat = importlib.import_module("whlab.lattice")
+    # windows past FFT_THRESHOLD are the ones checked against MAX_WINDOW
+    monkeypatch.setattr(lat, "MAX_WINDOW", 1 << 10)
+    monkeypatch.setattr(lat, "FFT_THRESHOLD", 1 << 10)
+    mu = two_point(-1, 300, 0.5).dist
+    # every point of the unkilled walk can still cross, and its fourth step
+    # has 4 * 301 + 1 = 1205 entries; so would the downward walk's fifth
+    with pytest.raises(SizeLimitError, match="window of 1205 entries"):
+        truncated_data(mu, 5)
+    # but the downward walk's mass above 5 - n before step n + 1 cannot fall
+    # below 0 by step 5: the cut keeps its windows near 302 entries
+    law = ladder_law(mu, DOWNWARD, 5)
+    assert law.masses.sum() == 0.5
+    assert law.tail == 0.5
 
 
 def test_walk_kernel_matches_public_loop_on_simple_walk():
-    # every crossing row and the tail's bytes: mass the killed walk left
-    # alive on the wrong side of the origin would show in both
+    # dyadic masses: every tail is exact, cut or not
     for side in (UPWARD, DOWNWARD):
         for horizon in range(1, 21):
-            _assert_walk_matches_public_loop(lattice(-1, [0.5, 0.0, 0.5]), side, horizon)
+            _assert_walk_matches_public_loop(
+                lattice(-1, [0.5, 0.0, 0.5]), side, horizon, tail_bytes=True
+            )
 
 
 # -- half-line probes against the every-row, one-lambda-at-a-time form ------
