@@ -3,14 +3,14 @@ roundtrip, and simulate, driven by a single JSON config document.
 
 Exit codes: 0 success, 1 tolerance or statistical violation, 2 config
 parse/validation failure (line-anchored message on stderr) or invalid
-input, a lattice window past MAX_WINDOW included, 3 when reconstruct or
-roundtrip detects no class. Report bodies are deterministic functions of the
-config bytes (``simulate`` takes its seed from the ``"seed"`` key, default
-0); the only timestamp sits on a leading comment line of CSV files so bodies
-stay byte-comparable across runs. Each runner returns its report payload and
-exit code, and ``main`` alone adds the command name and the sha256 of the
-config document and writes ``<command>_report.json``; runners write their
-own CSV files.
+input, a lattice window or r_n table past MAX_WINDOW included, 3 when
+reconstruct or roundtrip detects no class. Report bodies are deterministic
+functions of the config bytes (``simulate`` takes its seed from the
+``"seed"`` key, default 0); the only timestamp sits on a leading comment
+line of CSV files so bodies stay byte-comparable across runs. Each runner
+returns its report payload and exit code, and ``main`` alone adds the
+command name and the sha256 of the config document and writes
+``<command>_report.json``; runners write their own CSV files.
 """
 
 from __future__ import annotations

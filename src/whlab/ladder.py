@@ -68,9 +68,10 @@ class LadderLaw:
 
     ``masses[n-1, j]`` is P(tau = n, S_tau = height_offset + j). Upward laws
     live on heights >= 0, downward laws on heights <= -1. ``tail`` is the
-    alive total P(tau > horizon): the killed walk's last alive window plus
-    the mass it stopped stepping because that mass could not cross before
-    the horizon, carried there at ``mu.total`` per step. The n-step law is
+    alive total P(tau > horizon): the mass of the killed walk's last alive
+    window (the points of the sublattice mu's atoms reach) plus the mass it
+    stopped stepping because that mass could not cross before the horizon,
+    carried there at ``mu.total`` per step. The n-step law is
     the first n rows of the N-step law, so ``ladder_law(mu, side, n).tail``
     is P(tau > n), up to rounding: the walk to horizon n stops stepping
     other mass than the walk to N does.
@@ -105,10 +106,12 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
 
     At every epoch the ladder mass equals the drop of the alive total once
     the step has kept ``mu.total`` of it, an identity the tests pin at
-    1e-14. The walk (``lattice._half_line_walk``) does not step mass that
-    can no longer cross before the horizon: on its direct path the masses
-    are those of the walk that steps everything, and the tail differs from
-    that walk's in rounding only.
+    1e-14. The walk (``lattice._half_line_walk``) steps only the sublattice
+    lo + dZ that mu's atoms span, and does not step mass that can no longer
+    cross before the horizon: on its direct path the masses are those of
+    the walk that steps every point of every window, up to the grouping of
+    long dot products, and the tail differs from that walk's in rounding
+    only.
     """
     _check_side(side)
     horizon = _check_int("horizon", horizon, 1)

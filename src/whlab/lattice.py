@@ -18,8 +18,10 @@ import numpy as np
 from .errors import DomainError, SizeLimitError
 
 MASS_TOL = 1e-9
-# direct convolution is exact for nonnegative inputs; FFT introduces a
-# ~1e-17 noise floor, so it is reserved for windows where direct cost bites
+# direct convolution keeps every atom to within a few ulps; FFT adds a
+# ~1e-17 absolute noise floor, which turns atoms below it into noise or
+# zeros, so it is reserved for windows where direct cost bites (a walk with
+# span d > 1 counts its sublattice points, see _half_line_walk)
 FFT_THRESHOLD = 1 << 14
 MAX_WINDOW = 1 << 20
 
@@ -208,7 +210,9 @@ def _trim(offset: int, w: np.ndarray) -> tuple[int, np.ndarray]:
     """Canonical (offset, view) of a nonnegative window, (0, empty) if all zero.
 
     Only exact zeros are trimmed: deep-tail atoms such as 2**-200 are real
-    data for exponential-tilt probes and must survive canonicalization.
+    data for exponential-tilt probes, and trimming keeps them. Atoms an FFT
+    convolution has already turned into noise are another matter (see
+    ``_convolve_raw``).
     """
     # walk windows carry a few edge zeros at most: peel up to _PEEL of them
     # per end as scalars, and make a full pass only when more may follow
@@ -239,9 +243,15 @@ def _convolve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Convolution of two nonempty weight arrays, as a new array.
 
     Direct summation below FFT_THRESHOLD output length keeps tiny tail
-    masses exact; the FFT path above it (numpy's real FFT, padded to a power
-    of two) carries a ~1e-17 noise floor, whose tiny negative weights are
-    clamped to zero.
+    masses to within a few ulps; the FFT path above it (numpy's real FFT,
+    padded to a power of two) carries a ~1e-17 absolute noise floor. Atoms
+    below it do not survive: they come out as noise, and those it makes
+    negative are clamped to zero. Against the direct path,
+    ``truncated_data(mu, 16)`` of a law with one atom at -1 and 1,201
+    random ones on 0..1200 zeroes 525, 817 and 894 atoms of r_14..r_16,
+    the powers whose windows take the FFT. A walk with span d > 1 reaches
+    this path only once its sublattice window does (see
+    ``_half_line_walk``).
     """
     out_len = len(a) + len(b) - 1
     _check_window(out_len)
@@ -290,12 +300,12 @@ class _Walk(NamedTuple):
     """Output of ``_half_line_walk``.
 
     ``table[n-1, j]`` is the crossing mass of step n at height ``base + j``:
-    row n-1 is step n's crossing, written as an untrimmed slice of the
-    stepped window into zeros. ``lo`` and ``hi`` bound the heights that
-    carry any (``lo == hi == base`` if none), found once after the last
-    step. ``tail`` is the killed walk's P(tau > horizon): the total of its
-    final alive window plus the mass cut from it on the way, carried to the
-    horizon. It is None for the unkilled walk.
+    row n-1 is step n's crossing, zero at every height step n cannot reach.
+    ``lo`` and ``hi`` bound the heights that carry any (``lo == hi ==
+    base`` if none), found once after the last step. ``tail`` is the killed
+    walk's P(tau > horizon): the total of its final alive window plus the
+    mass cut from it on the way, carried to the horizon. It is None for the
+    unkilled walk.
     """
 
     table: np.ndarray
@@ -313,45 +323,76 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     k >= 0 (first weak ascent), ``kill="neg"`` the part on k < 0 (first
     strict descent), and the removed part is the step's crossing. With
     ``kill=None`` nothing is removed and the crossing is the part on k >= 0,
-    the restricted power r_n. Each crossing row holds the bytes of the
-    LatticeDist that loop of ``convolve`` and ``split_nonneg`` calls would
-    build, wherever both take the direct path (see the cut below).
+    the restricted power r_n.
+
+    The walk is stepped on its sublattice. With lo = mu.min_index and the
+    span d the gcd of the offsets of mu's nonzero atoms from lo (1 for a
+    point mass), S_n lies on n lo + d Z (Spitzer, *Principles of Random
+    Walk*, section 1), so the walk steps T_n = (S_n - n lo) / d with the
+    step law ``mu.weights[::d]`` and never convolves the zeros between
+    atoms. The origin moves: after step n, S >= 0 is T >= ceil(-n lo / d).
+    Step n's crossing lands on every d-th height, so it is written into the
+    height-indexed table with stride d. For d = 1 this is the walk on Z.
+
+    Each crossing row holds the bytes of the LatticeDist that a loop of
+    ``convolve`` and ``split_nonneg`` calls on the full window would build,
+    wherever both take the direct path and the dot products behind
+    ``np.correlate`` add their terms one at a time in index order, as
+    OpenBLAS 0.3 on x86-64 does for fewer than 12 terms (so for laws of at
+    most 11 entries): a sublattice entry is the same dot product in the
+    same order without its exact-zero terms, and adding an exact-zero
+    product to a nonnegative sum changes no bit. The entries of a longer
+    span-d law move in their last bits, since the dot products over its
+    full window group their terms in vector lanes. A span-d law takes the
+    FFT path only once its sublattice window passes ``FFT_THRESHOLD``,
+    where its full window would have much sooner.
 
     Mass that cannot cross before the horizon is not stepped. Before step
     n+1, with k = horizon - n steps left, a point below -k * top (for
     ``kill=None`` and ``"nonneg"``, top = max(mu.max_index, 0)) or above
-    k * max(-mu.min_index, 0) (for ``"neg"``) cannot reach the other side
-    of the origin by the horizon, so the alive window is cut there. Every later crossing is a sum over points inside
-    the cut, so the direct path computes it from the same products in the
-    same order, provided ``np.correlate`` keeps the orientation it has on
-    the uncut window (the alive window as the longer factor): the cut keeps
-    at least len(mu) entries, a margin of up to len(mu) beyond the bound.
-    A window the cut keeps at or below ``FFT_THRESHOLD - len(mu)`` entries
-    takes the direct path where the uncut one would have taken the FFT,
-    and so loses its ~1e-17 noise floor. The mass cut from a killed walk is
-    never killed, so it reaches the horizon as its total times ``mu.total``
-    per step left, a factor below one for a defective mu. ``tail`` adds
-    it, and so differs from the uncut walk's alive total in rounding only.
-    An exact-zero edge the cut leaves makes a zero edge of
-    the next stepped window, which is trimmed there.
+    k * b (for ``"neg"``, b = max(-mu.min_index, 0)) cannot reach the other
+    side of the origin by the horizon, so the alive window is cut there:
+    below T = ceil((-k top - n lo) / d), or above T = floor((k b - n lo) /
+    d) for descents. Every later crossing is a sum over points inside the
+    cut, so the direct path computes it from the same products in the same
+    order, provided ``np.correlate`` keeps the orientation it has on the
+    uncut window (the alive window as the longer factor): the cut keeps at
+    least as many entries as the sublattice step law has, a margin beyond
+    the bound. A window the cut keeps at or below ``FFT_THRESHOLD`` less
+    that many entries takes the direct path where the uncut one would have
+    taken the FFT, and so loses its ~1e-17 noise floor. The mass cut from a
+    killed walk is never killed, so it reaches the horizon as its total
+    times ``mu.total`` per step left, a factor below one for a defective
+    mu. ``tail`` adds it, and so differs from the uncut walk's alive total
+    in rounding only. An exact-zero edge the cut leaves makes a zero edge
+    of the next stepped window, which is trimmed there.
 
     For small step laws the per-step calls, not the arithmetic, set the
     cost. So a step makes one convolution (on the direct path,
     ``np.convolve``'s own call: a correlation with the shorter factor
-    reversed), runs ``_trim`` only where an edge weight of the stepped or
-    alive window is not positive, and writes its crossing into the zeroed
-    table as an untrimmed slice: the exact-zero edges ``split_nonneg``
-    would trim land on zeros. ``[lo, hi)`` is found once, after the last
-    step.
+    reversed), finds its cut and origin with one floor division each, runs
+    ``_trim`` only where an edge weight of the stepped or alive window is
+    not positive, and writes its crossing into the zeroed table as an
+    untrimmed slice: the exact-zero edges ``split_nonneg`` would trim land
+    on zeros. ``[lo, hi)`` is found once, after the last step. The r_n
+    table widens on demand, and a walk whose r_n would need more than
+    ``MAX_WINDOW`` height columns stops with SizeLimitError at that step.
     """
     if mu.is_zero:
         raise DomainError("step distribution must be nonzero")
-    mu_offset, mu_w, mu_total = mu.offset, mu.weights, mu.total
+    mu_offset, mu_total = mu.offset, mu.total
+    # the first atom is at index 0, so the gcd of the nonzero indices is the
+    # span: 1 at once for a point mass or an atom at index 1
+    mu_w = mu.weights
+    span = 1
+    if mu_w.size > 1 and mu_w[1] == 0.0:
+        span = math.gcd(*np.flatnonzero(mu_w).tolist())
+        mu_w = mu_w[::span].copy()
     mu_size = mu_w.size
     top = max(mu.max_index, 0)
     # Crossing heights: a weak ascent lands on 0..top, a strict descent on
     # min_index..-1, and r_n on 0..n*top. The r_n table starts with at most
-    # MAX_WINDOW entries and widens on demand: underflow can keep r_n far
+    # MAX_WINDOW heights and widens on demand: underflow can keep r_n far
     # below n*top, and a walk past MAX_WINDOW must stop with SizeLimitError
     # at that step, not with a huge allocation up front.
     if kill is None:
@@ -361,8 +402,9 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     else:
         base = min(mu.offset, 0)
         width = -base
+    descent = kill == "neg"
     # one step moves a point at most this far towards the crossing side
-    reach = -base if kill == "neg" else top
+    reach = -base if descent else top
     table = np.zeros((horizon, width))
     # one past the highest column any crossing was written to
     end = 0
@@ -371,7 +413,8 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     direct_max = FFT_THRESHOLD - mu_size
     # the loop runs once per step: look these up once
     correlate = np.correlate
-    offset, alive = 0, np.ones(1)
+    # alive[i] is the mass at lattice point pos + span * i
+    pos, alive = 0, np.ones(1)
     # mass cut from the killed walk, already carried to the horizon
     carried = 0.0
     for n in range(horizon):
@@ -380,8 +423,8 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
             break
         # the cut: alive[keep:] (alive[:drop] unless "neg") cannot cross in
         # the horizon - n steps left; at least mu_size entries stay
-        if kill == "neg":
-            keep = (horizon - n) * reach - offset + 1
+        if descent:
+            keep = ((horizon - n) * reach - pos) // span + 1
             if keep < mu_size:
                 keep = mu_size
             if keep < size:
@@ -389,50 +432,60 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
                 carried += cut_mass * mu_total ** (horizon - n)
                 alive, size = alive[:keep], keep
         else:
-            drop = (n - horizon) * reach - offset
+            drop = -(((horizon - n) * reach + pos) // span)
             if drop > size - mu_size:
                 drop = size - mu_size
             if drop > 0:
                 if kill:
                     cut_mass = float(np.add.reduce(alive[:drop]))
                     carried += cut_mass * mu_total ** (horizon - n)
-                offset, alive, size = offset + drop, alive[drop:], size - drop
+                pos, alive, size = pos + span * drop, alive[drop:], size - drop
         if size == 1 or mu_size == 1 or size > direct_max:
             stepped = _convolve_raw(alive, mu_w)
         elif size >= mu_size:
             stepped = correlate(alive, mu_rev, "full")
         else:
             stepped = correlate(mu_w, alive[::-1], "full")
-        offset += mu_offset
+        pos += mu_offset
         if not (stepped[0] > 0.0 and stepped[-1] > 0.0):
-            offset, stepped = _trim(offset, stepped)
+            first, stepped = _trim(0, stepped)
+            pos += span * first
         size = stepped.size
-        # index of lattice point 0, clipped to the window (without a min()
-        # call, which costs more than the comparison once a step)
-        cut = 0 if offset >= 0 else -offset if -offset < size else size
+        # index of the origin, the first i with pos + span * i >= 0, clipped
+        # to the window (without a min() call, which costs more than the
+        # comparison once a step)
+        cut = -(pos // span)
+        cut = 0 if cut <= 0 else cut if cut < size else size
         # stepped's own edges are positive, so only an edge at the cut can be
         # 0: the alive window is trimmed there if it is, the crossing is not
-        if kill == "neg":
-            j, crossing = offset - base, stepped[:cut]
+        if descent:
+            j, crossing = pos - base, stepped[:cut]
             if cut < size and stepped[cut] > 0.0:
-                offset, alive = offset + cut, stepped[cut:]
+                pos, alive = pos + span * cut, stepped[cut:]
             else:
-                offset, alive = _trim(offset + cut, stepped[cut:])
+                first, alive = _trim(cut, stepped[cut:])
+                pos += span * first
         else:
-            j, crossing = offset + cut - base, stepped[cut:]
+            j, crossing = pos - base + span * cut, stepped[cut:]
             if kill is None:
                 alive = stepped
             elif cut and stepped[cut - 1] > 0.0:
                 alive = stepped[:cut]
             else:
-                offset, alive = _trim(offset, stepped[:cut])
+                first, alive = _trim(0, stepped[:cut])
+                pos += span * first
         if crossing.size:
-            j_end = j + crossing.size
+            # one past the height column of the crossing's top
+            j_end = j + span * (crossing.size - 1) + 1
             if j_end > width:
-                wider = np.zeros((horizon, max(j_end, 2 * width)))
+                if j_end > MAX_WINDOW:
+                    raise SizeLimitError(
+                        "table of %d columns exceeds maximum %d" % (j_end, MAX_WINDOW)
+                    )
+                wider = np.zeros((horizon, min(max(j_end, 2 * width), MAX_WINDOW)))
                 wider[:n, :width] = table[:n]
                 table, width = wider, wider.shape[1]
-            table[n, j:j_end] = crossing
+            table[n, j:j_end:span] = crossing
             if j_end > end:
                 end = j_end
     # A nonempty crossing keeps one of stepped's positive edges (its top for

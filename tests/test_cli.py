@@ -808,7 +808,8 @@ def test_simulate_exit_1_when_no_cell_reaches_threshold(tmp_path):
 
 
 def test_window_past_limit_in_a_walk_exits_2(tmp_path):
-    # the generator's window fits; the walk's third power does not
+    # the generator's window fits, and so do the walk's two-entry sublattice
+    # windows, but r_2 would need a table of 2 * 524288 + 1 height columns
     doc = {
         "distribution": {
             "family": "two_point",
@@ -817,12 +818,15 @@ def test_window_past_limit_in_a_walk_exits_2(tmp_path):
         "horizon": 3,
     }
     cfg = write_config(tmp_path / "cfg.json", doc)
-    result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    result = run_cli("roundtrip", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert result == (
         2,
-        "whlab: invalid input: window of 1048579 entries exceeds maximum 1048576\n",
+        "whlab: invalid input: table of 1048577 columns exceeds maximum 1048576\n",
     )
     assert not any((tmp_path / "out").iterdir())
+    # the killed walks behind factorize build no r_n table, and finish
+    result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "fac"))
+    assert result.returncode == 0
 
 
 # one config per command, with the exit code it gives and a report field

@@ -647,6 +647,10 @@ _FFT_LAW = _steep_law(1200)
         # defective (total 0.999988): the mass cut from the downward walk
         # loses 1 - total a step on its way to the horizon
         (power_tail_pair().dist, 40),
+        # span 3: the origin moves 1/3 of a sublattice point a step
+        (two_point(-1, 2, 0.4).dist, 200),
+        # span 4 with three atoms
+        (lattice(-4, [0.2, 0, 0, 0, 0.5, 0, 0, 0, 0.3]), 200),
     ],
     ids=[
         "underflow_both_edges",
@@ -659,6 +663,8 @@ _FFT_LAW = _steep_law(1200)
         "top_edge_underflows",
         "zero_edged_crossings",
         "defective_power_tail",
+        "span_3",
+        "span_4_three_atoms",
     ],
 )
 def test_walk_kernel_matches_public_loop_on_edge_cases(mu, side, horizon, monkeypatch):
@@ -713,19 +719,82 @@ def test_walk_that_cannot_cross_keeps_a_defective_tail(mu, side):
 
 def test_killed_walk_finishes_where_the_uncut_window_would_not_fit(monkeypatch):
     lat = importlib.import_module("whlab.lattice")
-    # windows past FFT_THRESHOLD are the ones checked against MAX_WINDOW
+    wide = two_point(-1, 300000, 0.5).dist
     monkeypatch.setattr(lat, "MAX_WINDOW", 1 << 10)
-    monkeypatch.setattr(lat, "FFT_THRESHOLD", 1 << 10)
     mu = two_point(-1, 300, 0.5).dist
-    # every point of the unkilled walk can still cross, and its fourth step
-    # has 4 * 301 + 1 = 1205 entries; so would the downward walk's fifth
-    with pytest.raises(SizeLimitError, match="window of 1205 entries"):
+    # the span is 301, so every walk steps windows of a few entries, but r_4
+    # reaches height 1200: its table would need 1201 columns
+    with pytest.raises(SizeLimitError, match="table of 1201 columns"):
         truncated_data(mu, 5)
-    # but the downward walk's mass above 5 - n before step n + 1 cannot fall
-    # below 0 by step 5: the cut keeps its windows near 302 entries
+    # the downward walk's crossings land on -1 only, so it finishes
     law = ladder_law(mu, DOWNWARD, 5)
     assert law.masses.sum() == 0.5
     assert law.tail == 0.5
+    # so does one whose law spans 300,001 lattice points: on Z it would
+    # step windows of 300,002 entries 4,000 times
+    law = ladder_law(wide, DOWNWARD, 4000)
+    assert law.masses.shape == (4000, 1) and law.masses.sum() == 0.5
+    assert abs(law.tail - 0.5) <= 1e-15
+
+
+def test_span_d_walk_convolves_its_sublattice_only(monkeypatch):
+    # two_point(-2, 1, 0.7) has span 3: its windows count sublattice points,
+    # a third of the lattice points a walk on Z convolves (1,504 at most)
+    correlate, outputs = np.correlate, []
+
+    def counting(a, v, mode):
+        out = correlate(a, v, mode)
+        outputs.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "correlate", counting)
+    truncated_data(two_point(-2, 1, 0.7).dist, 1500)
+    assert len(outputs) == 1499 and max(outputs) <= 502
+
+
+def _entry_roundoff(mu, n, value):
+    """First-order bound on |entry - public loop's entry| after n steps.
+
+    In the terms of `_tail_roundoff`: each step's entry is a dot product of
+    at most m = len(mu) nonnegative terms, within gamma_m relative, however
+    a BLAS groups them, so after n steps each side is within n m u of the
+    exact value, and the public loop's entries have the same exact value.
+    An underflowing product errs by up to 2^-1074, at most m per entry a
+    step, carried onward at most times mu.total <= 1: n m 2^-1074 a side.
+    """
+    m = len(mu.weights)
+    return 2.0 * n * m * (_U * value + 2.0**-1074)
+
+
+@pytest.mark.parametrize("side", [UPWARD, DOWNWARD])
+def test_long_span_d_walk_is_within_roundoff_of_public_loop(side):
+    # 13 entries with span 6: a dot product over the full window has up to
+    # 13 terms, enough for a BLAS to sum them in vector lanes, so entries
+    # move in the last bits, not bytes
+    mu = lattice(-6, [0.3, 0, 0, 0, 0, 0, 0.3, 0, 0, 0, 0, 0, 0.4])
+    horizon = 200
+    crossings, survival, restricted = _reference_walk(mu, side, horizon)
+    law = ladder_law(mu, side, horizon)
+    data = truncated_data(mu, horizon)
+    steps = np.arange(1, horizon + 1)[:, None]
+    for got, offset, ref in (
+        (law.masses, law.height_offset, crossings),
+        (data.table, 0, restricted),
+    ):
+        want = np.zeros_like(got)
+        for row, c in zip(want, ref, strict=True):
+            if not c.is_zero:
+                row[c.min_index - offset : c.max_index - offset + 1] = c.weights
+        assert (np.abs(got - want) <= _entry_roundoff(mu, steps, want)).all()
+    assert abs(law.tail - survival[horizon]) <= _tail_roundoff(
+        mu, horizon, survival[horizon]
+    )
+
+
+def test_unkilled_walk_stops_before_its_table_passes_max_window():
+    # two-entry sublattice windows, but r_2 reaches height 2 * 10**6
+    with pytest.raises(SizeLimitError, match="table of 2000001 columns"):
+        truncated_data(two_point(-1, 10**6, 0.5).dist, 5)
 
 
 def test_walk_kernel_matches_public_loop_on_simple_walk():
