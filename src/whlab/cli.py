@@ -2,8 +2,9 @@
 roundtrip, and simulate, driven by a single JSON config document.
 
 Exit codes: 0 success, 1 tolerance or statistical violation, 2 config
-parse/validation failure (line-anchored message on stderr) or invalid
-input, a lattice window or r_n table past MAX_WINDOW included, 3 when
+parse/validation failure (line-anchored message on stderr, a ``t_points``
+past MAX_WINDOW included) or invalid input (a lattice window or r_n table
+past MAX_WINDOW, or a walk table past MAX_TABLE entries, included), 3 when
 reconstruct or roundtrip detects no class. Report bodies are deterministic
 functions of the config bytes (``simulate`` takes its seed from the
 ``"seed"`` key, default 0); the only timestamp sits on a leading comment
@@ -44,7 +45,7 @@ from .ladder import (
     ladder_law,
     verify_factorization,
 )
-from .lattice import tv_distance
+from .lattice import MAX_WINDOW, tv_distance
 from .montecarlo import censored_z, compare_empirical, sample_ladder
 from .reconstruct import CLASS_NONE, DETECTOR_ORDER, auto_reconstruct
 
@@ -159,9 +160,14 @@ class ExperimentConfig:
             out.append(float(v))
         return tuple(out)
 
-    def t_values(self) -> np.ndarray:
+    def t_points(self) -> int:
         points = self.positive_int("t_points", default=DEFAULT_T_POINTS)
-        return np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+        if points > MAX_WINDOW:
+            self._fail("t_points", "'t_points' must be at most %d" % MAX_WINDOW)
+        return points
+
+    def t_values(self) -> np.ndarray:
+        return np.linspace(0.0, 2.0 * np.pi, self.t_points(), endpoint=False)
 
     def tolerance(self, name: str, default: float) -> float:
         # parse_config has already refused a "tolerances" that is not an object
@@ -270,9 +276,10 @@ def parse_config(
             "config declares command %r but %r was invoked" % (declared, command),
         )
 
-    for key in ("horizon", "n_samples", "max_steps", "t_points"):
+    for key in ("horizon", "n_samples", "max_steps"):
         if key in doc:
             cfg.positive_int(key)
+    cfg.t_points()
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         cfg._fail("tolerances", "'tolerances' must be an object")
@@ -405,8 +412,10 @@ def cmd_simulate(cfg: ExperimentConfig):
     n_samples = cfg.positive_int("n_samples", default=100_000)
     max_steps = cfg.positive_int("max_steps", default=10_000)
     seed = cfg.seed()
-    emp = sample_ladder(dist.dist, side, n_samples, max_steps, seed)
+    # the exact law first: a max_steps whose table would pass MAX_TABLE
+    # entries is refused at once, not after hours of sampled walks
     exact = ladder_law(dist.dist, side, max_steps)
+    emp = sample_ladder(dist.dist, side, n_samples, max_steps, seed)
     payload = {
         "family": dist.family,
         "side": side,

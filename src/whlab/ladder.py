@@ -111,14 +111,13 @@ def ladder_law(mu: LatticeDist, side: str, horizon: int) -> LadderLaw:
     cross before the horizon: on its direct path the masses are those of
     the walk that steps every point of every window, up to the grouping of
     long dot products, and the tail differs from that walk's in rounding
-    only.
+    only. A law that never crosses (no atom on that side of the origin)
+    takes the same path, to a (horizon, 0) table at height 0 upward and -1
+    downward.
     """
     _check_side(side)
     horizon = _check_int("horizon", horizon, 1)
     walk = _half_line_walk(mu, "nonneg" if side == UPWARD else "neg", horizon)
-    if walk.lo == walk.hi:
-        base = 0 if side == UPWARD else -1
-        return LadderLaw(side, horizon, base, np.zeros((horizon, 0)), walk.tail)
     masses = walk.table[:, walk.lo - walk.base : walk.hi - walk.base]
     return LadderLaw(side, horizon, walk.lo, np.ascontiguousarray(masses), walk.tail)
 
@@ -207,11 +206,10 @@ def chi_eval_grid(law: LadderLaw, s_values, t_values) -> TransformGrid:
     """
     s_arr, t_arr, mods = _grid_args(s_values, t_values)
     vals = np.zeros((len(s_arr), len(t_arr)), dtype=complex)
-    if law.masses.size:
-        phases = _phases(law.heights, t_arr)  # (W, T)
-        n_idx = np.arange(1, law.horizon + 1)
-        for i, row in enumerate(s_arr[:, None] ** n_idx[None, :]):
-            vals[i] = (row @ law.masses) @ phases
+    phases = _phases(law.heights, t_arr)  # (W, T)
+    n_idx = np.arange(1, law.horizon + 1)
+    for i, row in enumerate(s_arr[:, None] ** n_idx[None, :]):
+        vals[i] = (row @ law.masses) @ phases
     bounds = mods ** (law.horizon + 1) * law.tail
     width = law.masses.shape[1]
     reach = max(abs(law.height_offset), abs(law.height_offset + width - 1))
@@ -397,7 +395,7 @@ def log_restricted_mgf(data: TruncatedData, lambdas, n: int) -> np.ndarray:
 
 def _lambda_grid(data: TruncatedData) -> np.ndarray:
     r1 = data.restricted_power(1)
-    top = max(1, r1.max_index if not r1.is_zero else 1)
+    top = max(1, r1.max_index)
     lam_max = np.log(_MGF_ARG_CAP) / top
     return np.geomspace(lam_max / 50.0, lam_max, 12)
 

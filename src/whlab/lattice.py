@@ -24,11 +24,15 @@ MASS_TOL = 1e-9
 # span d > 1 counts its sublattice points, see _half_line_walk)
 FFT_THRESHOLD = 1 << 14
 MAX_WINDOW = 1 << 20
+# entries of a walk's crossing table (horizon rows times its height
+# columns): 512 MiB of float64
+MAX_TABLE = 1 << 26
 
 __all__ = [
     "MASS_TOL",
     "FFT_THRESHOLD",
     "MAX_WINDOW",
+    "MAX_TABLE",
     "LatticeDist",
     "lattice",
     "delta",
@@ -90,7 +94,7 @@ class LatticeDist:
         return self.offset + np.arange(len(self.weights))
 
     def mass(self, k: int) -> float:
-        if self.is_zero or k < self.min_index or k > self.max_index:
+        if k < self.min_index or k > self.max_index:
             return 0.0
         return float(self.weights[k - self.offset])
 
@@ -158,6 +162,17 @@ def _check_window(length: int) -> None:
         raise SizeLimitError(
             "window of %d entries exceeds maximum %d" % (length, MAX_WINDOW)
         )
+
+
+def _zeroed_table(rows: int, cols: int) -> np.ndarray:
+    """A zeroed (rows, cols) walk table; SizeLimitError for one of more than
+    MAX_TABLE entries, raised before it is allocated."""
+    if rows * cols > MAX_TABLE:
+        raise SizeLimitError(
+            "table of %d rows and %d columns exceeds maximum %d entries"
+            % (rows, cols, MAX_TABLE)
+        )
+    return np.zeros((rows, cols))
 
 
 def _finite_vector(name: str, values, dtype=float) -> np.ndarray:
@@ -281,8 +296,6 @@ def convolve(a: LatticeDist, b: LatticeDist) -> LatticeDist:
 
 def split_nonneg(mu: LatticeDist) -> tuple[LatticeDist, LatticeDist]:
     """Split into (part on k < 0, part on k >= 0)."""
-    if mu.is_zero:
-        return zero_measure(), zero_measure()
     cut = -mu.offset  # first index at lattice point 0
     if cut <= 0:
         return zero_measure(), mu
@@ -301,11 +314,12 @@ class _Walk(NamedTuple):
 
     ``table[n-1, j]`` is the crossing mass of step n at height ``base + j``:
     row n-1 is step n's crossing, zero at every height step n cannot reach.
-    ``lo`` and ``hi`` bound the heights that carry any (``lo == hi ==
-    base`` if none), found once after the last step. ``tail`` is the killed
-    walk's P(tau > horizon): the total of its final alive window plus the
-    mass cut from it on the way, carried to the horizon. It is None for the
-    unkilled walk.
+    ``base`` is 0 for r_n and ascents and at most -1 for descents, also
+    for a step law with no negative atom. ``lo`` and ``hi`` bound the
+    heights that carry any (``lo == hi == base`` if none), found once after
+    the last step. ``tail`` is the killed walk's P(tau > horizon): the
+    total of its final alive window plus the mass cut from it on the way,
+    carried to the horizon. It is None for the unkilled walk.
     """
 
     table: np.ndarray
@@ -377,6 +391,9 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     on zeros. ``[lo, hi)`` is found once, after the last step. The r_n
     table widens on demand, and a walk whose r_n would need more than
     ``MAX_WINDOW`` height columns stops with SizeLimitError at that step.
+    So does a walk, in any kill mode, whose table of ``horizon`` rows would
+    hold more than ``MAX_TABLE`` entries: before its first allocation, or
+    at the step that would widen it past that.
     """
     if mu.is_zero:
         raise DomainError("step distribution must be nonzero")
@@ -391,21 +408,23 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     mu_size = mu_w.size
     top = max(mu.max_index, 0)
     # Crossing heights: a weak ascent lands on 0..top, a strict descent on
-    # min_index..-1, and r_n on 0..n*top. The r_n table starts with at most
-    # MAX_WINDOW heights and widens on demand: underflow can keep r_n far
-    # below n*top, and a walk past MAX_WINDOW must stop with SizeLimitError
-    # at that step, not with a huge allocation up front.
+    # min_index..-1, and r_n on 0..n*top. The descent table starts at -1 or
+    # below, so a law with no negative atom has its empty table at -1. The
+    # r_n table starts with at most MAX_WINDOW heights and widens on demand:
+    # underflow can keep r_n far below n*top, and a walk past MAX_WINDOW must
+    # stop with SizeLimitError at that step, not with a huge allocation up
+    # front.
     if kill is None:
         base, width = 0, min(horizon * top, MAX_WINDOW // horizon) + 1
     elif kill == "nonneg":
         base, width = 0, top + 1
     else:
-        base = min(mu.offset, 0)
+        base = min(mu.offset, -1)
         width = -base
     descent = kill == "neg"
     # one step moves a point at most this far towards the crossing side
-    reach = -base if descent else top
-    table = np.zeros((horizon, width))
+    reach = max(-mu.offset, 0) if descent else top
+    table = _zeroed_table(horizon, width)
     # one past the highest column any crossing was written to
     end = 0
     mu_rev = mu_w[::-1].copy()
@@ -482,7 +501,9 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
                     raise SizeLimitError(
                         "table of %d columns exceeds maximum %d" % (j_end, MAX_WINDOW)
                     )
-                wider = np.zeros((horizon, min(max(j_end, 2 * width), MAX_WINDOW)))
+                # doubles, within MAX_WINDOW and MAX_TABLE where j_end fits
+                cols = min(2 * width, MAX_WINDOW, MAX_TABLE // horizon)
+                wider = _zeroed_table(horizon, max(j_end, cols))
                 wider[:n, :width] = table[:n]
                 table, width = wider, wider.shape[1]
             table[n, j:j_end:span] = crossing
@@ -514,10 +535,8 @@ def _aligned(a: LatticeDist, b: LatticeDist) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = min(los), max(his)
     va = np.zeros(hi - lo + 1)
     vb = np.zeros(hi - lo + 1)
-    if not a.is_zero:
-        va[a.min_index - lo : a.max_index - lo + 1] = a.weights
-    if not b.is_zero:
-        vb[b.min_index - lo : b.max_index - lo + 1] = b.weights
+    va[a.min_index - lo : a.max_index - lo + 1] = a.weights
+    vb[b.min_index - lo : b.max_index - lo + 1] = b.weights
     return va, vb
 
 

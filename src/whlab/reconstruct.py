@@ -156,20 +156,14 @@ def _kernel_design(kernel: LatticeDist, n_rows: int, lags) -> np.ndarray:
 
 def _first_visible(r: LatticeDist) -> int | None:
     """Lowest index carrying mass above PATTERN_TOL, None when there is none."""
-    if r.is_zero:
-        return None
     idx = r.indices()[r.weights > PATTERN_TOL]
     return int(idx[0]) if idx.size else None
 
 
 def _assemble(r1: LatticeDist, neg_masses: np.ndarray) -> LatticeDist:
     """Distribution with mass neg_masses[j-1] at -j and r1 on the half-line."""
-    w = int(len(neg_masses))
-    pos = _dense_r1(r1)
-    if w == 0:
-        return lattice(0, pos)
-    weights = np.concatenate([neg_masses[::-1], pos])
-    return lattice(-w, weights)
+    weights = np.concatenate([neg_masses[::-1], _dense_r1(r1)])
+    return lattice(-len(neg_masses), weights)
 
 
 def _deficit(data: TruncatedData) -> float:
@@ -316,7 +310,7 @@ def recover_skipfree(data: TruncatedData) -> ReconstructionReport:
         raise ClassNotDetected(
             "one restricted power cannot refute the mass-deficit candidate"
         )
-    candidate = _assemble(r1, np.array([deficit]) if deficit > 0.0 else np.zeros(0))
+    candidate = _assemble(r1, np.array([deficit]))
     # the first n steps of the N-step walk are the n-step walk, bit for bit,
     # so a gap seen at r2 is a gap of the full check
     for n in sorted({min(2, data.horizon), data.horizon}):
@@ -387,9 +381,9 @@ def _correlation_solve(design, b, deficit: float):
     1e3 max(sigma_max, 1)), rescaled to carry it exactly."""
     n_lags = design.shape[1]
     sv = np.linalg.svd(design, compute_uv=False)
-    top = float(sv[0]) if sv.size else 0.0
-    rank = int(np.sum(sv > max(top, 1.0) * 1e-10)) if top > 0 else 0
-    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
+    top = float(sv[0])
+    rank = int(np.sum(sv > max(top, 1.0) * 1e-10))
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     x = _nnls_with_mass(design, b, 1e3 * max(top, 1.0), deficit, cond)
     total = float(x.sum())
     if deficit > 0.0 and total > 0.0:
@@ -603,9 +597,8 @@ def extend_by_negative(data: TruncatedData, nu: LatticeDist) -> TruncatedData:
     for n in range(1, data.horizon + 1):
         power = nu if power is None else convolve(power, nu)
         row = split_nonneg(convolve(data.restricted_power(n), power))[1]
-        if not row.is_zero:
-            table[n - 1, row.offset : row.max_index + 1] = row.weights
-            width = max(width, row.max_index + 1)
+        table[n - 1, row.offset : row.max_index + 1] = row.weights
+        width = max(width, row.max_index + 1)
     return TruncatedData(data.horizon, table[:, :width])
 
 
@@ -641,8 +634,6 @@ def _refine_head(r1: LatticeDist, r2: LatticeDist, gap: int):
     that fails; masses outside [0, 1] mean the data was not a
     bounded-support first power and also return None.
     """
-    if r1.is_zero or r2.is_zero:
-        return None
     top = r1.max_index
     p1 = _dense_r1(r1)
     if top < 2 * gap or p1[top] < 1e-12:

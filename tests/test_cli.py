@@ -704,6 +704,40 @@ WINDOWS_PAST_LIMIT = {
 }
 
 
+@pytest.mark.parametrize(
+    "command, rows, cols", [("factorize", 10**30, 2), ("roundtrip", 10**30, 1)]
+)
+def test_horizon_past_the_table_budget_exits_2(tmp_path, command, rows, cols):
+    # a (10**30, 1) table passes no column limit, only the entries budget
+    cfg = write_config(tmp_path / "cfg.json", dict(FACTORIZE_DOC, horizon=10**30))
+    result = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result == (
+        2,
+        "whlab: invalid input: table of %d rows and %d columns exceeds maximum "
+        "67108864 entries\n" % (rows, cols),
+    )
+
+
+def test_simulate_refuses_a_max_steps_past_the_table_budget_at_once(tmp_path):
+    # the sampler alone would walk 1,000 samples towards 10**12 steps for
+    # hours; the exact law's table is refused first
+    doc = dict(SIMULATE_DOC, side="downward", n_samples=1000, max_steps=10**12)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    result = subprocess.run(
+        [sys.executable, "-m", "whlab.cli", "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (
+        "whlab: invalid input: table of 1000000000000 rows and 2 columns "
+        "exceeds maximum 67108864 entries\n"
+    )
+
+
 @pytest.mark.parametrize("family", sorted(WINDOWS_PAST_LIMIT))
 def test_generator_window_past_limit_rejected_with_exit_2(tmp_path, family):
     spec = {"family": family, "parameters": WINDOWS_PAST_LIMIT[family]}
@@ -993,6 +1027,10 @@ CONFIG_REFUSALS = {
         ),
         "distribution",
         "invalid distribution: atom_weights must be positive and sum to one",
+    ),
+    "t_points_past_max_window": (
+        "factorize", dict(FACTORIZE_DOC, t_points=10**30), "t_points",
+        "'t_points' must be at most 1048576",
     ),
     "simulate_improper_law": (
         "simulate",

@@ -797,6 +797,27 @@ def test_unkilled_walk_stops_before_its_table_passes_max_window():
         truncated_data(two_point(-1, 10**6, 0.5).dist, 5)
 
 
+def test_walk_table_past_its_entry_budget_is_refused(monkeypatch):
+    lat = importlib.import_module("whlab.lattice")
+    mu = two_point(-1, 300, 0.5).dist
+    # r_n's table starts at (4000, 263) and doubles its columns only up to
+    # the budget's 524, but r_2 needs 601: 2,404,000 entries pass 2**21
+    monkeypatch.setattr(lat, "MAX_TABLE", 1 << 21)
+    with pytest.raises(
+        SizeLimitError,
+        match="table of 4000 rows and 601 columns exceeds maximum 2097152 entries",
+    ):
+        truncated_data(mu, 4000)
+    # the killed walks' tables are refused before they are allocated
+    monkeypatch.setattr(lat, "MAX_TABLE", 1000)
+    with pytest.raises(SizeLimitError, match="table of 4000 rows and 301 columns"):
+        ladder_law(mu, UPWARD, 4000)
+    with pytest.raises(SizeLimitError, match="table of 4000 rows and 1 columns"):
+        ladder_law(mu, DOWNWARD, 4000)
+    # a table of exactly MAX_TABLE entries fits
+    assert ladder_law(mu, DOWNWARD, 1000).masses.shape == (1000, 1)
+
+
 def test_walk_kernel_matches_public_loop_on_simple_walk():
     # dyadic masses: every tail is exact, cut or not
     for side in (UPWARD, DOWNWARD):
