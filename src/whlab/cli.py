@@ -4,7 +4,8 @@ roundtrip, and simulate, driven by a single JSON config document.
 Exit codes: 0 success, 1 tolerance or statistical violation, 2 config
 parse/validation failure (line-anchored message on stderr, a ``t_points``
 past MAX_WINDOW included) or invalid input (a lattice window or r_n table
-past MAX_WINDOW, or a walk table past MAX_TABLE entries, included), 3 when
+past MAX_WINDOW, a walk table past MAX_TABLE entries, or a complex phase
+table past their bytes, included), 3 when
 reconstruct or roundtrip detects no class. Report bodies are deterministic
 functions of the config bytes (``simulate`` takes its seed from the
 ``"seed"`` key, default 0); the only timestamp sits on a leading comment
@@ -37,7 +38,7 @@ from .errors import (
     InsufficientSamplesError,
     WhlabError,
 )
-from .generators import GeneratedDist, custom_file, make_distribution
+from .generators import FAMILIES, GeneratedDist
 from .ladder import (
     DOWNWARD,
     UPWARD,
@@ -45,7 +46,7 @@ from .ladder import (
     ladder_law,
     verify_factorization,
 )
-from .lattice import MAX_WINDOW, tv_distance
+from .lattice import MAX_WINDOW, lattice, tv_distance
 from .montecarlo import censored_z, compare_empirical, sample_ladder
 from .reconstruct import CLASS_NONE, DETECTOR_ORDER, auto_reconstruct
 
@@ -169,12 +170,12 @@ class ExperimentConfig:
     def t_values(self) -> np.ndarray:
         return np.linspace(0.0, 2.0 * np.pi, self.t_points(), endpoint=False)
 
-    def tolerance(self, name: str, default: float) -> float:
+    def tv(self) -> float:
         # parse_config has already refused a "tolerances" that is not an object
-        value = self.doc.get("tolerances", {}).get(name, default)
+        value = self.doc.get("tolerances", {}).get("tv", 1e-6)
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and 0 < value < math.inf):
-            self._fail("tolerances", "tolerance %r must be finite and positive" % name)
+            self._fail("tolerances", "tolerance 'tv' must be finite and positive")
         return float(value)
 
     def side(self) -> str:
@@ -205,28 +206,47 @@ class ExperimentConfig:
         return value
 
     def distribution(self) -> GeneratedDist:
+        """The step law of ``{"family": ..., "parameters": {...}}`` or of
+        ``{"file": ...}``, a JSON document {"min_index": int, "weights": [...]}
+        whose other keys are ignored; each refusal names the distribution line."""
         spec = self.require("distribution")
+        fail = functools.partial(self._fail, "distribution")
         if not isinstance(spec, dict):
-            self._fail("distribution", "'distribution' must be an object")
+            fail("'distribution' must be an object")
         if "file" in spec:
             path = _beside(self.config_path, spec["file"])
             if not path.is_file():
-                self._fail("distribution", "distribution file %s not found" % path)
+                fail("distribution file %s not found" % path)
             try:
-                return custom_file(path)
-            except ConfigError as exc:
-                self._fail("distribution", str(exc))
+                raw = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                fail("cannot read distribution file %s: %s" % (path, exc))
+            try:
+                law = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                fail("invalid JSON in %s: %s" % (path, exc))
+            if not isinstance(law, dict) or not {"min_index", "weights"} <= law.keys():
+                fail("custom file needs min_index and weights keys")
+            try:
+                dist = lattice(law["min_index"], law["weights"])
+            except DomainError as exc:
+                fail("custom file does not define a distribution: %s" % exc)
+            return GeneratedDist("custom_file", dist)
         if "family" not in spec:
-            self._fail("distribution", "'distribution' needs 'family' or 'file'")
+            fail("'distribution' needs 'family' or 'file'")
+        family = spec["family"]
         parameters = spec.get("parameters", {})
         if not isinstance(parameters, dict):
-            self._fail("distribution", "'parameters' must be an object")
+            fail("'parameters' must be an object")
+        # a list or an object is unhashable, so the type is tested first
+        if not isinstance(family, str) or family not in FAMILIES:
+            fail("unknown family %r; expected one of %s" % (family, sorted(FAMILIES)))
         try:
-            return make_distribution(spec["family"], parameters)
-        except ConfigError as exc:
-            self._fail("distribution", str(exc))
-        except (DomainError, DataInconsistencyError) as exc:
-            self._fail("distribution", "invalid distribution: %s" % exc)
+            return FAMILIES[family](**parameters)
+        except TypeError as exc:
+            fail("bad parameters for %s: %s" % (family, exc))
+        except DomainError as exc:
+            fail("invalid distribution: %s" % exc)
 
     def data_dir(self) -> Path:
         path = _beside(self.config_path, self.require("data_dir"))
@@ -286,7 +306,7 @@ def parse_config(
     for name in tolerances:
         if name != "tv":
             cfg._fail("tolerances", "unknown tolerance %r; expected 'tv'" % name)
-        cfg.tolerance(name, 1.0)
+    cfg.tv()
     cfg.s_values()
     cfg.side()
     cfg.detectors()
@@ -381,7 +401,7 @@ def cmd_reconstruct(cfg: ExperimentConfig):
 def cmd_roundtrip(cfg: ExperimentConfig):
     dist = cfg.distribution()
     horizon = cfg.positive_int("horizon")
-    tol = cfg.tolerance("tv", 1e-6)
+    tol = cfg.tv()
     data = truncated_data(dist.dist, horizon)
     report = auto_reconstruct(data, detectors=cfg.detectors())
     detected = report.detected_class != CLASS_NONE
@@ -431,10 +451,8 @@ def cmd_simulate(cfg: ExperimentConfig):
         print("whlab simulate: %s" % exc, file=sys.stderr)
         return payload, 1
     cz = censored_z(exact, emp)
-    rows = (
-        (n, k, count, expected / emp.n_samples, z)
-        for n, k, count, expected, z in comparison.cells
-    )
+    # the DP mass itself: n_samples * p / n_samples can differ from p in the last bit
+    rows = ((n, k, c, exact.mass(n, k), z) for n, k, c, _, z in comparison.cells)
     _write_csv(
         cfg.output_dir / "empirical.csv",
         cfg.sha256,

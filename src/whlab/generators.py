@@ -7,13 +7,11 @@ never renormalized, so the clipped mass shows as ``1 - dist.total``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .lattice import LatticeDist, _check_int, _check_window, delta, lattice
 
 __all__ = [
@@ -23,8 +21,6 @@ __all__ = [
     "uniform_window",
     "geometric_mixture",
     "power_tail_pair",
-    "custom_file",
-    "make_distribution",
     "FAMILIES",
 ]
 
@@ -116,29 +112,6 @@ def power_tail_pair(cutoff: int = 200) -> GeneratedDist:
     return GeneratedDist("power_tail_pair", lattice(-(b - 1), weights))
 
 
-def custom_file(path: str | Path) -> GeneratedDist:
-    """Load a distribution from JSON: {"min_index": int, "weights": [...]}.
-
-    Other keys are ignored; mass cut off when the file was written shows as
-    ``1 - dist.total``.
-    """
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("cannot read distribution file %s: %s" % (path, exc))
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("invalid JSON in %s: %s" % (path, exc))
-    if not isinstance(payload, dict) or "min_index" not in payload or "weights" not in payload:
-        raise ConfigError("custom file needs min_index and weights keys")
-    try:
-        dist = lattice(payload["min_index"], payload["weights"])
-    except DomainError as exc:
-        raise ConfigError("custom file does not define a distribution: %s" % exc)
-    return GeneratedDist("custom_file", dist)
-
-
 FAMILIES = {
     "point_mass": point_mass,
     "two_point": two_point,
@@ -147,14 +120,3 @@ FAMILIES = {
     "power_tail_pair": power_tail_pair,
 }
 
-
-def make_distribution(family: str, parameters: dict) -> GeneratedDist:
-    if family not in FAMILIES:
-        raise ConfigError(
-            "unknown family %r; expected one of %s" % (family, sorted(FAMILIES))
-        )
-    builder = FAMILIES[family]
-    try:
-        return builder(**parameters)
-    except TypeError as exc:
-        raise ConfigError("bad parameters for %s: %s" % (family, exc))

@@ -35,7 +35,13 @@ import numpy as np
 
 from .data import TruncatedData
 from .errors import DomainError
-from .lattice import LatticeDist, _check_int, _finite_vector, _half_line_walk
+from .lattice import (
+    LatticeDist,
+    _check_int,
+    _finite_vector,
+    _half_line_walk,
+    _zeroed_table,
+)
 
 UPWARD = "upward"
 DOWNWARD = "downward"
@@ -141,11 +147,12 @@ def _phases(heights: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
 
     cos and sin are written into the real and imaginary views of one
     complex array: the values of np.exp(1j * k t), signed zeros included,
-    without its complex multiply and complex exp.
+    without its complex multiply and complex exp. A table whose bytes pass
+    the walk tables' budget is refused before anything is allocated.
     """
+    out = _zeroed_table(len(heights), len(t_arr), complex)
     x = np.multiply.outer(heights, t_arr)
     x += 0.0  # 1j * x has imaginary part +0.0 where x is -0.0
-    out = np.empty(x.shape, dtype=complex)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out

@@ -25,7 +25,7 @@ MASS_TOL = 1e-9
 FFT_THRESHOLD = 1 << 14
 MAX_WINDOW = 1 << 20
 # entries of a walk's crossing table (horizon rows times its height
-# columns): 512 MiB of float64
+# columns): 512 MiB of float64, which a complex phase table may take too
 MAX_TABLE = 1 << 26
 
 __all__ = [
@@ -164,15 +164,16 @@ def _check_window(length: int) -> None:
         )
 
 
-def _zeroed_table(rows: int, cols: int) -> np.ndarray:
-    """A zeroed (rows, cols) walk table; SizeLimitError for one of more than
-    MAX_TABLE entries, raised before it is allocated."""
-    if rows * cols > MAX_TABLE:
+def _zeroed_table(rows: int, cols: int, dtype=float) -> np.ndarray:
+    """A zeroed (rows, cols) table; SizeLimitError for one that takes more
+    bytes than MAX_TABLE float64 entries, raised before it is allocated."""
+    limit = MAX_TABLE * 8 // np.dtype(dtype).itemsize
+    if rows * cols > limit:
         raise SizeLimitError(
             "table of %d rows and %d columns exceeds maximum %d entries"
-            % (rows, cols, MAX_TABLE)
+            % (rows, cols, limit)
         )
-    return np.zeros((rows, cols))
+    return np.zeros((rows, cols), dtype)
 
 
 def _finite_vector(name: str, values, dtype=float) -> np.ndarray:

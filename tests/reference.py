@@ -63,6 +63,25 @@ def cross_correlation_direct(mu: LatticeDist, n: int) -> float:
     return float(np.dot(mu.weights[k - mu.offset], mu.weights[(n - k) - mu.offset]))
 
 
+def hitting_time_masses(mu: LatticeDist, horizon: int) -> np.ndarray:
+    """P(S_n = -1) / n for n = 1..horizon, from the two-sided powers of mu
+    built one plain np.convolve at a time.
+
+    For mu with no atom below -1 this is P(tau- = n, S_tau- = -1) by the
+    hitting-time theorem (Kemperman, *The Passage Problem for a Stationary
+    Markov Chain*, 1961; van der Hofstad and Keane, "An elementary proof of
+    the hitting time theorem", Amer. Math. Monthly 115, 2008), with no
+    killed walk anywhere.
+    """
+    out = np.zeros(horizon)
+    power, low = np.ones(1), 0  # mu^{*0} on low..low + len(power) - 1
+    for n in range(1, horizon + 1):
+        power, low = np.convolve(power, mu.weights), low + mu.offset
+        if 0 <= -1 - low < len(power):
+            out[n - 1] = power[-1 - low] / n
+    return out
+
+
 def data_from_powers(powers) -> TruncatedData:
     """Half-line data whose table row n-1 holds powers[n-1] on 0..W-1, W one
     past the highest index of any power (at least 1)."""

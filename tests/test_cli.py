@@ -14,10 +14,11 @@ import pytest
 
 from conftest import child_env, cm_shallow_window_law, cm_unsolved_data
 from whlab import (
+    FAMILIES,
     LatticeDist,
     geometric_mixture,
+    ladder_law,
     lattice,
-    make_distribution,
     power_tail_pair,
     save_data_dir,
     truncated_data,
@@ -155,7 +156,7 @@ def test_roundtrip_tv_is_the_distance_of_the_written_law(tmp_path, expected):
     report = json.loads((tmp_path / "out" / "roundtrip_report.json").read_text())
     assert report["detected_class"] == expected
     recovered = LatticeDist.from_dict(report["recovered"])
-    truth = make_distribution(family, parameters).dist
+    truth = FAMILIES[family](**parameters).dist
     assert report["residuals"]["tv_distance"] == tv_distance(recovered, truth)
 
 
@@ -694,6 +695,20 @@ def test_simulate_passes_and_is_deterministic(tmp_path):
     assert abs(report["censored_z"]) <= 4.0
 
 
+def test_simulate_writes_the_dp_mass_of_each_cell(tmp_path):
+    # at 25,000 samples and 400 steps two cells' n_samples * p / n_samples
+    # differ from p in the last bit; the CSV carries p itself
+    doc = dict(SIMULATE_DOC, n_samples=25000, max_steps=400)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    exact = ladder_law(two_point(-2, 1, 0.7).dist, "upward", 400)
+    rows = [line.split(",") for line in csv_body(tmp_path / "out" / "empirical.csv")[2:]]
+    masses = [(exact.mass(int(n), int(k)), float(p)) for n, k, _, p, _ in rows]
+    assert all(want == got for want, got in masses)
+    assert any(25000 * want / 25000 != want for want, _ in masses)
+
+
 # each family's window one entry past lattice.MAX_WINDOW
 _PAST = importlib.import_module("whlab.lattice").MAX_WINDOW + 1
 WINDOWS_PAST_LIMIT = {
@@ -716,6 +731,20 @@ def test_horizon_past_the_table_budget_exits_2(tmp_path, command, rows, cols):
         "whlab: invalid input: table of %d rows and %d columns exceeds maximum "
         "67108864 entries\n" % (rows, cols),
     )
+
+
+def test_phase_table_past_the_entry_budget_exits_2(tmp_path, monkeypatch):
+    # the walk tables fit a budget of 1000 float64 entries, but phi's complex
+    # table of 3 atoms by 250 t points takes the bytes of 1500
+    monkeypatch.setattr(importlib.import_module("whlab.lattice"), "MAX_TABLE", 1000)
+    cfg = write_config(tmp_path / "cfg.json", dict(FACTORIZE_DOC, t_points=250))
+    result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result == (
+        2,
+        "whlab: invalid input: table of 3 rows and 250 columns exceeds maximum "
+        "500 entries\n",
+    )
+    assert not (tmp_path / "out" / "factorize_report.json").exists()
 
 
 def test_simulate_refuses_a_max_steps_past_the_table_budget_at_once(tmp_path):
@@ -967,6 +996,17 @@ CONFIG_REFUSALS = {
     "distribution_without_family": (
         "factorize", dict(FACTORIZE_DOC, distribution={"parameters": {}}), "distribution",
         "'distribution' needs 'family' or 'file'",
+    ),
+    "family_list": (
+        "factorize", dict(FACTORIZE_DOC, distribution={"family": ["two_point"]}), "distribution",
+        "unknown family ['two_point']; expected one of ['geometric_mixture', 'point_mass', "
+        "'power_tail_pair', 'two_point', 'uniform_window']",
+    ),
+    "family_object": (
+        "factorize", dict(FACTORIZE_DOC, distribution={"family": {"two_point": {}}}),
+        "distribution",
+        "unknown family {'two_point': {}}; expected one of ['geometric_mixture', "
+        "'point_mass', 'power_tail_pair', 'two_point', 'uniform_window']",
     ),
     "parameters_list": (
         "factorize",

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 
 import whlab.ladder
 from conftest import random_corpus
-from reference import data_from_powers
+from reference import data_from_powers, hitting_time_masses
 from whlab import (
     chi_eval_grid,
     delta,
@@ -791,6 +791,32 @@ def test_long_span_d_walk_is_within_roundoff_of_public_loop(side):
     )
 
 
+def _descending_skip_free_laws():
+    """Laws with no atom below -1: two span-3 ones and random windows from
+    -1, some with holes."""
+    rng = np.random.default_rng(11)
+    laws = [two_point(-1, 2, 0.3).dist, two_point(-1, 2, 0.8).dist]
+    for width in range(2, 9):
+        weights = rng.random(width) * (rng.random(width) < 0.7)
+        weights[0] = weights[0] or 0.5
+        laws.append(lattice(-1, weights / weights.sum()))
+    return laws
+
+
+@pytest.mark.parametrize("horizon", [40, 400])
+def test_strict_descents_of_a_skip_free_law_obey_the_hitting_time_theorem(horizon):
+    # P(tau- = n, S_tau- = -1) = P(S_n = -1) / n, the powers by np.convolve:
+    # each side is within n m u of the exact mass, as in `_entry_roundoff`,
+    # and the reference's division by n rounds once more
+    steps = np.arange(1, horizon + 1)
+    for mu in _descending_skip_free_laws():
+        law = ladder_law(mu, DOWNWARD, horizon)
+        assert law.height_offset == -1 and law.masses.shape == (horizon, 1)
+        want = hitting_time_masses(mu, horizon)
+        bound = _entry_roundoff(mu, steps, want) + _U * want
+        assert (np.abs(law.masses[:, 0] - want) <= bound).all()
+
+
 def test_unkilled_walk_stops_before_its_table_passes_max_window():
     # two-entry sublattice windows, but r_2 reaches height 2 * 10**6
     with pytest.raises(SizeLimitError, match="table of 2000001 columns"):
@@ -816,6 +842,36 @@ def test_walk_table_past_its_entry_budget_is_refused(monkeypatch):
         ladder_law(mu, DOWNWARD, 4000)
     # a table of exactly MAX_TABLE entries fits
     assert ladder_law(mu, DOWNWARD, 1000).masses.shape == (1000, 1)
+
+
+def test_phase_table_past_the_entry_budget_is_refused(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("whlab.lattice"), "MAX_TABLE", 1000)
+    mu = two_point(-1, 1, 0.6).dist
+    law = ladder_law(mu, UPWARD, 10)
+    t = np.linspace(0.0, 2.0 * np.pi, 250, endpoint=False)
+    # a complex entry takes two float64 entries: 500 fit, as (2, 250) does
+    assert chi_eval_grid(law, [0.5], t).values.shape == (1, 250)
+    wider = np.linspace(0.0, 2.0 * np.pi, 251, endpoint=False)
+    with pytest.raises(
+        SizeLimitError, match="table of 2 rows and 251 columns exceeds maximum 500 entries"
+    ):
+        chi_eval_grid(law, [0.5], wider)
+    # phi's table has a row for each of mu's three atoms
+    with pytest.raises(SizeLimitError, match="table of 3 rows and 250 columns"):
+        verify_factorization(mu, [0.5], t, 10)
+
+
+@pytest.mark.parametrize("horizon", [2, 40, 200])
+def test_laws_whose_top_atom_is_zero_share_their_half_line_data(horizon):
+    # a path that ends at or above 0 takes only zero steps, so r_n is
+    # 0.4^n delta_0 for both and chi+(s, t) = 0.4 s: support in (-inf, 0]
+    # is the conjecture's boundary on Z
+    near, far = lattice(-1, [0.6, 0.4]), lattice(-3, [0.6, 0, 0, 0.4])
+    r_near, r_far = truncated_data(near, horizon).table, truncated_data(far, horizon).table
+    assert r_near.shape == r_far.shape and r_near.tobytes() == r_far.tobytes()
+    a, b = ladder_law(near, UPWARD, horizon), ladder_law(far, UPWARD, horizon)
+    assert a.masses.shape == b.masses.shape and a.masses.tobytes() == b.masses.tobytes()
+    assert (a.height_offset, a.tail) == (b.height_offset, b.tail)
 
 
 def test_walk_kernel_matches_public_loop_on_simple_walk():
