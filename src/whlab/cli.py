@@ -223,7 +223,7 @@ class ExperimentConfig:
                 fail("cannot read distribution file %s: %s" % (path, exc))
             try:
                 law = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 fail("invalid JSON in %s: %s" % (path, exc))
             if not isinstance(law, dict) or not {"min_index", "weights"} <= law.keys():
                 fail("custom file needs min_index and weights keys")
@@ -272,6 +272,8 @@ def parse_config(
         doc = json.loads(raw_text)
     except json.JSONDecodeError as exc:
         raise ConfigError("invalid JSON: %s" % exc.msg, line=exc.lineno)
+    except RecursionError as exc:  # nested too deeply to decode
+        raise ConfigError("invalid JSON: %s" % exc)
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object", line=1)
 

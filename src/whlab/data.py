@@ -143,7 +143,7 @@ def load_data_dir(directory: str | Path) -> TruncatedData:
             raise ValueError("format is not %r" % DATA_FORMAT)
         horizon = _check_int("horizon", manifest["horizon"], 1)
         sha256 = str(manifest["sha256"])
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataInconsistencyError(
             "malformed manifest.json in %s: %s: %s" % (root, type(exc).__name__, exc)
         ) from exc

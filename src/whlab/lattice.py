@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -164,14 +165,15 @@ def _check_window(length: int) -> None:
         )
 
 
-def _zeroed_table(rows: int, cols: int, dtype=float) -> np.ndarray:
-    """A zeroed (rows, cols) table; SizeLimitError for one that takes more
+def _zeroed_table(rows: int, cols: int, dtype=float, held: int = 0) -> np.ndarray:
+    """A zeroed (rows, cols) table; SizeLimitError for one that, beside
+    ``held`` live entries of the same dtype (a table it replaces), takes more
     bytes than MAX_TABLE float64 entries, raised before it is allocated."""
     limit = MAX_TABLE * 8 // np.dtype(dtype).itemsize
-    if rows * cols > limit:
+    if rows * cols > limit - held:
         raise SizeLimitError(
-            "table of %d rows and %d columns exceeds maximum %d entries"
-            % (rows, cols, limit)
+            "table of %d rows and %d columns exceeds maximum %d entries%s"
+            % (rows, cols, limit, " beside the %d it replaces" % held if held else "")
         )
     return np.zeros((rows, cols), dtype)
 
@@ -310,6 +312,20 @@ def split_nonneg(mu: LatticeDist) -> tuple[LatticeDist, LatticeDist]:
 # -- the walk split at the origin ------------------------------------------
 
 
+def _cut_total(piece: np.ndarray) -> float:
+    """``float(np.add.reduce(piece))`` to the bit, without a numpy call
+    for a piece of fewer than 8 entries.
+
+    numpy adds fewer than 8 float64 terms one at a time from the left (its
+    pairwise blocks start at 8), so such a piece is folded from the left as
+    Python floats. Not with the builtin ``sum``: from Python 3.12 on it
+    compensates its rounding.
+    """
+    if piece.size < 8:
+        return reduce(operator.add, piece.tolist())
+    return float(np.add.reduce(piece))
+
+
 class _Walk(NamedTuple):
     """Output of ``_half_line_walk``.
 
@@ -388,13 +404,21 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     reversed), finds its cut and origin with one floor division each, runs
     ``_trim`` only where an edge weight of the stepped or alive window is
     not positive, and writes its crossing into the zeroed table as an
-    untrimmed slice: the exact-zero edges ``split_nonneg`` would trim land
-    on zeros. ``[lo, hi)`` is found once, after the last step. The r_n
-    table widens on demand, and a walk whose r_n would need more than
-    ``MAX_WINDOW`` height columns stops with SizeLimitError at that step.
-    So does a walk, in any kill mode, whose table of ``horizon`` rows would
-    hold more than ``MAX_TABLE`` entries: before its first allocation, or
-    at the step that would widen it past that.
+    untrimmed slice, or as a scalar if it has one entry: the exact-zero
+    edges ``split_nonneg`` would trim land on zeros. The bookkeeping
+    around those calls avoids numpy calls where Python ints and floats
+    give the same bits: edge tests read ``ndarray.item``, and
+    ``_cut_total`` adds a cut piece of fewer than 8 entries as Python
+    floats from the left, the order numpy keeps below the 8 terms where
+    its pairwise blocks start, so the total keeps every bit at about half
+    the cost of ``np.add.reduce``. ``[lo, hi)`` is found once, after the
+    last step.
+    The r_n table widens on demand, and a walk whose r_n would need more
+    than ``MAX_WINDOW`` height columns stops with SizeLimitError at that
+    step. So does a walk, in any kill mode, whose tables of ``horizon``
+    rows would hold more than ``MAX_TABLE`` entries at once: before its
+    first allocation, or at the step whose widening, which holds the old
+    table beside the new one while it copies, would pass that.
     """
     if mu.is_zero:
         raise DomainError("step distribution must be nonzero")
@@ -437,6 +461,8 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
     pos, alive = 0, np.ones(1)
     # mass cut from the killed walk, already carried to the horizon
     carried = 0.0
+    # how far the steps left can move a point towards the crossing side
+    ahead = horizon * reach
     for n in range(horizon):
         size = alive.size
         if not size:
@@ -444,22 +470,21 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
         # the cut: alive[keep:] (alive[:drop] unless "neg") cannot cross in
         # the horizon - n steps left; at least mu_size entries stay
         if descent:
-            keep = ((horizon - n) * reach - pos) // span + 1
+            keep = (ahead - pos) // span + 1
             if keep < mu_size:
                 keep = mu_size
             if keep < size:
-                cut_mass = float(np.add.reduce(alive[keep:]))
-                carried += cut_mass * mu_total ** (horizon - n)
+                carried += _cut_total(alive[keep:]) * mu_total ** (horizon - n)
                 alive, size = alive[:keep], keep
         else:
-            drop = -(((horizon - n) * reach + pos) // span)
+            drop = -((ahead + pos) // span)
             if drop > size - mu_size:
                 drop = size - mu_size
             if drop > 0:
                 if kill:
-                    cut_mass = float(np.add.reduce(alive[:drop]))
-                    carried += cut_mass * mu_total ** (horizon - n)
+                    carried += _cut_total(alive[:drop]) * mu_total ** (horizon - n)
                 pos, alive, size = pos + span * drop, alive[drop:], size - drop
+        ahead -= reach
         if size == 1 or mu_size == 1 or size > direct_max:
             stepped = _convolve_raw(alive, mu_w)
         elif size >= mu_size:
@@ -467,7 +492,7 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
         else:
             stepped = correlate(mu_w, alive[::-1], "full")
         pos += mu_offset
-        if not (stepped[0] > 0.0 and stepped[-1] > 0.0):
+        if not (stepped.item(0) > 0.0 and stepped.item(-1) > 0.0):
             first, stepped = _trim(0, stepped)
             pos += span * first
         size = stepped.size
@@ -480,7 +505,7 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
         # 0: the alive window is trimmed there if it is, the crossing is not
         if descent:
             j, crossing = pos - base, stepped[:cut]
-            if cut < size and stepped[cut] > 0.0:
+            if cut < size and stepped.item(cut) > 0.0:
                 pos, alive = pos + span * cut, stepped[cut:]
             else:
                 first, alive = _trim(cut, stepped[cut:])
@@ -489,25 +514,30 @@ def _half_line_walk(mu: LatticeDist, kill: str | None, horizon: int) -> _Walk:
             j, crossing = pos - base + span * cut, stepped[cut:]
             if kill is None:
                 alive = stepped
-            elif cut and stepped[cut - 1] > 0.0:
+            elif cut and stepped.item(cut - 1) > 0.0:
                 alive = stepped[:cut]
             else:
                 first, alive = _trim(0, stepped[:cut])
                 pos += span * first
-        if crossing.size:
+        crossed = crossing.size
+        if crossed:
             # one past the height column of the crossing's top
-            j_end = j + span * (crossing.size - 1) + 1
+            j_end = j + span * (crossed - 1) + 1
             if j_end > width:
                 if j_end > MAX_WINDOW:
                     raise SizeLimitError(
                         "table of %d columns exceeds maximum %d" % (j_end, MAX_WINDOW)
                     )
-                # doubles, within MAX_WINDOW and MAX_TABLE where j_end fits
-                cols = min(2 * width, MAX_WINDOW, MAX_TABLE // horizon)
-                wider = _zeroed_table(horizon, max(j_end, cols))
+                # doubles, within MAX_WINDOW and MAX_TABLE less the table it
+                # copies, where j_end fits
+                cols = min(2 * width, MAX_WINDOW, MAX_TABLE // horizon - width)
+                wider = _zeroed_table(horizon, max(j_end, cols), held=table.size)
                 wider[:n, :width] = table[:n]
                 table, width = wider, wider.shape[1]
-            table[n, j:j_end:span] = crossing
+            if crossed == 1:
+                table[n, j] = crossing.item(0)
+            else:
+                table[n, j:j_end:span] = crossing
             if j_end > end:
                 end = j_end
     # A nonempty crossing keeps one of stepped's positive edges (its top for

@@ -82,6 +82,32 @@ def hitting_time_masses(mu: LatticeDist, horizon: int) -> np.ndarray:
     return out
 
 
+def ascent_height_zero_masses(mu: LatticeDist, horizon: int) -> np.ndarray:
+    """P(tau+ = n, S_tau+ = 0) for n = 1..horizon and mu with no atom above
+    1, from the two-sided powers of mu built one plain np.convolve at a time.
+
+    That is mu(0) at n = 1. At n >= 2 the first step goes down to -j, and
+    from there the walk, which rises by at most 1 a step, first hits 0 at
+    step n - 1 with probability (j / (n - 1)) P(S_{n-1} = j) by the
+    hitting-time theorem (see ``hitting_time_masses``), so the mass is
+    sum_j mu(-j) (j / (n - 1)) P(S_{n-1} = j), with no killed walk anywhere.
+    Each n adds the terms j mu(-j) P(S_{n-1} = j) in increasing j and divides
+    their sum by n - 1 once.
+    """
+    out = np.zeros(horizon)
+    out[0] = mu.mass(0)
+    downs = [(j, mu.mass(-j)) for j in range(1, -mu.offset + 1) if mu.mass(-j)]
+    power, low = np.ones(1), 0  # mu^{*0} on low..low + len(power) - 1
+    for n in range(2, horizon + 1):
+        power, low = np.convolve(power, mu.weights), low + mu.offset
+        total = 0.0
+        for j, p in downs:
+            if 0 <= j - low < len(power):
+                total += j * p * power[j - low]
+        out[n - 1] = total / (n - 1)
+    return out
+
+
 def data_from_powers(powers) -> TruncatedData:
     """Half-line data whose table row n-1 holds powers[n-1] on 0..W-1, W one
     past the highest index of any power (at least 1)."""

@@ -405,6 +405,11 @@ CUSTOM_FILE_ERRORS = {
         b'{\n "min_index": 0,\n "weights": [1.0,]\n}\n',
         "invalid JSON in %s: Expecting value: line 3 column 18 (char 36)",
     ),
+    "nested_too_deeply": (
+        b"[" * 100_000,
+        "invalid JSON in %s: maximum recursion depth exceeded while decoding a JSON "
+        "array from a unicode string",
+    ),
     "no_min_index": (b'{"weights": [1.0]}', "custom file needs min_index and weights keys"),
     "non_numeric_weight": (
         b'{"min_index": 0, "weights": ["x"]}',
@@ -594,6 +599,29 @@ def test_reconstruct_rejects_malformed_manifest_with_exit_2(tmp_path, manifest):
     assert result.returncode == 2, result.stderr
     assert "malformed manifest.json" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_reconstruct_rejects_a_manifest_nested_too_deeply_with_exit_2(tmp_path):
+    root = save_data_dir(truncated_data(lattice(-1, [0.3, 0.2, 0.5]), 3), tmp_path / "d")
+    (root / "manifest.json").write_text("[" * 100_000)
+    result = _reconstruct_exit(tmp_path, root)
+    assert result == (
+        2,
+        "whlab: invalid input: malformed manifest.json in %s: RecursionError: maximum "
+        "recursion depth exceeded while decoding a JSON array from a unicode string\n"
+        % root,
+    )
+
+
+def test_config_nested_too_deeply_is_a_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"horizon": ' + "[" * 100_000)
+    result = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result == (
+        2,
+        "whlab: config error: invalid JSON: maximum recursion depth exceeded while "
+        "decoding a JSON array from a unicode string\n",
+    )
 
 
 def test_config_error_is_line_anchored(tmp_path):

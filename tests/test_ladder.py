@@ -1,6 +1,7 @@
 """Ladder laws, Wiener-Hopf factors, and the exponential-moment probes."""
 
 import importlib
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.special import logsumexp
 
 import whlab.ladder
 from conftest import random_corpus
-from reference import data_from_powers, hitting_time_masses
+from reference import ascent_height_zero_masses, data_from_powers, hitting_time_masses
 from whlab import (
     chi_eval_grid,
     delta,
@@ -817,6 +818,40 @@ def test_strict_descents_of_a_skip_free_law_obey_the_hitting_time_theorem(horizo
         assert (np.abs(law.masses[:, 0] - want) <= bound).all()
 
 
+def _ascending_skip_free_laws():
+    """Laws with no atom above 1: the bench's simulate laws (span 2 and 3),
+    a span-3 one that never rises, and random windows up to 1, some with
+    holes."""
+    rng = np.random.default_rng(12)
+    laws = [
+        two_point(-1, 1, 0.5).dist,
+        two_point(-1, 1, 0.65).dist,
+        two_point(-2, 1, 0.7).dist,
+        lattice(-3, [0.6, 0, 0, 0.4]),
+    ]
+    for width in range(2, 9):
+        weights = rng.random(width) * (rng.random(width) < 0.7)
+        weights[-1] = weights[-1] or 0.5
+        laws.append(lattice(2 - width, weights / weights.sum()))
+    return laws
+
+
+@pytest.mark.parametrize("horizon", [40, 400])
+def test_weak_ascents_of_a_skip_free_law_obey_the_hitting_time_theorem(horizon):
+    # P(tau+ = n, S_tau+ = 0) = sum_j mu(-j) (j / (n-1)) P(S_{n-1} = j) at
+    # n >= 2, the powers by np.convolve. The walk is within n m u of the
+    # exact mass, as in `_entry_roundoff`; the reference's powers are within
+    # (n - 1) m u, and its sum of at most m - 1 products, each rounded
+    # twice, then divided, adds (m + 1) u: u more than n m u
+    steps = np.arange(1, horizon + 1)
+    for mu in _ascending_skip_free_laws():
+        law = ladder_law(mu, UPWARD, horizon)
+        assert law.height_offset == 0 and law.masses.shape[1] <= 2
+        want = ascent_height_zero_masses(mu, horizon)
+        bound = _entry_roundoff(mu, steps, want) + _U * want
+        assert (np.abs(law.masses[:, 0] - want) <= bound).all()
+
+
 def test_unkilled_walk_stops_before_its_table_passes_max_window():
     # two-entry sublattice windows, but r_2 reaches height 2 * 10**6
     with pytest.raises(SizeLimitError, match="table of 2000001 columns"):
@@ -826,12 +861,13 @@ def test_unkilled_walk_stops_before_its_table_passes_max_window():
 def test_walk_table_past_its_entry_budget_is_refused(monkeypatch):
     lat = importlib.import_module("whlab.lattice")
     mu = two_point(-1, 300, 0.5).dist
-    # r_n's table starts at (4000, 263) and doubles its columns only up to
-    # the budget's 524, but r_2 needs 601: 2,404,000 entries pass 2**21
+    # r_n's table starts at (4000, 263), and r_1 needs 301 columns: beside
+    # the 1,052,000 entries it replaces, 1,204,000 more pass 2**21
     monkeypatch.setattr(lat, "MAX_TABLE", 1 << 21)
     with pytest.raises(
         SizeLimitError,
-        match="table of 4000 rows and 601 columns exceeds maximum 2097152 entries",
+        match="table of 4000 rows and 301 columns exceeds maximum 2097152 entries "
+        "beside the 1052000 it replaces",
     ):
         truncated_data(mu, 4000)
     # the killed walks' tables are refused before they are allocated
@@ -842,6 +878,27 @@ def test_walk_table_past_its_entry_budget_is_refused(monkeypatch):
         ladder_law(mu, DOWNWARD, 4000)
     # a table of exactly MAX_TABLE entries fits
     assert ladder_law(mu, DOWNWARD, 1000).masses.shape == (1000, 1)
+
+
+def test_widening_walk_holds_both_tables_inside_the_entry_budget(monkeypatch):
+    lat = importlib.import_module("whlab.lattice")
+    mu = two_point(-1, 300, 0.5).dist
+    # r_1 widens (4000, 263) to (4000, 526), 3,156,000 entries held at once;
+    # r_2's 601 columns beside those 2,104,000 would pass 2**22
+    monkeypatch.setattr(lat, "MAX_TABLE", 1 << 22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            SizeLimitError,
+            match="table of 4000 rows and 601 columns exceeds maximum 4194304 "
+            "entries beside the 2104000 it replaces",
+        ):
+            truncated_data(mu, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every table the walk held at once fits the budget's bytes
+    assert 8 * 3_156_000 <= peak <= 8 * (1 << 22)
 
 
 def test_phase_table_past_the_entry_budget_is_refused(monkeypatch):

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whlab import (
+    DOWNWARD,
+    UPWARD,
     LatticeDist,
     convolve,
     delta,
     geometric_mixture,
+    ladder_law,
     lattice,
     power_tail_pair,
     split_nonneg,
@@ -23,8 +26,9 @@ from whlab import (
     zero_measure,
 )
 from whlab.errors import DomainError, SizeLimitError
-from whlab.lattice import _trim
+from whlab.lattice import _cut_total, _trim
 
+from conftest import random_corpus
 from reference import convolution_power, convolve_exact
 
 
@@ -321,3 +325,50 @@ def test_trim_keeps_first_through_last_nonzero(offset, weights):
         np.testing.assert_array_equal(got, w[keep[0] : keep[-1] + 1])
     else:
         assert (got_offset, got.size) == (0, 0)
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_cut_total_has_the_bits_of_numpy_sum(length):
+    # _cut_total adds fewer than 8 terms as Python floats from the left: the
+    # killed walk's tail keeps its bits only while numpy adds such short
+    # arrays in the same order (its pairwise blocks start at 8 terms)
+    rng = np.random.default_rng(length)
+    shape = (2000, length)
+    subnormal = rng.integers(1, 2**52, shape) * 2.0**-1074
+    draws = [
+        rng.random(shape),
+        rng.random(shape) * 10.0 ** rng.uniform(-300.0, 0.0, shape),
+        rng.random(shape) * (rng.random(shape) < 0.5),
+        subnormal,
+        np.where(rng.random(shape) < 0.5, subnormal, rng.random(shape) * 2.0**-1000),
+    ]
+    for rows in draws:
+        for a in rows:
+            assert _cut_total(a).hex() == float(np.add.reduce(a)).hex()
+
+
+# tails from before the Python-float cut total, to the bit: the four bench
+# `simulate` walks at N = 4000 (every cut piece one entry); corpus laws
+# whose cut pieces all have 2 to 7 entries, where summing a piece in
+# another order moves a bit; and one with 8-entry pieces, summed by numpy,
+# where a fold from the left would move one
+_CORPUS = random_corpus(37)
+_PINNED_TAILS = [
+    (two_point(-1, 1, 0.5).dist, UPWARD, 4000, "0x1.9d5d3bf8a2cdcp-8"),
+    (two_point(-2, 1, 0.7).dist, UPWARD, 4000, "0x1.0f0d4d4966895p-27"),
+    (two_point(-2, 1, 0.7).dist, DOWNWARD, 4000, "0x1.24924b5ea4898p-3"),
+    (two_point(-1, 1, 0.65).dist, UPWARD, 4000, "0x1.e74fb6eaa1c49p-289"),
+    (_CORPUS[2], UPWARD, 400, "0x1.c5788fe2ee38ap-116"),
+    (_CORPUS[2], DOWNWARD, 400, "0x1.2f69df5256023p-1"),
+    (_CORPUS[3], UPWARD, 400, "0x1.839223e968faap-76"),
+    (_CORPUS[3], DOWNWARD, 400, "0x1.0159b7aaa6504p-1"),
+    (_CORPUS[6], UPWARD, 40, "0x1.1d6283704657ep-2"),
+    (_CORPUS[36], UPWARD, 400, "0x1.7a742522fed09p-38"),
+    (_CORPUS[36], DOWNWARD, 40, "0x1.6fcdc2c6b72b2p-2"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_PINNED_TAILS)))
+def test_killed_walk_tail_keeps_its_bits(case):
+    mu, side, horizon, tail = _PINNED_TAILS[case]
+    assert ladder_law(mu, side, horizon).tail.hex() == tail
